@@ -37,6 +37,10 @@ class Criterion:
     def grad(self, x):
         raise NotImplementedError
 
+    def value_and_grad(self, x):
+        """``(value(x), grad(x))``; override to share work between them."""
+        return self.value(x), self.grad(x)
+
     def _batch(self, x):
         return _as_batch(x, self.dim)
 
@@ -78,6 +82,10 @@ class AffineNormalizedCriterion(Criterion):
 
     def grad(self, x):
         return self.base.grad(x) / self.scale
+
+    def value_and_grad(self, x):
+        value, grad = self.base.value_and_grad(x)
+        return (value - self.shift) / self.scale, grad / self.scale
 
 
 def normalize_affine(f: Criterion, p: Distribution, n: int, seed: int) -> Criterion:
@@ -147,6 +155,13 @@ class BayesPosteriorClassifier:
     def log_prob_grad(self, batch, label: int) -> np.ndarray:
         return self.mixture.components[label].score(batch) - self.mixture.score(batch)
 
+    def _log_probabilities_and_grads(self, batch, labels):
+        """``log_probabilities(batch)`` and ``log_prob_grad`` for each label,
+        from one evaluation of the responsibilities."""
+        _, resp, comp_scores, score = self.mixture._fused_parts(batch)
+        log_p = np.log(np.maximum(resp, 1e-300))
+        return log_p, [comp_scores[:, label] - score for label in labels]
+
 
 class ClassifierCriterion(Criterion):
     """Criterion built from a probabilistic classifier.
@@ -177,34 +192,57 @@ class ClassifierCriterion(Criterion):
         else:
             self.label = f"class-{form}[{target_class}]"
 
+    def _labels(self):
+        if self.form == "entropy":
+            return range(self.classifier.num_classes)
+        return (self.target_class,)
+
+    def _value_from(self, log_p):
+        if self.form == "prob":
+            return np.exp(log_p[:, self.target_class])
+        if self.form == "log-prob":
+            return np.maximum(log_p[:, self.target_class], self.floor)
+        return -np.sum(np.exp(log_p) * log_p, axis=1)
+
+    def _grad_from(self, batch, log_p, grad_of):
+        """Input gradient from all-class log-probabilities and ``grad_of(c)``,
+        the gradient of log h(c | x), called once per label in turn."""
+        if self.form == "entropy":
+            out = np.zeros_like(batch)
+            for c in self._labels():
+                g = grad_of(c)
+                # d(-sum p log p) = -sum (log p) dp, since sum dp = 0
+                out -= (np.exp(log_p[:, c]) * log_p[:, c])[:, None] * g
+            return out
+        log_p = log_p[:, self.target_class]
+        g = grad_of(self.target_class)
+        if self.form == "prob":
+            return np.exp(log_p)[:, None] * g
+        return np.where((log_p > self.floor)[:, None], g, 0.0)
+
     def value(self, x):
         batch, single = self._batch(x)
-        log_p = self.classifier.log_probabilities(batch)
-        if self.form == "prob":
-            out = np.exp(log_p[:, self.target_class])
-        elif self.form == "log-prob":
-            out = np.maximum(log_p[:, self.target_class], self.floor)
-        else:
-            out = -np.sum(np.exp(log_p) * log_p, axis=1)
+        out = self._value_from(self.classifier.log_probabilities(batch))
         return out[0] if single else out
 
     def grad(self, x):
         batch, single = self._batch(x)
-        if self.form == "entropy":
-            log_p = self.classifier.log_probabilities(batch)
-            out = np.zeros_like(batch)
-            for c in range(self.classifier.num_classes):
-                g = self.classifier.log_prob_grad(batch, c)
-                # d(-sum p log p) = -sum (log p) dp, since sum dp = 0
-                out -= (np.exp(log_p[:, c]) * log_p[:, c])[:, None] * g
-        else:
-            log_p = self.classifier.log_probabilities(batch)[:, self.target_class]
-            g = self.classifier.log_prob_grad(batch, self.target_class)
-            if self.form == "prob":
-                out = np.exp(log_p)[:, None] * g
-            else:
-                out = np.where((log_p > self.floor)[:, None], g, 0.0)
+        log_p = self.classifier.log_probabilities(batch)
+        out = self._grad_from(
+            batch, log_p, lambda c: self.classifier.log_prob_grad(batch, c)
+        )
         return out[0] if single else out
+
+    def value_and_grad(self, x):
+        # exact type: a subclass may override log_probabilities/log_prob_grad
+        if type(self.classifier) is not BayesPosteriorClassifier:
+            return super().value_and_grad(x)
+        batch, single = self._batch(x)
+        labels = self._labels()
+        log_p, grads = self.classifier._log_probabilities_and_grads(batch, labels)
+        value = self._value_from(log_p)
+        grad = self._grad_from(batch, log_p, dict(zip(labels, grads)).__getitem__)
+        return (value[0], grad[0]) if single else (value, grad)
 
 
 def classifier_criterion(

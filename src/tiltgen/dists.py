@@ -51,6 +51,10 @@ class Distribution:
     def score(self, x):
         raise CapabilityError(f"no analytic score for kind {self.kind!r}")
 
+    def log_density_and_score(self, x):
+        """``(log_density(x), score(x))``; override to share work between them."""
+        return self.log_density(x), self.score(x)
+
     def sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -96,6 +100,13 @@ class DiagGaussian(Distribution):
         batch, single = _as_batch(x, self.dim)
         out = -(batch - self.mean) / self.variance
         return out[0] if single else out
+
+    def log_density_and_score(self, x):
+        batch, single = _as_batch(x, self.dim)
+        diff = batch - self.mean
+        log_p = -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
+        score = -diff / self.variance
+        return (log_p[0], score[0]) if single else (log_p, score)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:
@@ -168,6 +179,26 @@ class GaussianMixture(Distribution):
         comp_scores = np.stack([c.score(batch) for c in self.components], axis=1)
         out = np.einsum("nk,nkd->nd", resp, comp_scores)
         return out[0] if single else out
+
+    def _fused_parts(self, batch):
+        """Log-density, responsibilities, component scores and mixture score
+        of a batch from one evaluation of the component log-densities; the
+        arithmetic matches ``log_density``, ``responsibilities`` and ``score``
+        exactly."""
+        joint = self._component_log_densities(batch) + self._log_weights
+        m = joint.max(axis=1, keepdims=True)
+        w = np.exp(joint - m)
+        total = w.sum(axis=1, keepdims=True)
+        log_p = np.log(total[:, 0]) + m[:, 0]
+        w /= total
+        comp_scores = np.stack([c.score(batch) for c in self.components], axis=1)
+        score = np.einsum("nk,nkd->nd", w, comp_scores)
+        return log_p, w, comp_scores, score
+
+    def log_density_and_score(self, x):
+        batch, single = _as_batch(x, self.dim)
+        log_p, _, _, score = self._fused_parts(batch)
+        return (log_p[0], score[0]) if single else (log_p, score)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:

@@ -60,6 +60,10 @@ class Mlp:
             out[f"b{i}"] = b
         return out
 
+    def set_params(self, params: dict[str, np.ndarray]):
+        self.weights = [params[f"w{i}"] for i in range(len(self.weights))]
+        self.biases = [params[f"b{i}"] for i in range(len(self.biases))]
+
     def forward(self, u: np.ndarray):
         acts = [u]
         h = u
@@ -102,6 +106,10 @@ class AffineDiagonalLayer:
 
     def params(self):
         return {"log_scale": self.log_scale, "shift": self.shift}
+
+    def set_params(self, params):
+        self.log_scale = params["log_scale"]
+        self.shift = params["shift"]
 
     def _effective(self):
         return np.clip(self.log_scale, -self.scale_clamp, self.scale_clamp)
@@ -167,6 +175,9 @@ class AdditiveCouplingLayer:
     def params(self):
         return self.mlp.params()
 
+    def set_params(self, params):
+        self.mlp.set_params(params)
+
     def forward(self, x: np.ndarray):
         shift, acts = self.mlp.forward(x[:, self.cond_idx])
         y = x.copy()
@@ -216,6 +227,9 @@ class PermutationLayer:
     def params(self):
         return {}
 
+    def set_params(self, params):
+        pass
+
     def forward(self, x: np.ndarray):
         return x[:, self.perm], np.zeros(x.shape[0]), None
 
@@ -253,6 +267,11 @@ class FlowGradients:
     def flat(self) -> list[np.ndarray]:
         return [d[k] for d in self.layers for k in sorted(d)]
 
+    @property
+    def vector(self) -> np.ndarray:
+        """All gradients as one vector, laid out like ``FlowModel.theta``."""
+        return np.concatenate([g.ravel() for g in self.flat()])
+
     def check_shapes(self, model: "FlowModel"):
         if len(self.layers) != len(model.layers):
             raise ContractError("gradient buffers do not match layer count")
@@ -266,7 +285,15 @@ class FlowGradients:
 
 
 class FlowModel:
-    """Ordered stack of invertible layers acting on dimension ``dim``."""
+    """Ordered stack of invertible layers acting on dimension ``dim``.
+
+    All parameters live in one contiguous float64 vector, ``theta``; each
+    layer's arrays are views into it, laid out in ``parameters()`` order.
+    Updating ``theta`` in place updates every layer at once.  The model
+    takes ownership of ``layers``: their arrays are rebound into the new
+    ``theta``, so layer objects must not be shared between models (use
+    ``copy()`` instead).
+    """
 
     def __init__(self, dim: int, layers: list):
         self.dim = int(dim)
@@ -274,6 +301,20 @@ class FlowModel:
         for layer in self.layers:
             if layer.dim != self.dim:
                 raise ContractError("all layers must act on the model dimension")
+        self._bind_theta()
+
+    def _bind_theta(self):
+        """Copy the layers' parameters into a fresh ``theta`` and rebind
+        every layer's arrays as views of it."""
+        params = self.parameters()
+        self.theta = np.concatenate([np.ravel(p) for p in params]) if params else np.zeros(0)
+        offset = 0
+        for layer in self.layers:
+            views = {}
+            for k, p in sorted(layer.params().items()):
+                views[k] = self.theta[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
+            layer.set_params(views)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -281,13 +322,25 @@ class FlowModel:
         h = batch
         logdet = np.zeros(batch.shape[0])
         caches = []
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             h, ld, cache = layer.forward(h)
-            if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
-                raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
             logdet += ld
             caches.append(cache)
+        # Every layer maps a non-finite coordinate to a non-finite one, so a
+        # single check at the end detects what a per-layer check would.
+        if not (np.isfinite(h).all() and np.isfinite(logdet).all()):
+            self._raise_first_non_finite(batch)
         return h, logdet, caches
+
+    def _raise_first_non_finite(self, batch: np.ndarray):
+        """Re-run the layers one by one and name the first non-finite one."""
+        h = batch
+        with np.errstate(all="ignore"):
+            for i, layer in enumerate(self.layers):
+                h, ld, _ = layer.forward(h)
+                if not np.all(np.isfinite(h)) or not np.all(np.isfinite(ld)):
+                    raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
+        raise NumericError("non-finite accumulated log-determinant")
 
     def forward(self, x):
         """Map points forward; returns (y, logdet) with logdet per sample."""
@@ -351,11 +404,15 @@ class FlowModel:
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays, ordered as FlowGradients.flat()."""
+        """Live parameter arrays (views of ``theta``), ordered as
+        FlowGradients.flat()."""
         return [d[k] for layer in self.layers for d in [layer.params()] for k in sorted(d)]
 
     def copy(self) -> "FlowModel":
-        return copy.deepcopy(self)
+        # deepcopy copies each view on its own; rebinding restores the aliasing
+        new = copy.deepcopy(self)
+        new._bind_theta()
+        return new
 
     # -- serialization ------------------------------------------------------
 

@@ -17,6 +17,8 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .solver import MomentEstimates
 
@@ -25,7 +27,7 @@ TIMINGS_NAME = "timings.json"
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.17g}"

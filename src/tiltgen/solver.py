@@ -18,13 +18,13 @@ escapes the bracket is replaced by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .criteria import Criterion, normalize_affine
 from .dists import Distribution
-from .errors import ContractError, FlatCriterionError
+from .errors import ContractError, FlatCriterionError, NumericError
 from .flows import FlowArchitecture, init_identity
 from .rng import derive_seed
 from .tuner import TuneConfig, TunedModel, fit_q
@@ -56,6 +56,10 @@ class MomentEstimates:
     se_dkl: float
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if f.name != "n"
+               and not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise NumericError(f"non-finite moment estimate: {', '.join(bad)}")
         if self.n < 2:
             raise ContractError("moment estimates need n >= 2")
         if self.var_f < 0.0:

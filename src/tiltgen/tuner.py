@@ -154,14 +154,15 @@ def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np
     """
     n = batch.shape[0]
     y, logdet, caches = flow._forward_cached(batch)
-    f_vals = np.asarray(f.value(y), dtype=float)
+    f_vals, f_grad = f.value_and_grad(y)
+    f_vals = np.asarray(f_vals, dtype=float)
     if not np.all(np.isfinite(f_vals)):
         raise NumericError("criterion term is non-finite")
-    log_p = p.log_density(y)
+    log_p, score = p.log_density_and_score(y)
     if not np.all(np.isfinite(log_p)):
         raise NumericError("base log-density term is non-finite")
     objective = float(np.mean(beta * f_vals + log_p + logdet))
-    dy = (beta * f.grad(y) + p.score(y)) / n
+    dy = (beta * f_grad + score) / n
     dld = np.full(n, 1.0 / n)
     grads, _ = flow._backward_cached(caches, dy, dld)
     # diagnostics riding along with the batch
@@ -197,7 +198,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
     collected so far attached to the exception.
     """
     flow = init.copy()
-    opt = Adam(flow.parameters(), cfg)
+    opt = Adam([flow.theta], cfg)
     objectives: list[float] = []
     trace_rows: list[tuple] = []
     w = cfg.window
@@ -210,7 +211,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
             raise DivergenceError(
                 f"objective diverged at step {step}: {err}", trace=trace_rows
             ) from err
-        opt.step(grads.flat(), _decayed_lr(cfg, step))
+        opt.step([grads.vector], _decayed_lr(cfg, step))
         objectives.append(obj)
         trace_rows.append((step, obj, mean_f, batch_kl))
         if cfg.improvement_tol > 0 and (step + 1) % w == 0 and step + 1 >= 2 * w:

@@ -7,6 +7,7 @@ from tiltgen import (
     FlatCriterionError,
     FlowArchitecture,
     LinearCriterion,
+    NumericError,
     Target,
     estimate_moments,
     newton_step,
@@ -277,3 +278,17 @@ def test_derivative_identities_monte_carlo(std_normal_1d):
     d_dkl = (up.dkl - dn.dkl) / (2 * h)
     assert d_mean == pytest.approx(mid.var_f, rel=2e-2)
     assert d_dkl == pytest.approx(beta * mid.var_f, rel=2e-2)
+
+
+@pytest.mark.parametrize("field", ["mean_f", "var_f", "dkl"])
+def test_moment_estimates_reject_nan(field):
+    values = dict(mean_f=0.0, var_f=1.0, third_central_f=0.0, dkl=0.5, n=100,
+                  se_mean=0.1, se_var=0.1, se_third=0.1, se_dkl=0.1)
+    values[field] = float("nan")
+    with pytest.raises(NumericError, match=field):
+        MomentEstimates(**values)
+
+
+def test_moment_estimates_reject_infinite_standard_error():
+    with pytest.raises(NumericError, match="se_var"):
+        MomentEstimates(0.0, 1.0, 0.0, 0.5, 100, 0.1, float("inf"), 0.1, 0.1)
