@@ -12,12 +12,7 @@ from .criteria import (
     LogisticClassifier,
     PeakCriterion,
     WindowMeanCriterion,
-    adversarial_criterion,
-    classifier_criterion,
-    lift_to_latent,
     normalize_affine,
-    peak_criterion,
-    window_mean_criterion,
 )
 from .diagnostics import (
     audit_run,
@@ -51,7 +46,6 @@ from .oracles import (
     discrete_qbeta,
     latent_kl_bound_check,
     rejection_sample,
-    tilt_closed_form,
     top_quantile_threshold,
 )
 from .solver import (

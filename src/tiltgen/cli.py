@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .manifest import (
     write_json_atomic,
     write_run_outputs,
 )
-from .oracles import latent_kl_bound_check, tilt_closed_form
+from .oracles import GaussianTiltOracle, latent_kl_bound_check
 from .rng import derive_seed, make_generator
 from .solver import estimate_moments, pareto_sweep, solve
 from .tuner import fit_q
@@ -90,20 +91,104 @@ def _write_samples(out, plan, model):
     write_csv(out / "samples.csv", header, data)
 
 
-def _write_traces(out, traces_by_iteration):
+def _record(iteration: int, beta: float, est, trace, **extra) -> dict:
+    """One fit in ``solve``'s record shape."""
+    return {"iteration": iteration, "beta": beta, "moments": est, "trace": trace, **extra}
+
+
+def _moment_table(records, columns: list[str]):
+    """CSV header and rows: the named record fields, then the moments."""
+    header = columns + MOMENT_COLUMNS
+    return header, [[r[c] for c in columns] + moments_row(r["moments"]) for r in records]
+
+
+def _write_traces(out, records):
     rows = []
-    for iteration, trace in enumerate(traces_by_iteration):
-        for step, obj, mean_f, dkl in trace:
-            rows.append([iteration, step, obj, mean_f, dkl])
+    for r in records:
+        for step, obj, mean_f, dkl in r["trace"]:
+            rows.append([r["iteration"], step, obj, mean_f, dkl])
     write_csv(out / "trace.csv", ["iteration", "step", "objective", "mean_f", "dkl"], rows)
 
 
-def cmd_tune(args) -> int:
+@dataclass
+class Outcome:
+    """What a run command computed and wrote, for the driver to record.
+
+    ``records`` holds one entry per fit in ``solve``'s record shape; the
+    manifest's ``iterations`` and the final beta and moments come from them.
+    ``final`` adds command-specific final keys; ``summary`` stands in for
+    ``message`` on the status line.
+    """
+
+    message: str
+    artifacts: dict
+    records: list = field(default_factory=list)
+    converged: bool = True
+    normalization: dict | None = None
+    final: dict = field(default_factory=dict)
+    summary: str | None = None
+
+
+class Phases:
+    """Wall time of a run's consecutive phases, logged as each one ends."""
+
+    def __init__(self, command: str):
+        self.command = command
+        self.seconds: dict[str, float] = {}
+        self.start = self.mark = time.perf_counter()
+
+    def end(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] = now - self.mark
+        self.mark = now
+        log.info("%s: %s took %.3f s", self.command, name, self.seconds[name])
+
+    def timings(self) -> dict:
+        return {"wall_seconds": {**self.seconds, "total": self.mark - self.start}}
+
+
+def _iteration(record: dict) -> dict:
+    """Manifest entry of one fit record: its scalar fields and the moments."""
+    fields = {k: v for k, v in record.items() if k not in ("moments", "trace")}
+    return {**fields, **moments_dict(record["moments"])}
+
+
+_REQUIRES = {"tune": "target", "pareto": "sweep", "diagnose": "diagnostics"}
+
+
+def run_command(args) -> int:
+    """Shared body of tune, pareto and diagnose around ``args.compute``.
+
+    Loads and plans the config, times the command's phases, writes the
+    manifest and ``timings.json``, and maps the outcome to an exit code:
+    0, or 2 when the command did not converge.
+    """
+    command = args.command
     raw = _load(args)
-    plan = build_plan(raw, require="target")
+    plan = build_plan(raw, require=_REQUIRES[command])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
+    log.info("%s: writing to %s", command, out)
+    phases = Phases(command)
+    outcome = args.compute(plan, out, phases)
+    final = {"converged": outcome.converged, "message": outcome.message, **outcome.final}
+    if outcome.records:
+        last = outcome.records[-1]
+        final.update(beta=last["beta"], **moments_dict(last["moments"]))
+    manifest = build_manifest(
+        command, raw, plan.seeds, [_iteration(r) for r in outcome.records],
+        final, outcome.artifacts, outcome.normalization,
+    )
+    write_run_outputs(out, manifest, phases.timings())
+    log.info("%s finished: %s", command, outcome.message)
+    if not outcome.converged:
+        print(f"tiltgen {command}: non-convergence: {outcome.message}", file=sys.stderr)
+        return 2
+    print(f"tiltgen {command}: {outcome.summary or outcome.message} (out: {out})")
+    return 0
+
+
+def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
     if plan.fixed_beta is not None:
         flow0 = init_identity(plan.base.dim, plan.flow_arch, seed=plan.seeds["init"])
@@ -112,18 +197,11 @@ def cmd_tune(args) -> int:
             model, f_used, plan.moments_samples,
             derive_seed(plan.seeds["sampling"], "moments", 0), plan.moments_batches,
         )
+        # a pinned beta has no target to miss: it reports the divergence it reached
         records = [
-            {
-                "iteration": 0,
-                "beta": plan.fixed_beta,
-                "moments": est,
-                "achieved": est.dkl,
-                "residual": 0.0,
-                "trace": model.trace_rows,
-            }
+            _record(0, plan.fixed_beta, est, model.trace_rows, achieved=est.dkl, residual=0.0)
         ]
-        beta, converged, message = plan.fixed_beta, True, "fixed tilt strength"
-        final_est = est
+        converged, message = True, "fixed tilt strength"
     else:
         res = solve(
             plan.base,
@@ -138,69 +216,22 @@ def cmd_tune(args) -> int:
             normalize=False,
             **plan.solver_options,
         )
-        model = res.model
-        records = res.records
-        beta = res.state.beta
-        converged = res.converged
-        message = res.message
-        final_est = records[-1]["moments"]
-    t_solve = time.perf_counter()
-
-    write_csv(
-        out / "trajectory.csv",
-        ["iteration", "beta"] + MOMENT_COLUMNS,
-        [[r["iteration"], r["beta"]] + moments_row(r["moments"]) for r in records],
-    )
-    _write_traces(out, [r["trace"] for r in records])
+        model, records, converged, message = res.model, res.records, res.converged, res.message
+    phases.end("solve")
+    write_csv(out / "trajectory.csv", *_moment_table(records, ["iteration", "beta"]))
+    _write_traces(out, records)
     _write_samples(out, plan, model)
-    t_end = time.perf_counter()
-
-    iterations = [
-        {
-            "iteration": r["iteration"],
-            "beta": r["beta"],
-            "achieved": r["achieved"],
-            "residual": r["residual"],
-            **moments_dict(r["moments"]),
-        }
-        for r in records
-    ]
-    final = {
-        "beta": beta,
-        "converged": converged,
-        "message": message,
-        **moments_dict(final_est),
-    }
-    artifacts = {
-        "trajectory": "trajectory.csv",
-        "trace": "trace.csv",
-        "samples": "samples.csv",
-    }
-    manifest = build_manifest(
-        "tune", raw, plan.seeds, iterations, final, artifacts, norm_info
+    phases.end("artifacts")
+    return Outcome(
+        message,
+        {"trajectory": "trajectory.csv", "trace": "trace.csv", "samples": "samples.csv"},
+        records=records,
+        converged=converged,
+        normalization=norm_info,
     )
-    timings = {
-        "wall_seconds": {
-            "solve": t_solve - t_start,
-            "artifacts": t_end - t_solve,
-            "total": t_end - t_start,
-        }
-    }
-    write_run_outputs(out, manifest, timings)
-    log.info("tune finished: %s", message)
-    if not converged:
-        print(f"tiltgen tune: non-convergence: {message}", file=sys.stderr)
-        return 2
-    print(f"tiltgen tune: {message} (out: {out})")
-    return 0
 
 
-def cmd_pareto(args) -> int:
-    raw = _load(args)
-    plan = build_plan(raw, require="sweep")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
+def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
     traces: list = []
     points = pareto_sweep(
@@ -215,57 +246,28 @@ def cmd_pareto(args) -> int:
         init_seed=plan.seeds["init"],
         traces=traces,
     )
-    t_solve = time.perf_counter()
-    write_csv(
-        out / "sweep.csv",
-        ["beta"] + MOMENT_COLUMNS,
-        [[beta] + moments_row(est) for beta, est in points],
-    )
-    _write_traces(out, traces)
-    t_end = time.perf_counter()
-    iterations = [
-        {"iteration": i, "beta": beta, **moments_dict(est)}
-        for i, (beta, est) in enumerate(points)
+    records = [
+        _record(i, beta, est, trace)
+        for i, ((beta, est), trace) in enumerate(zip(points, traces))
     ]
-    final = {
-        "beta": points[-1][0],
-        "converged": True,
-        "message": f"swept {len(points)} grid points",
-        **moments_dict(points[-1][1]),
-    }
-    manifest = build_manifest(
-        "pareto",
-        raw,
-        plan.seeds,
-        iterations,
-        final,
+    phases.end("sweep")
+    write_csv(out / "sweep.csv", *_moment_table(records, ["beta"]))
+    _write_traces(out, records)
+    phases.end("artifacts")
+    return Outcome(
+        f"swept {len(points)} grid points",
         {"sweep": "sweep.csv", "trace": "trace.csv"},
-        norm_info,
+        records=records,
+        normalization=norm_info,
     )
-    timings = {
-        "wall_seconds": {
-            "sweep": t_solve - t_start,
-            "artifacts": t_end - t_solve,
-            "total": t_end - t_start,
-        }
-    }
-    write_run_outputs(out, manifest, timings)
-    print(f"tiltgen pareto: wrote {len(points)} points (out: {out})")
-    return 0
 
 
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-") or "criterion"
 
 
-def cmd_diagnose(args) -> int:
-    raw = _load(args)
-    plan = build_plan(raw, require="diagnostics")
-    diag = raw["diagnostics"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    t_start = time.perf_counter()
-
+def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
+    diag = plan.config["diagnostics"]
     specs = diag["candidates"]
     lifted = [s.get("lift") is not None for s in specs]
     if any(lifted) and not all(lifted):
@@ -282,12 +284,23 @@ def cmd_diagnose(args) -> int:
         candidates.append(f)
 
     n = diag.get("samples", 10000)
-    bins = diag.get("bins", 50)
-    cap = diag.get("cap")
     report = compare_criteria(
         candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare"),
-        bins=bins, cap=cap,
+        bins=diag.get("bins", 50), cap=diag.get("cap"),
     )
+    phases.end("compare")
+    curves = []
+    if "curve_betas" in diag:
+        m = diag.get("curve_samples", max(10000, n))
+        curves = [
+            importance_curves(
+                f, eval_dist, diag["curve_betas"], m,
+                derive_seed(seeds["diagnostics"], "curve", i),
+            )
+            for i, f in enumerate(candidates)
+        ]
+    phases.end("curves")
+
     artifacts = {}
     for entry in report.entries:
         name = f"hist_{entry.position}_{_slug(entry.label)}.csv"
@@ -301,54 +314,41 @@ def cmd_diagnose(args) -> int:
             ],
         )
         artifacts[f"histogram_{entry.position}"] = name
-
-    curves_payload = None
-    if "curve_betas" in diag:
-        curves_payload = []
-        m = diag.get("curve_samples", max(10000, n))
-        for i, f in enumerate(candidates):
-            curve = importance_curves(
-                f, eval_dist, diag["curve_betas"], m,
-                derive_seed(seeds["diagnostics"], "curve", i),
-            )
-            name = f"curve_{i}_{_slug(f.label)}.csv"
-            write_csv(
-                out / name,
-                ["beta", "log_z", "mean_f", "dkl", "ess", "reliable"],
-                zip(curve.betas, curve.log_z, curve.mean_f, curve.dkl,
-                    curve.ess, curve.reliable),
-            )
-            artifacts[f"curve_{i}"] = name
-            curves_payload.append(curve.to_dict())
-
-    report_payload = report.to_dict()
-    if curves_payload is not None:
-        report_payload["curves"] = curves_payload
+    for i, (f, curve) in enumerate(zip(candidates, curves)):
+        name = f"curve_{i}_{_slug(f.label)}.csv"
+        write_csv(
+            out / name,
+            ["beta", "log_z", "mean_f", "dkl", "ess", "reliable"],
+            zip(curve.betas, curve.log_z, curve.mean_f, curve.dkl,
+                curve.ess, curve.reliable),
+        )
+        artifacts[f"curve_{i}"] = name
+    ranked = report.ranked()
     write_csv(
         out / "ranking.csv",
         ["rank", "position", "label", "regularity_score", "zero_mass_fraction"],
         [
             [rank, e.position, e.label, e.regularity_score, e.zero_mass_fraction]
-            for rank, e in enumerate(report.ranked())
+            for rank, e in enumerate(ranked)
         ],
     )
+    report_payload = report.to_dict()
+    if curves:
+        report_payload["curves"] = [curve.to_dict() for curve in curves]
+    write_json_atomic(out / "report.json", report_payload)
     artifacts["ranking"] = "ranking.csv"
     artifacts["report"] = "report.json"
-    t_end = time.perf_counter()
-    manifest = build_manifest(
-        "diagnose", raw, plan.seeds, [],
-        {"best": report.ranked()[0].label, "converged": True, "message": "diagnosis complete"},
-        artifacts, None,
+    phases.end("artifacts")
+    best = ranked[0]
+    return Outcome(
+        "diagnosis complete",
+        artifacts,
+        final={"best": best.label},
+        summary=(
+            f"best criterion is {best.label!r} "
+            f"(regularity score {best.regularity_score:.6g})"
+        ),
     )
-    write_json_atomic(out / "report.json", report_payload)
-    timings = {"wall_seconds": {"total": t_end - t_start}}
-    write_run_outputs(out, manifest, timings)
-    best = report.ranked()[0]
-    print(
-        f"tiltgen diagnose: best criterion is {best.label!r} "
-        f"(regularity score {best.regularity_score:.6g})"
-    )
-    return 0
 
 
 def _floats(text: str) -> list[float]:
@@ -357,16 +357,16 @@ def _floats(text: str) -> list[float]:
 
 def cmd_oracle(args) -> int:
     if args.oracle_command == "tilt":
-        mean = _floats(args.mean)
-        variance = _floats(args.variance)
-        coeff = _floats(args.coeff)
-        values = tilt_closed_form(mean, variance, coeff, args.beta)
-        mean_str = ",".join(f"{v:.12g}" for v in values.mean)
-        var_str = ",".join(f"{v:.12g}" for v in values.variance)
+        oracle = GaussianTiltOracle(
+            _floats(args.mean), _floats(args.variance), _floats(args.coeff)
+        )
+        beta = args.beta
+        mean_str = ",".join(f"{v:.12g}" for v in oracle.tilted_mean(beta))
+        var_str = ",".join(f"{v:.12g}" for v in oracle.variance)
         print(f"q = N([{mean_str}], [{var_str}])")
-        print(f"E_f = {values.mean_f:.12g}")
-        print(f"Var_f = {values.var_f:.12g}")
-        print(f"D_KL = {values.dkl:.12g}")
+        print(f"E_f = {oracle.mean_f(beta):.12g}")
+        print(f"Var_f = {oracle.var_f(beta):.12g}")
+        print(f"D_KL = {oracle.dkl(beta):.12g}")
         return 0
     if args.oracle_command == "kl-bound":
         rng = make_generator(args.seed)
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tiltgen {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_command(name, func, help_text):
+    def add_run_command(name, compute, help_text):
         cp = sub.add_parser(name, help=help_text)
         cp.add_argument("--config", required=True, help="path to JSON run config")
         cp.add_argument("--out", required=True, help="output directory")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed-override", type=int, default=None,
             help="replace all three named seeds with streams derived from N",
         )
-        cp.set_defaults(func=func)
+        cp.set_defaults(func=run_command, compute=compute)
 
     add_run_command("tune", cmd_tune, "search the tilt strength for a target")
     add_run_command("pareto", cmd_pareto, "sweep a beta grid (trade-off curve)")

@@ -216,9 +216,13 @@ def validate_config(raw: dict) -> dict:
     return raw
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config contains the non-finite number {name}")
+
+
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:
@@ -286,7 +290,7 @@ def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> cri
                     "bayes-mixture classifier requires a gaussian-mixture distribution"
                 )
             model = crit.BayesPosteriorClassifier(data_dist)
-        f = crit.classifier_criterion(
+        f = crit.ClassifierCriterion(
             model,
             spec.get("target_class", 1),
             spec.get("form", "log-prob"),
@@ -295,7 +299,7 @@ def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> cri
     elif name == "adversarial":
         if "data" not in spec:
             raise ConfigError("adversarial criterion needs a 'data' distribution")
-        f = crit.adversarial_criterion(data_dist, distribution_from_spec(spec["data"]))
+        f = crit.AdversarialCriterion(data_dist, distribution_from_spec(spec["data"]))
     elif name == "peak":
         if "window" not in spec:
             raise ConfigError("peak criterion needs a 'window'")
@@ -304,11 +308,11 @@ def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> cri
             temp = crit.default_peak_temperature(
                 data_dist, 10000, derive_seed(diag_seed, "peak-temperature")
             )
-        f = crit.peak_criterion(data_dist.dim, spec["window"], temp)
+        f = crit.PeakCriterion(data_dist.dim, spec["window"], temp)
     elif name == "window-mean":
         if "window" not in spec:
             raise ConfigError("window-mean criterion needs a 'window'")
-        f = crit.window_mean_criterion(data_dist.dim, spec["window"])
+        f = crit.WindowMeanCriterion(data_dist.dim, spec["window"])
     else:  # unreachable behind the schema
         raise ConfigError(f"unknown criterion {name!r}")
     if f.dim != data_dist.dim:
@@ -331,7 +335,7 @@ def criterion_from_spec(
     if lift_spec is not None:
         if decoder is None:
             raise ConfigError("criterion lifting requires a latent-decoder distribution")
-        f = crit.lift_to_latent(
+        f = crit.LatentCriterion(
             f, decoder, lift_spec.get("mc_samples", 1),
             derive_seed(seeds["sampling"], "lift"),
         )

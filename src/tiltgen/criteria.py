@@ -245,14 +245,6 @@ class ClassifierCriterion(Criterion):
         return (value[0], grad[0]) if single else (value, grad)
 
 
-def classifier_criterion(
-    classifier, target_class: int = 1, form: str = "log-prob",
-    floor: float = LOG_PROB_FLOOR,
-) -> ClassifierCriterion:
-    """Criterion from a probabilistic classifier; see ClassifierCriterion."""
-    return ClassifierCriterion(classifier, target_class, form, floor)
-
-
 # ---------------------------------------------------------------------------
 # Density-ratio and curve criteria
 
@@ -273,10 +265,6 @@ class AdversarialCriterion(Criterion):
 
     def grad(self, x):
         return self.p_data.score(x) - self.p_model.score(x)
-
-
-def adversarial_criterion(p_model, p_data) -> AdversarialCriterion:
-    return AdversarialCriterion(p_model, p_data)
 
 
 def _check_window(window, dim: int) -> tuple[int, int]:
@@ -342,14 +330,6 @@ class WindowMeanCriterion(Criterion):
         return out[0] if single else out
 
 
-def peak_criterion(dim: int, window, temperature: float) -> PeakCriterion:
-    return PeakCriterion(dim, window, temperature)
-
-
-def window_mean_criterion(dim: int, window) -> WindowMeanCriterion:
-    return WindowMeanCriterion(dim, window)
-
-
 def default_peak_temperature(p: Distribution, n: int, seed: int) -> float:
     """Declared default smoothing scale: 0.05 x std of curve values under p."""
     samples = p.sample(n, seed)
@@ -405,10 +385,3 @@ class LatentCriterion(Criterion):
             total += self.base.grad(mean + self._sigma * eps) @ self.decoder.weights
         out = total / self.mc_samples
         return out[0] if single else out
-
-
-def lift_to_latent(
-    f: Criterion, decoder: LatentDecoder, mc_samples: int, seed: int = 0
-) -> LatentCriterion:
-    """Replace a data-space criterion by its decoder-averaged latent version."""
-    return LatentCriterion(f, decoder, mc_samples, seed)

@@ -79,9 +79,16 @@ def grad_norm_profile(
     With ``cap`` set, norms above it are folded into the top bin and the
     profile is flagged as truncated, so counts always sum to ``n``.
     """
+    return _profile_from_norms(f.label, _grad_norms(f, p, n, seed), bins, cap)
+
+
+def _grad_norms(f: Criterion, p: Distribution, n: int, seed: int) -> np.ndarray:
     if n < 1000:
         raise ContractError("gradient profiling needs n >= 1000")
-    norms = np.linalg.norm(np.atleast_2d(f.grad(p.sample(n, seed))), axis=1)
+    return np.linalg.norm(np.atleast_2d(f.grad(p.sample(n, seed))), axis=1)
+
+
+def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:
     top = float(norms.max())
     truncated = cap is not None and top > cap
     hi = min(top, cap) if cap is not None else top
@@ -89,8 +96,8 @@ def grad_norm_profile(
         np.minimum(norms, hi), bins=bins, range=(0.0, hi if hi > 0 else 1.0)
     )
     return GradNormProfile(
-        label=f.label,
-        sample_count=n,
+        label=label,
+        sample_count=norms.shape[0],
         bin_edges=edges,
         counts=counts,
         median=float(np.quantile(norms, 0.5)),
@@ -200,17 +207,6 @@ class ComparisonReport:
         }
 
 
-def _regularity_score(f: Criterion, p: Distribution, n: int, seed: int) -> float:
-    norms = np.linalg.norm(np.atleast_2d(f.grad(p.sample(n, seed))), axis=1)
-    top = norms.max()
-    nonzero = norms[norms >= ZERO_MASS_EPS * max(top, 1e-300)]
-    if nonzero.size == 0:
-        return float("inf")
-    med = float(np.quantile(nonzero, 0.5))
-    p99 = float(np.quantile(nonzero, 0.99))
-    return p99 / med if med > 0 else float("inf")
-
-
 def compare_criteria(
     candidates,
     p: Distribution,
@@ -223,19 +219,24 @@ def compare_criteria(
 
     Candidates should already be normalized (the score is scale-free, but
     the raw histograms are only comparable on a common scale).  Ties go to
-    the smaller zero-mass fraction, then to input order.
+    the smaller zero-mass fraction, then to input order.  Each candidate's
+    gradient norms are computed once and feed both its profile and score.
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")
     entries = []
     for i, f in enumerate(candidates):
-        profile = grad_norm_profile(f, p, n, bins, seed, cap=cap)
+        norms = _grad_norms(f, p, n, seed)
+        profile = _profile_from_norms(f.label, norms, bins, cap)
+        nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
+        med = float(np.quantile(nonzero, 0.5)) if nonzero.size else 0.0
+        score = float(np.quantile(nonzero, 0.99)) / med if med > 0 else float("inf")
         entries.append(
             CriterionEntry(
                 position=i,
                 label=f.label,
                 profile=profile,
-                regularity_score=_regularity_score(f, p, n, seed),
+                regularity_score=score,
                 zero_mass_fraction=profile.zero_mass_fraction,
             )
         )

@@ -18,7 +18,6 @@ from .rng import derive_seed
 
 __all__ = [
     "GaussianTiltOracle",
-    "tilt_closed_form",
     "top_quantile_threshold",
     "RejectionSampler",
     "RejectionResult",
@@ -70,27 +69,6 @@ class GaussianTiltOracle:
 
     def log_z(self, beta: float) -> float:
         return beta * float(self.coeff @ self.mean) + 0.5 * beta * beta * self._asa
-
-
-@dataclass(frozen=True)
-class TiltValues:
-    mean: np.ndarray
-    variance: np.ndarray
-    mean_f: float
-    var_f: float
-    dkl: float
-
-
-def tilt_closed_form(mean, variance, coeff, beta: float) -> TiltValues:
-    """Tilted-Gaussian parameters and moments for a linear criterion."""
-    oracle = GaussianTiltOracle(mean, variance, coeff)
-    return TiltValues(
-        mean=oracle.tilted_mean(beta),
-        variance=oracle.variance.copy(),
-        mean_f=oracle.mean_f(beta),
-        var_f=oracle.var_f(beta),
-        dkl=oracle.dkl(beta),
-    )
 
 
 def top_quantile_threshold(

@@ -80,6 +80,8 @@ class Target:
     def __post_init__(self):
         if self.mode not in ("expectation", "divergence"):
             raise ContractError(f"unknown target mode {self.mode!r}")
+        if not math.isfinite(self.value):
+            raise ContractError(f"target value must be finite, got {self.value!r}")
         if self.mode == "divergence" and self.value < 0.0:
             raise ContractError("divergence target must be >= 0")
 

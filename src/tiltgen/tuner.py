@@ -28,7 +28,6 @@ __all__ = [
     "Adam",
     "elbo_objective",
     "fit_q",
-    "kl_divergence_estimate",
     "kl_between",
 ]
 
@@ -61,12 +60,23 @@ class TuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ContractError("steps must be >= 1")
-        if self.batch_size < 2:
-            raise ContractError("batch_size must be >= 2")
-        if self.lr_decay not in ("cosine", "none"):
-            raise ContractError("lr_decay must be 'cosine' or 'none'")
+        # the config schema's bounds; written so that NaN fails them too
+        bounds = {
+            "steps must be >= 1": self.steps >= 1,
+            "warm_steps must be >= 1": self.warm_steps >= 1,
+            "batch_size must be >= 2": self.batch_size >= 2,
+            "window must be >= 1": self.window >= 1,
+            "improvement_patience must be >= 1": self.improvement_patience >= 1,
+            "improvement_tol must be >= 0": self.improvement_tol >= 0,
+            "learning_rate must be > 0": self.learning_rate > 0,
+            "beta1 must lie in [0, 1)": 0 <= self.beta1 < 1,
+            "beta2 must lie in [0, 1)": 0 <= self.beta2 < 1,
+            "epsilon must be > 0": self.epsilon > 0,
+            "lr_decay must be 'cosine' or 'none'": self.lr_decay in ("cosine", "none"),
+        }
+        for message, ok in bounds.items():
+            if not ok:
+                raise ContractError(message)
 
     def for_warm_start(self, seed: int) -> "TuneConfig":
         return replace(self, steps=self.warm_steps, seed=seed)
@@ -231,14 +241,11 @@ def _mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
 
 
-def kl_divergence_estimate(model: TunedModel, n: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo KL(q || p) of a tuned model against its base, with se."""
-    _, logratio = model.sample_with_logratio(n, seed)
-    return _mean_and_se(logratio)
-
-
 def kl_between(model: TunedModel, other: Distribution, n: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo KL(q || other) using exact pathwise log q on own samples."""
+    """Monte-Carlo KL(q || other) using exact pathwise log q on own samples.
+
+    ``kl_between(model, model.base, n, seed)`` is the divergence from the base.
+    """
     x_hat = model.base.sample(n, seed)
     y, logdet = model.flow.forward(x_hat)
     log_q = model.base.log_density(x_hat) - logdet

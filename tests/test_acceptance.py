@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from tiltgen import (
+    AdversarialCriterion,
+    ClassifierCriterion,
     DiagGaussian,
     GaussianMixture,
     LinearCriterion,
@@ -20,8 +22,6 @@ from tiltgen import (
     RejectionSampler,
     Target,
     TuneConfig,
-    classifier_criterion,
-    adversarial_criterion,
     compare_criteria,
     discrete_qbeta,
     estimate_moments,
@@ -187,7 +187,7 @@ def test_criterion_03_conditional_modeling():
         [0.5, 0.5], [DiagGaussian([-2.0], [1.0]), DiagGaussian([2.0], [1.0])]
     )
     h = BayesPosteriorClassifier(mixture)
-    f = classifier_criterion(h, target_class=1, form="log-prob")
+    f = ClassifierCriterion(h, target_class=1, form="log-prob")
     flow0 = init_identity(1, seed=31)
     model = fit_q(
         mixture, f, 1.0, flow0,
@@ -214,7 +214,7 @@ def test_criterion_03_conditional_modeling():
 def test_criterion_04_adversarial_refinement():
     p_model = DiagGaussian([0.0], [1.0])
     p_data = DiagGaussian([1.0], [1.0])
-    f = adversarial_criterion(p_model, p_data)
+    f = AdversarialCriterion(p_model, p_data)
     model = fit_q(
         p_model, f, 0.5, init_identity(1, seed=41),
         TuneConfig(steps=2500, learning_rate=3e-3, seed=42, improvement_tol=0),
@@ -247,8 +247,8 @@ def test_criterion_05_latent_kl_bound():
 def test_criterion_06_criterion_comparison():
     p = DiagGaussian.standard(1)
     h = LogisticClassifier([FIXTURES["toy_logistic"]["w"]])
-    prob_f = normalize_affine(classifier_criterion(h, 1, "prob"), p, 20000, seed=61)
-    log_f = normalize_affine(classifier_criterion(h, 1, "log-prob"), p, 20000, seed=62)
+    prob_f = normalize_affine(ClassifierCriterion(h, 1, "prob"), p, 20000, seed=61)
+    log_f = normalize_affine(ClassifierCriterion(h, 1, "log-prob"), p, 20000, seed=62)
     report_obj = compare_criteria([prob_f, log_f], p, n=20000, seed=63)
     by_label = {e.label: e for e in report_obj.entries}
     factor = (

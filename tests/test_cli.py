@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, validate_config
-from tiltgen.errors import ConfigError
+from tiltgen.errors import ConfigError, ContractError
+from tiltgen.solver import Target
+from tiltgen.tuner import TuneConfig
 
 
 def small_tune_config(**overrides):
@@ -23,6 +26,45 @@ def small_tune_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def fixed_tune_config():
+    return small_tune_config(
+        criterion={"name": "linear", "coefficients": [1.0], "normalize": False},
+        target={"mode": "fixed", "value": 1.0},
+    )
+
+
+def pareto_config():
+    cfg = small_tune_config(sweep={"betas": [0.0, 0.5, 1.0]})
+    del cfg["target"]
+    return cfg
+
+
+def curve_diagnose_config():
+    return {
+        "distribution": {"kind": "diag-gaussian", "mean": [0.0], "variance": [1.0]},
+        "diagnostics": {
+            "candidates": [
+                {"name": "linear", "coefficients": [1.0]},
+                {"name": "classifier", "form": "log-prob",
+                 "model": {"type": "logistic", "weights": [4.0]}},
+            ],
+            "samples": 5000,
+            "curve_betas": [0.0, 0.5, 1.0],
+            "curve_samples": 20000,
+        },
+        "seeds": {"init": 1, "sampling": 2, "diagnostics": 3},
+    }
+
+
+# every run path: (command, config factory, timings.json phases besides total)
+RUN_PATHS = {
+    "searched-tune": ("tune", small_tune_config, ["solve", "artifacts"]),
+    "fixed-tune": ("tune", fixed_tune_config, ["solve", "artifacts"]),
+    "pareto": ("pareto", pareto_config, ["sweep", "artifacts"]),
+    "diagnose-curves": ("diagnose", curve_diagnose_config, ["compare", "curves", "artifacts"]),
+}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -65,11 +107,13 @@ def test_tune_manifest_config_round_trip(tmp_path):
     assert plan.target.value == 0.5
 
 
-def test_tune_byte_determinism(tmp_path):
-    cfgp = write_config(tmp_path, small_tune_config())
+@pytest.mark.parametrize("path", list(RUN_PATHS))
+def test_byte_determinism(tmp_path, path):
+    command, make_config, _ = RUN_PATHS[path]
+    cfgp = write_config(tmp_path, make_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["tune", "--config", cfgp, "--out", str(out1)])
-    main(["tune", "--config", cfgp, "--out", str(out2)])
+    assert main([command, "--config", cfgp, "--out", str(out1)]) == 0
+    assert main([command, "--config", cfgp, "--out", str(out2)]) == 0
     f1, f2 = run_dir_files(out1), run_dir_files(out2)
     assert set(f1) == set(f2)
     for name in f1:
@@ -112,11 +156,7 @@ def test_tune_iteration_cap_exits_two_with_manifest(tmp_path):
 
 
 def test_tune_fixed_beta_mode(tmp_path):
-    cfg = small_tune_config(
-        criterion={"name": "linear", "coefficients": [1.0], "normalize": False},
-        target={"mode": "fixed", "value": 1.0},
-    )
-    cfgp = write_config(tmp_path, cfg)
+    cfgp = write_config(tmp_path, fixed_tune_config())
     out = tmp_path / "run"
     assert main(["tune", "--config", cfgp, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -175,14 +215,57 @@ def test_schema_is_json_serializable():
     json.dumps(SCHEMA)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literal_rejected(tmp_path, capsys, literal):
+    cfg = small_tune_config(target={"mode": "expectation", "value": 1.0})
+    text = json.dumps(cfg).replace('"value": 1.0', f'"value": {literal}')
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "r"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_target_rejects_non_finite_value(value):
+    with pytest.raises(ContractError):
+        Target.expectation(value)
+    with pytest.raises(ContractError):
+        Target.divergence(value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("warm_steps", 0),
+        ("window", 0),
+        ("improvement_patience", 0),
+        ("improvement_tol", -1e-6),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1.0),
+        ("beta1", -0.1),
+        ("beta1", 1.0),
+        ("beta2", -0.1),
+        ("beta2", 1.0),
+        ("epsilon", 0.0),
+    ],
+)
+def test_tune_config_enforces_schema_bounds(field, value):
+    cfg = small_tune_config()
+    cfg["tune"][field] = value
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    with pytest.raises(ContractError, match=field):
+        TuneConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # pareto
 
 
 def test_pareto_happy_path(tmp_path):
-    cfg = small_tune_config(sweep={"betas": [0.0, 0.5, 1.0]})
-    del cfg["target"]
-    cfgp = write_config(tmp_path, cfg)
+    cfgp = write_config(tmp_path, pareto_config())
     out = tmp_path / "run"
     assert main(["pareto", "--config", cfgp, "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
@@ -236,27 +319,33 @@ def test_diagnose_ranks_candidates(tmp_path, capsys):
 
 
 def test_diagnose_with_curves(tmp_path):
-    cfg = {
-        "distribution": {"kind": "diag-gaussian", "mean": [0.0], "variance": [1.0]},
-        "diagnostics": {
-            "candidates": [
-                {"name": "linear", "coefficients": [1.0]},
-                {"name": "classifier", "form": "log-prob",
-                 "model": {"type": "logistic", "weights": [4.0]}},
-            ],
-            "samples": 5000,
-            "curve_betas": [0.0, 0.5, 1.0],
-            "curve_samples": 20000,
-        },
-        "seeds": {"init": 1, "sampling": 2, "diagnostics": 3},
-    }
-    cfgp = write_config(tmp_path, cfg)
+    cfgp = write_config(tmp_path, curve_diagnose_config())
     out = tmp_path / "run"
     assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 0
     assert len(list(out.glob("curve_*.csv"))) == 2
     report = json.loads((out / "report.json").read_text())
     assert len(report["curves"]) == 2
     assert report["curves"][0]["dkl"][0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# driver logging
+
+
+@pytest.mark.parametrize("path", ["searched-tune", "pareto", "diagnose-curves"])
+def test_info_log_reports_out_dir_and_phases(tmp_path, caplog, path):
+    command, make_config, phases = RUN_PATHS[path]
+    caplog.set_level(logging.INFO, logger="tiltgen")
+    cfgp = write_config(tmp_path, make_config())
+    out = tmp_path / "run"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "tiltgen"]
+    assert any(command in m and str(out) in m for m in messages)
+    for phase in phases:
+        assert any(m.startswith(f"{command}: {phase} took ") for m in messages), phase
+    assert any(m.startswith(f"{command} finished: ") for m in messages)
+    timings = json.loads((out / "timings.json").read_text())["wall_seconds"]
+    assert set(timings) == {*phases, "total"}
 
 
 # ---------------------------------------------------------------------------

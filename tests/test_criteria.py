@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from tiltgen import (
+    AdversarialCriterion,
     BayesPosteriorClassifier,
+    ClassifierCriterion,
     ContractError,
     DegenerateCriterionError,
     DiagGaussian,
+    LatentCriterion,
     LatentDecoder,
     LinearCriterion,
     LogisticClassifier,
-    adversarial_criterion,
-    classifier_criterion,
-    lift_to_latent,
+    PeakCriterion,
+    WindowMeanCriterion,
     normalize_affine,
-    peak_criterion,
-    window_mean_criterion,
 )
 from tiltgen.criteria import LOG_PROB_FLOOR, Criterion
 from tiltgen.solver import pareto_sweep
@@ -115,7 +115,7 @@ def test_normalize_idempotent_up_to_noise(std_normal_1d):
 def test_logistic_logprob_gradient_closed_form():
     w = np.array([2.0, -1.0])
     h = LogisticClassifier(w, bias=0.3)
-    f = classifier_criterion(h, target_class=1, form="log-prob")
+    f = ClassifierCriterion(h, target_class=1, form="log-prob")
     x = np.array([[0.2, 0.5], [-1.0, 2.0]])
     z = x @ w + 0.3
     sig = 1 / (1 + np.exp(-z))
@@ -126,13 +126,13 @@ def test_logistic_logprob_gradient_closed_form():
 
 def test_prob_form_saturates_to_zero_gradient():
     h = LogisticClassifier([1.0])
-    f = classifier_criterion(h, target_class=1, form="prob")
+    f = ClassifierCriterion(h, target_class=1, form="prob")
     assert np.linalg.norm(f.grad(np.array([40.0]))) < 1e-12
 
 
 def test_log_prob_floor_clamps_value_and_gradient():
     h = LogisticClassifier([1.0])
-    f = classifier_criterion(h, target_class=1, form="log-prob")
+    f = ClassifierCriterion(h, target_class=1, form="log-prob")
     x = np.array([-100.0])  # log sigma(-100) = -100 < floor
     assert f.value(x) == LOG_PROB_FLOOR
     assert np.all(f.grad(x) == 0.0)
@@ -140,7 +140,7 @@ def test_log_prob_floor_clamps_value_and_gradient():
 
 def test_log_prob_floor_is_configurable():
     h = LogisticClassifier([1.0])
-    f = classifier_criterion(h, target_class=1, form="log-prob", floor=-50.0)
+    f = ClassifierCriterion(h, target_class=1, form="log-prob", floor=-50.0)
     assert f.value(np.array([-100.0])) == -50.0
     assert f.value(np.array([-40.0])) == pytest.approx(-40.0, abs=1e-12)
 
@@ -148,7 +148,7 @@ def test_log_prob_floor_is_configurable():
 def test_bayes_posterior_tilt_recovers_component(mixture_pm2):
     # p(x) * h(right|x) is proportional to the right component density
     h = BayesPosteriorClassifier(mixture_pm2)
-    f = classifier_criterion(h, target_class=1, form="log-prob")
+    f = ClassifierCriterion(h, target_class=1, form="log-prob")
     target = DiagGaussian([2.0], [1.0])
     xs = np.linspace(-6, 6, 201)[:, None]
     tilted_log = mixture_pm2.log_density(xs) + f.value(xs) - np.log(0.5)
@@ -158,7 +158,7 @@ def test_bayes_posterior_tilt_recovers_component(mixture_pm2):
 def test_bayes_posterior_gradient_finite_differences(mixture_pm2):
     h = BayesPosteriorClassifier(mixture_pm2)
     for form in ("prob", "log-prob", "entropy"):
-        f = classifier_criterion(h, target_class=1, form=form)
+        f = ClassifierCriterion(h, target_class=1, form=form)
         for x0 in (-2.5, 0.1, 1.7):
             fd = finite_diff_grad(lambda v: f.value(v), np.array([x0]), h=1e-5)
             assert np.allclose(f.grad(np.array([x0])), fd, rtol=1e-4, atol=1e-8)
@@ -169,14 +169,14 @@ def test_bayes_posterior_gradient_finite_differences(mixture_pm2):
 
 
 def test_adversarial_unit_gaussians():
-    f = adversarial_criterion(DiagGaussian([0.0], [1.0]), DiagGaussian([1.0], [1.0]))
+    f = AdversarialCriterion(DiagGaussian([0.0], [1.0]), DiagGaussian([1.0], [1.0]))
     xs = np.linspace(-3, 3, 11)[:, None]
     assert np.allclose(f.value(xs), xs[:, 0] - 0.5, atol=1e-12)
     assert np.allclose(f.grad(xs), 1.0)
 
 
 def test_adversarial_identical_distributions(std_normal_1d):
-    f = adversarial_criterion(std_normal_1d, DiagGaussian([0.0], [1.0]))
+    f = AdversarialCriterion(std_normal_1d, DiagGaussian([0.0], [1.0]))
     xs = np.linspace(-3, 3, 11)[:, None]
     assert np.allclose(f.value(xs), 0.0, atol=1e-12)
 
@@ -186,7 +186,7 @@ def test_adversarial_tilt_is_geometric_interpolation(std_normal_1d):
     # exhaustive tilting of a fine grid
     from tiltgen.oracles import discrete_qbeta
 
-    f = adversarial_criterion(std_normal_1d, DiagGaussian([1.0], [1.0]))
+    f = AdversarialCriterion(std_normal_1d, DiagGaussian([1.0], [1.0]))
     xs = np.linspace(-9, 9, 9001)
     probs = np.exp(std_normal_1d.log_density(xs[:, None]))
     probs /= probs.sum()
@@ -200,7 +200,7 @@ def test_adversarial_tilt_is_geometric_interpolation(std_normal_1d):
 
 
 def test_peak_constant_curve():
-    f = peak_criterion(5, (1, 4), temperature=0.1)
+    f = PeakCriterion(5, (1, 4), temperature=0.1)
     c = 2.5
     x = np.full(5, c)
     assert f.value(x) == pytest.approx(c + 0.1 * np.log(3))
@@ -208,7 +208,7 @@ def test_peak_constant_curve():
 
 def test_peak_bounds_hard_max():
     rng = np.random.default_rng(0)
-    f = peak_criterion(8, (0, 8), temperature=0.05)
+    f = PeakCriterion(8, (0, 8), temperature=0.05)
     for _ in range(20):
         x = rng.standard_normal(8)
         assert f.value(x) >= x.max()
@@ -216,7 +216,7 @@ def test_peak_bounds_hard_max():
 
 
 def test_peak_gradient_is_window_softmax():
-    f = peak_criterion(6, (2, 5), temperature=0.3)
+    f = PeakCriterion(6, (2, 5), temperature=0.3)
     x = np.random.default_rng(1).standard_normal(6)
     g = f.grad(x)
     assert np.all(g[:2] == 0) and g[5] == 0
@@ -226,12 +226,12 @@ def test_peak_gradient_is_window_softmax():
 
 
 def test_window_mean_constant_curve_is_zero():
-    f = window_mean_criterion(7, (2, 5))
+    f = WindowMeanCriterion(7, (2, 5))
     assert f.value(np.full(7, 3.3)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_window_mean_indicator_curve():
-    f = window_mean_criterion(10, (3, 7))
+    f = WindowMeanCriterion(10, (3, 7))
     x = np.zeros(10)
     x[3:7] = 1.0
     assert f.value(x) == pytest.approx(1.0 - 4 / 10)
@@ -239,9 +239,9 @@ def test_window_mean_indicator_curve():
 
 def test_empty_or_out_of_range_window():
     with pytest.raises(ContractError):
-        peak_criterion(5, (3, 3), temperature=0.1)
+        PeakCriterion(5, (3, 3), temperature=0.1)
     with pytest.raises(ContractError):
-        window_mean_criterion(5, (2, 9))
+        WindowMeanCriterion(5, (2, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_empty_or_out_of_range_window():
 def test_lift_deterministic_decoder_is_exact():
     dec = LatentDecoder(np.eye(3), noise_variance=0.0)
     f = QuadraticCriterion(3)
-    lifted = lift_to_latent(f, dec, mc_samples=1)
+    lifted = LatentCriterion(f, dec, mc_samples=1)
     z = np.random.default_rng(2).standard_normal((10, 3))
     assert np.allclose(lifted.value(z), f.value(z))
 
@@ -260,7 +260,7 @@ def test_lift_deterministic_gradient_chain_rule():
     a = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]])
     dec = LatentDecoder(a, noise_variance=0.0)
     f = QuadraticCriterion(3)
-    lifted = lift_to_latent(f, dec, mc_samples=1)
+    lifted = LatentCriterion(f, dec, mc_samples=1)
     z = np.array([0.3, -0.7])
     assert np.allclose(lifted.grad(z), f.grad(z @ a.T) @ a)
     fd = finite_diff_grad(lambda v: lifted.value(v), z)
@@ -271,7 +271,7 @@ def test_lift_linear_criterion_noise_averages_out():
     dec = LatentDecoder([[1.0], [2.0]], noise_variance=0.8)
     coeff = np.array([1.0, -0.5])
     f = LinearCriterion(coeff)
-    lifted = lift_to_latent(f, dec, mc_samples=400, seed=11)
+    lifted = LatentCriterion(f, dec, mc_samples=400, seed=11)
     z = np.array([[1.0], [-2.0], [0.0]])
     expected = (z @ dec.weights.T) @ coeff
     # frozen-noise residual is the same constant for every z
@@ -284,8 +284,8 @@ def test_lift_mc_variance_scaling():
     dec = LatentDecoder([[1.0], [1.0]], noise_variance=1.0)
     f = QuadraticCriterion(2)
     z = np.array([0.5])
-    vals_1 = [lift_to_latent(f, dec, 1, seed=s).value(z) for s in range(300)]
-    vals_100 = [lift_to_latent(f, dec, 100, seed=s).value(z) for s in range(300)]
+    vals_1 = [LatentCriterion(f, dec, 1, seed=s).value(z) for s in range(300)]
+    vals_100 = [LatentCriterion(f, dec, 100, seed=s).value(z) for s in range(300)]
     ratio = np.var(vals_1) / np.var(vals_100)
     assert 30 < ratio < 300  # ~100x shrinkage
 
@@ -293,7 +293,7 @@ def test_lift_mc_variance_scaling():
 def test_lift_requires_valid_mc_count():
     dec = LatentDecoder([[1.0]], noise_variance=1.0)
     with pytest.raises(ContractError):
-        lift_to_latent(LinearCriterion([1.0]), dec, mc_samples=0)
+        LatentCriterion(LinearCriterion([1.0]), dec, mc_samples=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from tiltgen import (
+    ClassifierCriterion,
     ContractError,
     DiagGaussian,
     LinearCriterion,
     LogisticClassifier,
     audit_run,
-    classifier_criterion,
     compare_criteria,
     grad_norm_profile,
     importance_curves,
     normalize_affine,
 )
 from tiltgen.criteria import Criterion
+from tiltgen.diagnostics import ZERO_MASS_EPS
 from tiltgen.dists import Distribution
 from tiltgen.rng import make_generator
 from tiltgen.solver import pareto_sweep
@@ -61,7 +62,7 @@ def test_profile_linear_criterion_single_bin(std_normal_2d):
 
 
 def test_profile_truncation_flag(std_normal_1d):
-    f = classifier_criterion(LogisticClassifier([10.0]), 1, "log-prob")
+    f = ClassifierCriterion(LogisticClassifier([10.0]), 1, "log-prob")
     capped = grad_norm_profile(f, std_normal_1d, n=2000, bins=10, seed=2, cap=5.0)
     assert capped.truncated
     assert capped.counts.sum() == 2000  # tail folded into the top bin
@@ -86,7 +87,7 @@ def test_profile_requires_enough_samples(std_normal_1d):
 def test_profile_scales_linearly_with_tilt_strength(std_normal_1d):
     # the log-ratio gradient of the tilted model is beta * grad f exactly,
     # so its norm profile is the criterion's profile with scaled bin edges
-    f = classifier_criterion(LogisticClassifier([4.0]), 1, "log-prob")
+    f = ClassifierCriterion(LogisticClassifier([4.0]), 1, "log-prob")
     beta = 2.5
     base = grad_norm_profile(f, std_normal_1d, n=3000, bins=25, seed=4)
     scaled = grad_norm_profile(
@@ -179,8 +180,8 @@ def test_curves_require_enough_samples(std_normal_1d):
 
 def toy_candidates(p, n=20000):
     h = LogisticClassifier([10.0])
-    prob = classifier_criterion(h, 1, "prob")
-    logp = classifier_criterion(h, 1, "log-prob")
+    prob = ClassifierCriterion(h, 1, "prob")
+    logp = ClassifierCriterion(h, 1, "log-prob")
     return (
         normalize_affine(prob, p, n, seed=10),
         normalize_affine(logp, p, n, seed=11),
@@ -208,13 +209,27 @@ def test_compare_identical_candidates_stable_order(std_normal_1d):
 def test_compare_linear_beats_saturating(std_normal_1d):
     linear = normalize_affine(LinearCriterion([1.0]), std_normal_1d, 5000, seed=15)
     saturating = normalize_affine(
-        classifier_criterion(LogisticClassifier([8.0]), 1, "prob"),
+        ClassifierCriterion(LogisticClassifier([8.0]), 1, "prob"),
         std_normal_1d, 5000, seed=16,
     )
     report = compare_criteria([saturating, linear], std_normal_1d, n=5000, seed=17)
     assert report.ranked()[0].label == linear.label
     assert report.ranked()[0].regularity_score == pytest.approx(1.0)
     assert report.ranked()[1].regularity_score > 1.0
+
+
+def test_compare_score_is_p99_over_median_of_nonzero_norms(std_normal_1d):
+    prob, logp = toy_candidates(std_normal_1d)
+    linear = LinearCriterion([1.0])
+    n, seed = 5000, 20
+    report = compare_criteria([prob, logp, linear], std_normal_1d, n=n, seed=seed)
+    for f, entry in zip((prob, logp, linear), report.entries):
+        norms = np.linalg.norm(np.atleast_2d(f.grad(std_normal_1d.sample(n, seed))), axis=1)
+        nonzero = norms[norms >= ZERO_MASS_EPS * norms.max()]
+        if f is prob:  # the saturating form has dead-gradient points to drop
+            assert nonzero.size < n
+        expected = np.quantile(nonzero, 0.99) / np.quantile(nonzero, 0.5)
+        assert entry.regularity_score == expected
 
 
 def test_compare_needs_two_candidates(std_normal_1d):

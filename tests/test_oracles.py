@@ -11,7 +11,6 @@ from tiltgen import (
     discrete_qbeta,
     latent_kl_bound_check,
     rejection_sample,
-    tilt_closed_form,
     top_quantile_threshold,
 )
 from tiltgen.oracles import GaussianTiltOracle
@@ -31,22 +30,22 @@ def fine_gaussian_grid(lo=-10.0, hi=10.0, n=20001):
 
 
 def test_tilt_beta_zero_is_base():
-    v = tilt_closed_form([0.3, -1.0], [1.0, 2.0], [1.0, 0.0], beta=0.0)
-    assert np.allclose(v.mean, [0.3, -1.0])
-    assert v.dkl == 0.0
+    v = GaussianTiltOracle([0.3, -1.0], [1.0, 2.0], [1.0, 0.0])
+    assert np.allclose(v.tilted_mean(0.0), [0.3, -1.0])
+    assert v.dkl(0.0) == 0.0
 
 
 def test_tilt_unit_gaussian_closed_form():
-    v = tilt_closed_form([0.0], [1.0], [1.0], beta=2.0)
-    assert np.allclose(v.mean, [2.0])
-    assert v.mean_f == pytest.approx(2.0)
-    assert v.dkl == pytest.approx(2.0)
+    v = GaussianTiltOracle([0.0], [1.0], [1.0])
+    assert np.allclose(v.tilted_mean(2.0), [2.0])
+    assert v.mean_f(2.0) == pytest.approx(2.0)
+    assert v.dkl(2.0) == pytest.approx(2.0)
 
 
 def test_tilt_divergence_budget_value():
     beta = np.sqrt(2 * 4.61)
-    v = tilt_closed_form([0.0], [1.0], [1.0], beta=beta)
-    assert v.dkl == pytest.approx(4.61, abs=1e-12)
+    v = GaussianTiltOracle([0.0], [1.0], [1.0])
+    assert v.dkl(beta) == pytest.approx(4.61, abs=1e-12)
     assert beta == pytest.approx(3.036, abs=1e-3)
 
 

@@ -13,7 +13,7 @@ from tiltgen import (
     init_identity,
 )
 from tiltgen.flows import AffineDiagonalLayer, FlowModel
-from tiltgen.tuner import TuneConfig, TunedModel, kl_between, kl_divergence_estimate
+from tiltgen.tuner import TuneConfig, TunedModel, kl_between
 from tiltgen.criteria import Criterion
 
 
@@ -210,8 +210,8 @@ def test_tuned_model_score_unsupported(std_normal_1d):
         model.score(np.array([0.0]))
 
 
-def test_kl_divergence_estimate_exact_shift(std_normal_1d):
+def test_kl_between_base_exact_shift(std_normal_1d):
     model = TunedModel(std_normal_1d, shift_flow(1, 2.0), beta=2.0)
-    kl, se = kl_divergence_estimate(model, 50000, seed=26)
+    kl, se = kl_between(model, model.base, 50000, seed=26)
     assert kl == pytest.approx(2.0, abs=4 * se)
     assert kl >= -3 * se  # nonnegative up to estimator noise
