@@ -6,8 +6,8 @@
     tiltgen oracle   tilt|kl-bound [params]
 
 Exit codes: 0 success/convergence, 2 solver non-convergence (the manifest is
-still written), 1 configuration or runtime error.  Set TILTGEN_LOG to
-debug/info/warning to control verbosity.
+still written), 1 configuration or runtime error, including a bad command
+line.  Set TILTGEN_LOG to debug/info/warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -269,10 +269,8 @@ def _slug(label: str) -> str:
 def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     diag = plan.config["diagnostics"]
     specs = diag["candidates"]
-    lifted = [s.get("lift") is not None for s in specs]
-    if any(lifted) and not all(lifted):
-        raise ConfigError("candidates must be all lifted or all unlifted to compare")
-    eval_dist = plan.base if not any(lifted) else plan.decoder.prior()
+    # build_plan has checked that the candidates are all lifted or all unlifted
+    eval_dist = plan.decoder.prior() if specs[0].get("lift") is not None else plan.base
     seeds = plan.seeds
     candidates = []
     for i, spec in enumerate(specs):
@@ -434,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error; that code means non-convergence here
+        return 1 if exit_.code == 2 else exit_.code
     try:
         return args.func(args)
     except ConfigError as err:

@@ -239,6 +239,8 @@ class RunPlan:
     ``base`` is the distribution the flow perturbs (the latent prior when the
     criterion is lifted); ``data_dist`` is the data-space model used for
     dumps and criterion construction; they coincide for non-lifted runs.
+    ``solver_options`` holds the config's ``solver`` keys, passed to ``solve``
+    as keyword arguments; its own defaults fill the rest.
     """
 
     config: dict
@@ -367,14 +369,7 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
     lifted = crit_spec is not None and crit_spec.get("lift") is not None
     base = decoder.prior() if (decoder is not None and lifted) else data_dist
 
-    flow_spec = config.get("flow", {})
-    flow_arch = FlowArchitecture(
-        blocks=flow_spec.get("blocks", 2),
-        hidden_width=flow_spec.get("hidden_width", 32),
-        hidden_depth=flow_spec.get("hidden_depth", 2),
-        scale_clamp=flow_spec.get("scale_clamp", 5.0),
-        permute=flow_spec.get("permute", True),
-    )
+    flow_arch = FlowArchitecture(**config.get("flow", {}))
 
     tune_spec = dict(config.get("tune", {}))
     tune = TuneConfig(seed=derive_seed(seeds["sampling"], "tune"), **tune_spec)
@@ -399,14 +394,18 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
 
     sweep_betas = config.get("sweep", {}).get("betas")
     moments_spec = config.get("moments", {})
-    solver_spec = config.get("solver", {})
 
     if require == "target" and target is None and fixed_beta is None:
         raise ConfigError("this command requires a 'target' block")
     if require == "sweep" and sweep_betas is None:
         raise ConfigError("this command requires a 'sweep' block")
-    if require == "diagnostics" and "candidates" not in config.get("diagnostics", {}):
-        raise ConfigError("this command requires 'diagnostics.candidates'")
+    if require == "diagnostics":
+        candidates = config.get("diagnostics", {}).get("candidates")
+        if candidates is None:
+            raise ConfigError("this command requires 'diagnostics.candidates'")
+        lifted = {c.get("lift") is not None for c in candidates}
+        if len(lifted) > 1:
+            raise ConfigError("candidates must be all lifted or all unlifted to compare")
     if require in ("target", "sweep") and criterion is None:
         raise ConfigError("this command requires a 'criterion' block")
 
@@ -423,11 +422,7 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         target=target,
         fixed_beta=fixed_beta,
         sweep_betas=sweep_betas,
-        solver_options=dict(
-            max_iterations=solver_spec.get("max_iterations", 20),
-            relative_tolerance=solver_spec.get("relative_tolerance", 1e-2),
-            beta_tolerance=solver_spec.get("beta_tolerance", 1e-3),
-        ),
+        solver_options=dict(config.get("solver", {})),
         moments_samples=moments_spec.get("samples", 20000),
         moments_batches=moments_spec.get("batches", 32),
         output_samples=config.get("outputs", {}).get("samples", 1000),

@@ -22,6 +22,7 @@ unscrambling permutation.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,17 +54,6 @@ class Mlp:
         biases.append(np.zeros(out_dim))
         return cls(weights, biases)
 
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"w{i}"] = w
-            out[f"b{i}"] = b
-        return out
-
-    def set_params(self, params: dict[str, np.ndarray]):
-        self.weights = [params[f"w{i}"] for i in range(len(self.weights))]
-        self.biases = [params[f"b{i}"] for i in range(len(self.biases))]
-
     def forward(self, u: np.ndarray):
         acts = [u]
         h = u
@@ -76,16 +66,17 @@ class Mlp:
         return h, acts
 
     def backward(self, acts, dout: np.ndarray):
-        grads: dict[str, np.ndarray] = {}
-        dh = dout
+        """Returns (d input, gradients): all biases, then all weights."""
         last = len(self.weights) - 1
+        dbiases, dweights = [None] * (last + 1), [None] * (last + 1)
+        dh = dout
         for i in range(last, -1, -1):
             if i < last:
                 dh = dh * (1.0 - acts[i + 1] ** 2)  # through tanh
-            grads[f"w{i}"] = acts[i].T @ dh
-            grads[f"b{i}"] = dh.sum(axis=0)
+            dweights[i] = acts[i].T @ dh
+            dbiases[i] = dh.sum(axis=0)
             dh = dh @ self.weights[i].T
-        return dh, grads
+        return dh, dbiases + dweights
 
 
 class AffineDiagonalLayer:
@@ -104,12 +95,11 @@ class AffineDiagonalLayer:
         )
         self.shift = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float).copy()
 
-    def params(self):
-        return {"log_scale": self.log_scale, "shift": self.shift}
+    def params(self) -> list[np.ndarray]:
+        return [self.log_scale, self.shift]
 
-    def set_params(self, params):
-        self.log_scale = params["log_scale"]
-        self.shift = params["shift"]
+    def set_params(self, params: list[np.ndarray]):
+        self.log_scale, self.shift = params
 
     def _effective(self):
         return np.clip(self.log_scale, -self.scale_clamp, self.scale_clamp)
@@ -129,12 +119,8 @@ class AffineDiagonalLayer:
         s = self._effective()
         active = np.abs(self.log_scale) < self.scale_clamp
         ds = (dy * x).sum(axis=0) * np.exp(s) + dlogdet.sum()
-        grads = {
-            "log_scale": np.where(active, ds, 0.0),
-            "shift": dy.sum(axis=0),
-        }
         dx = dy * np.exp(s)
-        return dx, grads
+        return dx, [np.where(active, ds, 0.0), dy.sum(axis=0)]
 
     def to_spec(self):
         return {
@@ -172,11 +158,12 @@ class AdditiveCouplingLayer:
         self.dim = self.mask.shape[0]
         self.mlp = mlp
 
-    def params(self):
-        return self.mlp.params()
+    def params(self) -> list[np.ndarray]:
+        return self.mlp.biases + self.mlp.weights
 
-    def set_params(self, params):
-        self.mlp.set_params(params)
+    def set_params(self, params: list[np.ndarray]):
+        n = len(self.mlp.biases)
+        self.mlp.biases, self.mlp.weights = params[:n], params[n:]
 
     def forward(self, x: np.ndarray):
         shift, acts = self.mlp.forward(x[:, self.cond_idx])
@@ -224,10 +211,10 @@ class PermutationLayer:
         self.inv = np.argsort(self.perm)
         self.dim = self.perm.shape[0]
 
-    def params(self):
-        return {}
+    def params(self) -> list[np.ndarray]:
+        return []
 
-    def set_params(self, params):
+    def set_params(self, params: list[np.ndarray]):
         pass
 
     def forward(self, x: np.ndarray):
@@ -237,7 +224,7 @@ class PermutationLayer:
         return y[:, self.inv]
 
     def backward(self, cache, dy: np.ndarray, dlogdet: np.ndarray):
-        return dy[:, self.inv], {}
+        return dy[:, self.inv], []
 
     def to_spec(self):
         return {"type": self.kind, "perm": self.perm.tolist()}
@@ -254,41 +241,40 @@ _LAYER_TYPES = {
 }
 
 
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    """A fresh float vector holding ``arrays`` raveled, one after another."""
+    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
+
+
+def _views(vector: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Consecutive slices of ``vector`` reshaped to ``shapes``; inverts ``_concat``."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(vector[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 class FlowGradients:
-    """Per-parameter gradient buffers aligned with a model's layers."""
+    """Parameter gradients in one vector, laid out like ``FlowModel.theta``."""
 
-    def __init__(self, layers: list[dict[str, np.ndarray]]):
-        self.layers = layers
-
-    @classmethod
-    def zeros_like(cls, model: "FlowModel") -> "FlowGradients":
-        return cls([{k: np.zeros_like(v) for k, v in l.params().items()} for l in model.layers])
+    def __init__(self, vector: np.ndarray, shapes: list[tuple]):
+        self.vector = vector
+        self._shapes = shapes
 
     def flat(self) -> list[np.ndarray]:
-        return [d[k] for d in self.layers for k in sorted(d)]
-
-    @property
-    def vector(self) -> np.ndarray:
-        """All gradients as one vector, laid out like ``FlowModel.theta``."""
-        return np.concatenate([g.ravel() for g in self.flat()])
-
-    def check_shapes(self, model: "FlowModel"):
-        if len(self.layers) != len(model.layers):
-            raise ContractError("gradient buffers do not match layer count")
-        for bufs, layer in zip(self.layers, model.layers):
-            params = layer.params()
-            if set(bufs) != set(params):
-                raise ContractError("gradient buffer names do not match parameters")
-            for k in bufs:
-                if bufs[k].shape != params[k].shape:
-                    raise ContractError(f"gradient shape mismatch for {k!r}")
+        """Views of ``vector`` shaped and ordered like ``FlowModel.parameters()``."""
+        return _views(self.vector, self._shapes)
 
 
 class FlowModel:
     """Ordered stack of invertible layers acting on dimension ``dim``.
 
     All parameters live in one contiguous float64 vector, ``theta``; each
-    layer's arrays are views into it, laid out in ``parameters()`` order.
+    layer's arrays are views into it, laid out in ``parameters()`` order:
+    layer by layer, an affine layer's ``log_scale, shift`` and a coupling
+    layer's conditioner biases, then its weights.
     Updating ``theta`` in place updates every layer at once.  The model
     takes ownership of ``layers``: their arrays are rebound into the new
     ``theta``, so layer objects must not be shared between models (use
@@ -307,14 +293,11 @@ class FlowModel:
         """Copy the layers' parameters into a fresh ``theta`` and rebind
         every layer's arrays as views of it."""
         params = self.parameters()
-        self.theta = np.concatenate([np.ravel(p) for p in params]) if params else np.zeros(0)
-        offset = 0
+        self._shapes = [p.shape for p in params]
+        self.theta = _concat(params)
+        views = iter(_views(self.theta, self._shapes))
         for layer in self.layers:
-            views = {}
-            for k, p in sorted(layer.params().items()):
-                views[k] = self.theta[offset : offset + p.size].reshape(p.shape)
-                offset += p.size
-            layer.set_params(views)
+            layer.set_params([next(views) for _ in layer.params()])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -386,8 +369,8 @@ class FlowModel:
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             dh, g = layer.backward(cache, dh, dlogdet)
             grads.append(g)
-        grads.reverse()
-        return FlowGradients(grads), dh
+        vector = _concat([g for layer_grads in reversed(grads) for g in layer_grads])
+        return FlowGradients(vector, self._shapes), dh
 
     def backward(self, x, grad_y, grad_logdet) -> FlowGradients:
         """Parameter gradients of sum_i [grad_y[i] . y_i + grad_logdet[i] * logdet_i].
@@ -406,7 +389,7 @@ class FlowModel:
     def parameters(self) -> list[np.ndarray]:
         """Live parameter arrays (views of ``theta``), ordered as
         FlowGradients.flat()."""
-        return [d[k] for layer in self.layers for d in [layer.params()] for k in sorted(d)]
+        return [p for layer in self.layers for p in layer.params()]
 
     def copy(self) -> "FlowModel":
         # deepcopy copies each view on its own; rebinding restores the aliasing

@@ -48,20 +48,6 @@ def write_json_atomic(path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def moments_dict(est: MomentEstimates) -> dict:
-    return {
-        "mean_f": est.mean_f,
-        "se_mean": est.se_mean,
-        "var_f": est.var_f,
-        "se_var": est.se_var,
-        "third_central_f": est.third_central_f,
-        "se_third": est.se_third,
-        "dkl": est.dkl,
-        "se_dkl": est.se_dkl,
-        "n": est.n,
-    }
-
-
 MOMENT_COLUMNS = [
     "mean_f",
     "se_mean",
@@ -75,16 +61,11 @@ MOMENT_COLUMNS = [
 
 
 def moments_row(est: MomentEstimates) -> list[float]:
-    return [
-        est.mean_f,
-        est.se_mean,
-        est.var_f,
-        est.se_var,
-        est.third_central_f,
-        est.se_third,
-        est.dkl,
-        est.se_dkl,
-    ]
+    return [getattr(est, name) for name in MOMENT_COLUMNS]
+
+
+def moments_dict(est: MomentEstimates) -> dict:
+    return {name: getattr(est, name) for name in MOMENT_COLUMNS + ["n"]}
 
 
 def build_manifest(

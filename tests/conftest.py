@@ -1,14 +1,22 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tiltgen import DiagGaussian, GaussianMixture
 from tiltgen.flows import AffineDiagonalLayer, FlowModel
 from tiltgen.tuner import TunedModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# CI runs (GitHub sets CI) draw the same examples every time, so a property
+# failure there reproduces locally with CI=1.
+settings.register_profile("tiltgen-ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("tiltgen-ci")
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, validate_config
 from tiltgen.errors import ConfigError, ContractError
+from tiltgen.flows import FlowArchitecture
 from tiltgen.solver import Target
 from tiltgen.tuner import TuneConfig
 
@@ -204,6 +205,18 @@ def test_missing_target_rejected(tmp_path):
     assert main(["tune", "--config", cfgp, "--out", str(tmp_path / "r")]) == 1
 
 
+def test_flow_and_solver_blocks_reach_the_plan():
+    flow = {"blocks": 3, "hidden_width": 8, "hidden_depth": 1, "scale_clamp": 2.5,
+            "permute": False}
+    solver = {"max_iterations": 4, "relative_tolerance": 0.05, "beta_tolerance": 0.01}
+    plan = build_plan(small_tune_config(flow=flow, solver=solver), require="target")
+    assert plan.flow_arch == FlowArchitecture(**flow)
+    assert plan.solver_options == solver
+    defaults = build_plan(small_tune_config(flow={}), require="target")
+    assert defaults.flow_arch == FlowArchitecture()
+    assert defaults.solver_options == {}
+
+
 def test_schema_validates_nested_unknown_keys():
     cfg = small_tune_config()
     cfg["tune"]["momentum"] = 0.9
@@ -328,6 +341,27 @@ def test_diagnose_with_curves(tmp_path):
     assert report["curves"][0]["dkl"][0] == 0.0
 
 
+def test_diagnose_mixed_lift_fails_before_out_dir(tmp_path, capsys):
+    linear = {"name": "linear", "coefficients": [1.0, 0.0]}
+    cfg = {
+        "distribution": {
+            "kind": "latent-decoder",
+            "weights": [[1.0], [0.5]],
+            "noise_variance": 0.1,
+        },
+        "diagnostics": {
+            "candidates": [{**linear, "lift": {"mc_samples": 1}}, linear],
+            "samples": 5000,
+        },
+        "seeds": {"init": 1, "sampling": 2, "diagnostics": 3},
+    }
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
+    assert "all lifted or all unlifted" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # driver logging
 
@@ -346,6 +380,25 @@ def test_info_log_reports_out_dir_and_phases(tmp_path, caplog, path):
     assert any(m.startswith(f"{command} finished: ") for m in messages)
     timings = json.loads((out / "timings.json").read_text())["wall_seconds"]
     assert set(timings) == {*phases, "total"}
+
+
+# ---------------------------------------------------------------------------
+# command line
+
+
+@pytest.mark.parametrize("argv", [
+    ["tune", "--config", "x.json"],  # missing --out
+    ["tune", "--config", "x.json", "--out", "r", "--bogus"],  # unknown flag
+])
+def test_usage_error_exits_one(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["tune", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
