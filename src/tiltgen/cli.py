@@ -29,7 +29,6 @@ from .criteria import normalize_affine
 from .diagnostics import compare_criteria, importance_curves
 from .dists import LatentDecoder
 from .errors import ConfigError, TiltgenError
-from .flows import init_identity
 from .manifest import (
     MOMENT_COLUMNS,
     build_manifest,
@@ -41,8 +40,7 @@ from .manifest import (
 )
 from .oracles import GaussianTiltOracle, latent_kl_bound_check
 from .rng import derive_seed, make_generator
-from .solver import estimate_moments, pareto_sweep, solve
-from .tuner import fit_q
+from .solver import fit_chain, pareto_sweep, solve
 
 log = logging.getLogger("tiltgen")
 
@@ -91,9 +89,16 @@ def _write_samples(out, plan, model):
     write_csv(out / "samples.csv", header, data)
 
 
-def _record(iteration: int, beta: float, est, trace, **extra) -> dict:
-    """One fit in ``solve``'s record shape."""
-    return {"iteration": iteration, "beta": beta, "moments": est, "trace": trace, **extra}
+def _chain_options(plan) -> dict:
+    """The fit-chain settings that tune and pareto take from the plan."""
+    return {
+        "arch": plan.flow_arch,
+        "tune_cfg": plan.tune,
+        "moments_n": plan.moments_samples,
+        "moments_batches": plan.moments_batches,
+        "seed": plan.seeds["sampling"],
+        "init_seed": plan.seeds["init"],
+    }
 
 
 def _moment_table(records, columns: list[str]):
@@ -191,30 +196,15 @@ def run_command(args) -> int:
 def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
     if plan.fixed_beta is not None:
-        flow0 = init_identity(plan.base.dim, plan.flow_arch, seed=plan.seeds["init"])
-        model = fit_q(plan.base, f_used, plan.fixed_beta, flow0, plan.tune)
-        est = estimate_moments(
-            model, f_used, plan.moments_samples,
-            derive_seed(plan.seeds["sampling"], "moments", 0), plan.moments_batches,
+        model, records = fit_chain(
+            plan.base, f_used, plan.fixed_beta, lambda records: None, **_chain_options(plan)
         )
         # a pinned beta has no target to miss: it reports the divergence it reached
-        records = [
-            _record(0, plan.fixed_beta, est, model.trace_rows, achieved=est.dkl, residual=0.0)
-        ]
+        records[0].update(achieved=records[0]["moments"].dkl, residual=0.0)
         converged, message = True, "fixed tilt strength"
     else:
         res = solve(
-            plan.base,
-            f_used,
-            plan.target,
-            arch=plan.flow_arch,
-            tune_cfg=plan.tune,
-            moments_n=plan.moments_samples,
-            moments_batches=plan.moments_batches,
-            seed=plan.seeds["sampling"],
-            init_seed=plan.seeds["init"],
-            normalize=False,
-            **plan.solver_options,
+            plan.base, f_used, plan.target, **_chain_options(plan), **plan.solver_options
         )
         model, records, converged, message = res.model, res.records, res.converged, res.message
     phases.end("solve")
@@ -233,29 +223,13 @@ def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
 
 def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
-    traces: list = []
-    points = pareto_sweep(
-        plan.base,
-        f_used,
-        plan.sweep_betas,
-        arch=plan.flow_arch,
-        tune_cfg=plan.tune,
-        moments_n=plan.moments_samples,
-        moments_batches=plan.moments_batches,
-        seed=plan.seeds["sampling"],
-        init_seed=plan.seeds["init"],
-        traces=traces,
-    )
-    records = [
-        _record(i, beta, est, trace)
-        for i, ((beta, est), trace) in enumerate(zip(points, traces))
-    ]
+    records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **_chain_options(plan))
     phases.end("sweep")
     write_csv(out / "sweep.csv", *_moment_table(records, ["beta"]))
     _write_traces(out, records)
     phases.end("artifacts")
     return Outcome(
-        f"swept {len(points)} grid points",
+        f"swept {len(records)} grid points",
         {"sweep": "sweep.csv", "trace": "trace.csv"},
         records=records,
         normalization=norm_info,

@@ -300,8 +300,8 @@ def audit_run(
     """Compare a sweep's measured points against the theoretical curve.
 
     ``sweep`` is a sequence of (beta, mean_f, dkl) triples (or (beta,
-    MomentEstimates) pairs from the solver) on the same beta grid as
-    ``curve``.  An undershoot flag marks a point whose measured expectation
+    MomentEstimates) pairs, such as ``(r["beta"], r["moments"])`` for the
+    records ``pareto_sweep`` returns) on the same beta grid as ``curve``.  An undershoot flag marks a point whose measured expectation
     falls short of the prediction by more than the margin; a stagnation flag
     marks a step where the measured divergence barely moves while the
     predicted one grows.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .criteria import Criterion, normalize_affine
+from .criteria import Criterion
 from .dists import Distribution
 from .errors import ContractError, FlatCriterionError, NumericError
 from .flows import FlowArchitecture, init_identity
@@ -35,6 +35,7 @@ __all__ = [
     "BetaState",
     "SolveResult",
     "estimate_moments",
+    "fit_chain",
     "newton_step",
     "solve",
     "pareto_sweep",
@@ -189,12 +190,11 @@ def _quadratic_root(r: float, d1: float, d2: float) -> float:
     """Smallest-magnitude real root of r + d1*x + x^2*d2/2 = 0.
 
     Falls back to the first-order (Newton) step when the quadratic has no
-    real root or the curvature is negligible.  With d1 = 0 the curvature-only
-    step is taken in the direction that reduces the residual (the residual is
-    an increasing function of beta for both target modes).
+    real root.  The root's cancellation-free form tends to the Newton step
+    -r/d1 as the curvature vanishes.  With d1 = 0 the curvature-only step is
+    taken in the direction that reduces the residual (the residual is an
+    increasing function of beta for both target modes).
     """
-    if abs(d2) < 1e-12 * max(1.0, abs(d1)) and d1 != 0.0:
-        return -r / d1
     if d1 == 0.0:
         ratio = -2.0 * r / d2
         if ratio <= 0.0:
@@ -236,6 +236,53 @@ def newton_step(state: BetaState, target: Target) -> float:
     return proposed
 
 
+def fit_chain(
+    p: Distribution,
+    f: Criterion,
+    beta: float,
+    propose,
+    arch: FlowArchitecture = FlowArchitecture(),
+    tune_cfg: TuneConfig = TuneConfig(),
+    moments_n: int = 20000,
+    moments_batches: int = 32,
+    seed: int = 0,
+    init_seed: int | None = None,
+) -> tuple[TunedModel, list[dict]]:
+    """Warm-started fits at the betas ``propose`` picks: fit, measure, repeat.
+
+    Fits at ``beta`` from the identity flow, estimates the moments, and
+    appends the record ``{"iteration", "beta", "moments", "trace"}``.  Then
+    ``propose(records)`` returns the next beta, fitted from the last flow, or
+    None to stop; it may add keys to the records.  Returns the last model and
+    the records.
+
+    Fit 0 runs ``tune_cfg`` as given.  Fit i > 0 runs its ``warm_steps``
+    budget on batches drawn from ``derive_seed(tune_cfg.seed, "fit", i)``.
+    Fit i measures on samples drawn from ``derive_seed(seed, "moments", i)``.
+    ``init_seed`` drives the flow initialization and defaults to a stream
+    derived from ``seed``.
+    """
+    if init_seed is None:
+        init_seed = derive_seed(seed, "init")
+    flow = init_identity(p.dim, arch, seed=init_seed)
+    cfg = tune_cfg
+    records: list[dict] = []
+    while beta is not None:
+        i = len(records)
+        if i > 0:
+            cfg = tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "fit", i))
+        model = fit_q(p, f, beta, flow, cfg)
+        flow = model.flow
+        est = estimate_moments(
+            model, f, moments_n, derive_seed(seed, "moments", i), moments_batches
+        )
+        records.append(
+            {"iteration": i, "beta": beta, "moments": est, "trace": model.trace_rows}
+        )
+        beta = propose(records)
+    return model, records
+
+
 @dataclass
 class SolveResult:
     """Outcome of the full search: final model, state, per-iteration records."""
@@ -245,7 +292,6 @@ class SolveResult:
     records: list[dict]
     converged: bool
     message: str
-    criterion: Criterion
 
 
 def solve(
@@ -261,71 +307,48 @@ def solve(
     max_iterations: int = 20,
     relative_tolerance: float = 1e-2,
     beta_tolerance: float = 1e-3,
-    normalize: bool = True,
-    normalize_n: int = 10000,
 ) -> SolveResult:
     """Run the full search: fit, measure, update beta, repeat.
 
-    ``seed`` drives all sampling (normalization, moments); ``init_seed``
-    drives the flow initialization and defaults to a stream derived from
-    ``seed``.  Convergence means the measured target quantity is within
-    max(relative_tolerance * |target|, 3 se) of the target value.  A beta
-    update smaller than beta_tolerance * max(1, beta) while the target is
-    still missed reports non-convergence (stagnation), as does exhausting
-    ``max_iterations``.  The per-iteration records always come back, so a
-    non-converged run can still be audited.
+    ``f`` is used as given; call ``normalize_affine`` first to normalize it.
+    ``seed`` drives the moment sampling and ``init_seed`` the flow
+    initialization, as in ``fit_chain``.  Convergence means the measured
+    target quantity is within max(relative_tolerance * |target|, 3 se) of
+    the target value.  A beta update smaller than beta_tolerance * max(1,
+    beta) while the target is still missed reports non-convergence
+    (stagnation), as does exhausting ``max_iterations``.  Each record also
+    carries ``achieved`` and ``residual``; the records always come back, so
+    a non-converged run can still be audited.
     """
-    f_used = (
-        normalize_affine(f, p, normalize_n, derive_seed(seed, "normalize"))
-        if normalize
-        else f
-    )
-    if init_seed is None:
-        init_seed = derive_seed(seed, "init")
-    identity_flow = init_identity(p.dim, arch, seed=init_seed)
+    if max_iterations < 1:
+        raise ContractError("max_iterations must be >= 1")
     state = BetaState()
-    records: list[dict] = []
-    model = None
     converged = False
     message = f"iteration cap ({max_iterations}) exceeded"
-    beta = 0.0
-    for iteration in range(max_iterations):
-        cfg_i = (
-            tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "fit", iteration))
-            if iteration > 0
-            else tune_cfg
-        )
-        init_flow = model.flow if model is not None else identity_flow
-        model = fit_q(p, f_used, beta, init_flow, cfg_i)
-        est = estimate_moments(
-            model, f_used, moments_n, derive_seed(seed, "moments", iteration),
-            moments_batches,
-        )
+
+    def propose(records):
+        nonlocal converged, message
+        record = records[-1]
+        beta, est = record["beta"], record["moments"]
         achieved, se = target.achieved(est)
         residual = achieved - target.value
+        record.update(achieved=achieved, residual=residual)
         state.beta = beta
         state.record(beta, est, residual)
-        records.append(
-            {
-                "iteration": iteration,
-                "beta": beta,
-                "moments": est,
-                "achieved": achieved,
-                "residual": residual,
-                "trace": model.trace_rows,
-            }
-        )
-        tolerance = max(relative_tolerance * abs(target.value), 3.0 * se)
-        if abs(residual) <= tolerance:
+        if abs(residual) <= max(relative_tolerance * abs(target.value), 3.0 * se):
             converged = True
             message = f"target reached at beta={beta:.6g}"
-            break
+            return None
         new_beta = newton_step(state, target)
         if abs(new_beta - beta) < beta_tolerance * max(1.0, abs(beta)):
             message = "beta stagnated before reaching the target"
-            break
-        beta = new_beta
-    return SolveResult(model, state, records, converged, message, f_used)
+            return None
+        return new_beta if len(records) < max_iterations else None
+
+    model, records = fit_chain(
+        p, f, 0.0, propose, arch, tune_cfg, moments_n, moments_batches, seed, init_seed
+    )
+    return SolveResult(model, state, records, converged, message)
 
 
 def pareto_sweep(
@@ -338,35 +361,21 @@ def pareto_sweep(
     moments_batches: int = 32,
     seed: int = 0,
     init_seed: int | None = None,
-    traces: list | None = None,
-) -> list[tuple[float, MomentEstimates]]:
+) -> list[dict]:
     """Warm-started fits along an increasing beta grid starting at 0.
 
-    Returns one (beta, MomentEstimates) point per grid value, suitable for
-    plotting the divergence-vs-expectation trade-off curve.  Pass a list as
-    ``traces`` to collect the per-fit objective trace rows.
+    Returns one record per grid value, in ``fit_chain``'s shape, suitable
+    for plotting the divergence-vs-expectation trade-off curve.  Grid point
+    i draws the same fit and moment streams as iteration i of ``solve``.
     """
     grid = [float(b) for b in beta_grid]
     if not grid or grid[0] != 0.0:
         raise ContractError("beta grid must start at 0")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ContractError("beta grid must be strictly increasing")
-    points: list[tuple[float, MomentEstimates]] = []
-    if init_seed is None:
-        init_seed = derive_seed(seed, "init")
-    flow = init_identity(p.dim, arch, seed=init_seed)
-    for i, beta in enumerate(grid):
-        cfg_i = (
-            tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "sweep", i))
-            if i > 0
-            else tune_cfg
-        )
-        model = fit_q(p, f, beta, flow, cfg_i)
-        flow = model.flow
-        est = estimate_moments(
-            model, f, moments_n, derive_seed(seed, "sweep-moments", i), moments_batches
-        )
-        points.append((beta, est))
-        if traces is not None:
-            traces.append(model.trace_rows)
-    return points
+    _, records = fit_chain(
+        p, f, grid[0],
+        lambda records: grid[len(records)] if len(records) < len(grid) else None,
+        arch, tune_cfg, moments_n, moments_batches, seed, init_seed,
+    )
+    return records

@@ -115,12 +115,10 @@ class TunedModel(Distribution):
 
     kind = "flow-pushforward"
 
-    def __init__(self, base: Distribution, flow: FlowModel, beta: float,
-                 objective_trace=(), trace_rows=()):
+    def __init__(self, base: Distribution, flow: FlowModel, beta: float, trace_rows=()):
         self.base = base
         self.flow = flow
         self.beta = float(beta)
-        self.objective_trace = list(objective_trace)
         self.trace_rows = list(trace_rows)
         self.dim = base.dim
 
@@ -204,9 +202,12 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
     """Fit the tilted model at fixed ``beta`` by stochastic ascent.
 
     The initial flow is copied, never mutated, so warm-start chains can keep
-    their history.  Divergence (non-finite objective) aborts with the trace
+    their history.  A non-finite ``beta`` raises ``ContractError`` before the
+    first step.  Divergence (non-finite objective) aborts with the trace
     collected so far attached to the exception.
     """
+    if not np.isfinite(beta):
+        raise ContractError(f"beta must be finite, got {beta!r}")
     flow = init.copy()
     opt = Adam([flow.theta], cfg)
     objectives: list[float] = []
@@ -233,7 +234,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
                     break
             else:
                 flat_checks = 0
-    return TunedModel(p, flow, beta, objectives, trace_rows)
+    return TunedModel(p, flow, beta, trace_rows)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[float, float]:

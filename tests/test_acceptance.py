@@ -95,7 +95,7 @@ def test_criterion_01_gaussian_tilt_end_to_end():
         p, f, Target.divergence(4.61),
         tune_cfg=TuneConfig(steps=2000, warm_steps=800, learning_rate=5e-3,
                             batch_size=256, seed=42),
-        moments_n=50000, seed=101, normalize=False,
+        moments_n=50000, seed=101,
     )
     elapsed = time.perf_counter() - t0
     beta_star = np.sqrt(2 * 4.61)
@@ -360,11 +360,12 @@ def test_criterion_09_pareto_monotonicity():
     p = DiagGaussian.standard(1)
     f = LinearCriterion([1.0])
     grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-    points = pareto_sweep(
+    records = pareto_sweep(
         p, f, grid,
         tune_cfg=TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3, seed=91),
         moments_n=20000, seed=92,
     )
+    points = [(r["beta"], r["moments"]) for r in records]
     means = np.array([est.mean_f for _, est in points])
     dkls = np.array([est.dkl for _, est in points])
     se_m = np.array([est.se_mean for _, est in points])

@@ -313,9 +313,10 @@ def test_tradeoff_curve_invariant_under_affine_transform(std_normal_1d):
     curves = []
     for raw in (LinearCriterion([1.0]), Rescaled([1.0])):
         f = normalize_affine(raw, std_normal_1d, 50000, seed=21)
-        pts = pareto_sweep(
+        records = pareto_sweep(
             std_normal_1d, f, grid, tune_cfg=cfg, moments_n=20000, seed=31
         )
+        pts = [(r["beta"], r["moments"]) for r in records]
         curves.append([(est.dkl, est.mean_f) for _, est in pts])
     for (d1, e1), (d2, e2) in zip(*curves):
         assert d1 == pytest.approx(d2, abs=0.08)

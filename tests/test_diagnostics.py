@@ -262,8 +262,9 @@ def test_audit_flags_undertrained_run(std_normal_1d):
     betas = [0.0, 1.0, 2.0]
     cfg = TuneConfig(steps=10, warm_steps=10, learning_rate=1e-3, seed=21,
                      improvement_tol=0)
-    points = pareto_sweep(std_normal_1d, f, betas, tune_cfg=cfg,
-                          moments_n=5000, seed=22)
+    records = pareto_sweep(std_normal_1d, f, betas, tune_cfg=cfg,
+                           moments_n=5000, seed=22)
+    points = [(r["beta"], r["moments"]) for r in records]
     curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=23)
     report = audit_run(points, curve)
     assert report.undershoot

@@ -221,10 +221,11 @@ def test_solve_iteration_cap_reports_non_convergence(std_normal_1d):
 
 def test_pareto_single_point_grid(std_normal_1d):
     cfg = TuneConfig(steps=300, learning_rate=2e-3, seed=13)
-    points = pareto_sweep(
+    records = pareto_sweep(
         std_normal_1d, LinearCriterion([1.0]), [0.0], tune_cfg=cfg,
         moments_n=5000, seed=14,
     )
+    points = [(r["beta"], r["moments"]) for r in records]
     assert len(points) == 1
     beta, est = points[0]
     assert beta == 0.0
@@ -240,13 +241,41 @@ def test_pareto_grid_validation(std_normal_1d):
         pareto_sweep(std_normal_1d, f, [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_pareto_rejects_non_finite_beta(std_normal_1d, bad):
+    # the grid checks let NaN and inf through; the fit refuses them by name
+    with pytest.raises(ContractError, match="beta must be finite"):
+        pareto_sweep(
+            std_normal_1d, LinearCriterion([1.0]), [0.0, bad],
+            tune_cfg=TuneConfig(steps=5), moments_n=200,
+        )
+
+
+def test_pareto_over_solves_betas_reproduces_its_records(std_normal_1d):
+    # one warm-start loop: grid point i draws the streams of solve's iteration i
+    f = LinearCriterion([1.0])
+    run = dict(
+        tune_cfg=TuneConfig(steps=300, warm_steps=150, learning_rate=5e-3, seed=4),
+        moments_n=2000, seed=14,
+    )
+    res = solve(std_normal_1d, f, Target.divergence(2.0), max_iterations=4, **run)
+    betas = [r["beta"] for r in res.records]
+    assert len(betas) >= 3 and all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
+    swept = pareto_sweep(std_normal_1d, f, betas, **run)
+    assert [r["beta"] for r in swept] == betas
+    for searched, gridded in zip(res.records, swept):
+        assert gridded["moments"] == searched["moments"]
+        assert gridded["trace"] == searched["trace"]
+
+
 def test_pareto_matches_tilt_curve_and_is_monotone(std_normal_1d):
     cfg = TuneConfig(steps=1000, warm_steps=500, learning_rate=5e-3, seed=15)
     grid = [0.0, 1.0, 2.0]
-    points = pareto_sweep(
+    records = pareto_sweep(
         std_normal_1d, LinearCriterion([1.0]), grid, tune_cfg=cfg,
         moments_n=20000, seed=16,
     )
+    points = [(r["beta"], r["moments"]) for r in records]
     for beta, est in points:
         assert est.mean_f == pytest.approx(beta, abs=0.07)
         assert est.dkl == pytest.approx(beta**2 / 2, abs=0.1)

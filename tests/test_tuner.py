@@ -3,6 +3,7 @@ import pytest
 
 from tiltgen import (
     CapabilityError,
+    ContractError,
     DiagGaussian,
     DivergenceError,
     FlowArchitecture,
@@ -116,7 +117,7 @@ def test_fit_objective_trace_non_decreasing_moving_average(std_normal_1d):
         std_normal_1d, LinearCriterion([1.0]), 2.0, init_identity(1, seed=14),
         TuneConfig(steps=1200, learning_rate=5e-3, seed=15, improvement_tol=0),
     )
-    obj = np.array(model.objective_trace)
+    obj = np.array([row[1] for row in model.trace_rows])
     window = 50
     ma = np.convolve(obj, np.ones(window) / window, mode="valid")
     checkpoints = ma[::window]
@@ -151,6 +152,14 @@ def test_fit_divergence_aborts_with_trace(std_normal_1d):
     assert len(err.value.trace) > 0
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_fit_rejects_non_finite_beta(std_normal_1d, beta):
+    # refused before the first step, so no NaN reaches the flow
+    with pytest.raises(ContractError, match="beta must be finite"):
+        fit_q(std_normal_1d, LinearCriterion([1.0]), beta, init_identity(1, seed=0),
+              TuneConfig(steps=5))
+
+
 def test_fit_reproducible_from_seed(std_normal_1d):
     cfg = TuneConfig(steps=120, seed=18)
     g = init_identity(1, seed=19)
@@ -172,7 +181,7 @@ def test_warm_start_dominance(std_normal_1d):
     threshold = optimum - 0.05
 
     def steps_to_reach(model):
-        obj = np.array(model.objective_trace)
+        obj = np.array([row[1] for row in model.trace_rows])
         ma = np.convolve(obj, np.ones(25) / 25, mode="valid")
         hits = np.flatnonzero(ma >= threshold)
         return hits[0] if hits.size else len(obj)
