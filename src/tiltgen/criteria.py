@@ -25,7 +25,9 @@ class Criterion:
     """Scalar criterion f with value and input gradient.
 
     ``value`` maps (n, d) points to (n,) reals (or a vector to a scalar);
-    ``grad`` returns the matching input gradients.
+    ``grad`` returns the matching input gradients.  A subclass defines
+    ``value`` and one of ``grad`` or ``value_and_grad``; the other derives
+    from it.
     """
 
     label = "criterion"
@@ -35,10 +37,14 @@ class Criterion:
         raise NotImplementedError
 
     def grad(self, x):
-        raise NotImplementedError
+        return self.value_and_grad(x)[1]
 
     def value_and_grad(self, x):
         """``(value(x), grad(x))``; override to share work between them."""
+        if type(self).grad is Criterion.grad:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither grad nor value_and_grad"
+            )
         return self.value(x), self.grad(x)
 
     def _batch(self, x):
@@ -79,9 +85,6 @@ class AffineNormalizedCriterion(Criterion):
 
     def value(self, x):
         return (self.base.value(x) - self.shift) / self.scale
-
-    def grad(self, x):
-        return self.base.grad(x) / self.scale
 
     def value_and_grad(self, x):
         value, grad = self.base.value_and_grad(x)
@@ -130,11 +133,11 @@ class LogisticClassifier:
         log_p0 = -np.logaddexp(0.0, z)
         return np.stack([log_p0, log_p1], axis=1)
 
-    def log_prob_grad(self, batch, label: int) -> np.ndarray:
-        z = self._logit(batch)
-        sig = 1.0 / (1.0 + np.exp(-z))
-        factor = (1.0 - sig) if label == 1 else -sig
-        return factor[:, None] * self.weights
+    def log_probabilities_and_grads(self, batch, labels):
+        sig = 1.0 / (1.0 + np.exp(-self._logit(batch)))
+        grads = [((1.0 - sig) if label == 1 else -sig)[:, None] * self.weights
+                 for label in labels]
+        return self.log_probabilities(batch), grads
 
 
 class BayesPosteriorClassifier:
@@ -152,13 +155,8 @@ class BayesPosteriorClassifier:
         resp = self.mixture.responsibilities(batch)
         return np.log(np.maximum(resp, 1e-300))
 
-    def log_prob_grad(self, batch, label: int) -> np.ndarray:
-        return self.mixture.components[label].score(batch) - self.mixture.score(batch)
-
-    def _log_probabilities_and_grads(self, batch, labels):
-        """``log_probabilities(batch)`` and ``log_prob_grad`` for each label,
-        from one evaluation of the responsibilities."""
-        _, resp, comp_scores, score = self.mixture._fused_parts(batch)
+    def log_probabilities_and_grads(self, batch, labels):
+        _, resp, comp_scores, score = self.mixture.posterior_terms(batch)
         log_p = np.log(np.maximum(resp, 1e-300))
         return log_p, [comp_scores[:, label] - score for label in labels]
 
@@ -172,6 +170,10 @@ class ClassifierCriterion(Criterion):
                         the classifier saturates, without adding spurious
                         gradient)
     form "entropy"   -- f = entropy of the prediction (debugging aid)
+
+    A classifier offers ``dim``, ``num_classes``, ``log_probabilities(batch)``
+    (n, k) and ``log_probabilities_and_grads(batch, labels)``: the same
+    log-probabilities and, per label c, the input gradient of log h(c | x).
     """
 
     FORMS = ("prob", "log-prob", "entropy")
@@ -192,11 +194,6 @@ class ClassifierCriterion(Criterion):
         else:
             self.label = f"class-{form}[{target_class}]"
 
-    def _labels(self):
-        if self.form == "entropy":
-            return range(self.classifier.num_classes)
-        return (self.target_class,)
-
     def _value_from(self, log_p):
         if self.form == "prob":
             return np.exp(log_p[:, self.target_class])
@@ -204,44 +201,26 @@ class ClassifierCriterion(Criterion):
             return np.maximum(log_p[:, self.target_class], self.floor)
         return -np.sum(np.exp(log_p) * log_p, axis=1)
 
-    def _grad_from(self, batch, log_p, grad_of):
-        """Input gradient from all-class log-probabilities and ``grad_of(c)``,
-        the gradient of log h(c | x), called once per label in turn."""
-        if self.form == "entropy":
-            out = np.zeros_like(batch)
-            for c in self._labels():
-                g = grad_of(c)
-                # d(-sum p log p) = -sum (log p) dp, since sum dp = 0
-                out -= (np.exp(log_p[:, c]) * log_p[:, c])[:, None] * g
-            return out
-        log_p = log_p[:, self.target_class]
-        g = grad_of(self.target_class)
-        if self.form == "prob":
-            return np.exp(log_p)[:, None] * g
-        return np.where((log_p > self.floor)[:, None], g, 0.0)
-
     def value(self, x):
         batch, single = self._batch(x)
         out = self._value_from(self.classifier.log_probabilities(batch))
         return out[0] if single else out
 
-    def grad(self, x):
-        batch, single = self._batch(x)
-        log_p = self.classifier.log_probabilities(batch)
-        out = self._grad_from(
-            batch, log_p, lambda c: self.classifier.log_prob_grad(batch, c)
-        )
-        return out[0] if single else out
-
     def value_and_grad(self, x):
-        # exact type: a subclass may override log_probabilities/log_prob_grad
-        if type(self.classifier) is not BayesPosteriorClassifier:
-            return super().value_and_grad(x)
         batch, single = self._batch(x)
-        labels = self._labels()
-        log_p, grads = self.classifier._log_probabilities_and_grads(batch, labels)
+        entropy = self.form == "entropy"
+        labels = range(self.classifier.num_classes) if entropy else (self.target_class,)
+        log_p, grads = self.classifier.log_probabilities_and_grads(batch, labels)
         value = self._value_from(log_p)
-        grad = self._grad_from(batch, log_p, dict(zip(labels, grads)).__getitem__)
+        if entropy:
+            grad = np.zeros_like(batch)
+            for c, g in zip(labels, grads):
+                # d(-sum p log p) = -sum (log p) dp, since sum dp = 0
+                grad -= (np.exp(log_p[:, c]) * log_p[:, c])[:, None] * g
+        elif self.form == "prob":
+            grad = np.exp(log_p[:, self.target_class])[:, None] * grads[0]
+        else:
+            grad = np.where((log_p[:, self.target_class] > self.floor)[:, None], grads[0], 0.0)
         return (value[0], grad[0]) if single else (value, grad)
 
 
@@ -377,11 +356,15 @@ class LatentCriterion(Criterion):
         out = total / self.mc_samples
         return out[0] if single else out
 
-    def grad(self, z):
+    def value_and_grad(self, z):
         batch, single = self._batch(z)
         mean = batch @ self.decoder.weights.T
-        total = np.zeros_like(batch)
+        value = np.zeros(batch.shape[0])
+        grad = np.zeros_like(batch)
         for eps in self._eps:
-            total += self.base.grad(mean + self._sigma * eps) @ self.decoder.weights
-        out = total / self.mc_samples
-        return out[0] if single else out
+            v, g = self.base.value_and_grad(mean + self._sigma * eps)
+            value += v
+            grad += g @ self.decoder.weights
+        value /= self.mc_samples
+        grad /= self.mc_samples
+        return (value[0], grad[0]) if single else (value, grad)

@@ -291,6 +291,20 @@ class AuditReport:
         }
 
 
+def _audit_point(point) -> tuple[float, float, float]:
+    """(beta, mean_f, dkl) of a fit record or of a triple."""
+    try:
+        if isinstance(point, dict):
+            return float(point["beta"]), point["moments"].mean_f, point["moments"].dkl
+        beta, mean_f, dkl = point
+        return float(beta), float(mean_f), float(dkl)
+    except (KeyError, AttributeError, TypeError, ValueError):
+        raise ContractError(
+            "an audit point is a fit record with 'beta' and 'moments' or a "
+            f"(beta, mean_f, dkl) triple, got {type(point).__name__}"
+        ) from None
+
+
 def audit_run(
     sweep,
     curve: TheoreticalCurve,
@@ -299,21 +313,14 @@ def audit_run(
 ) -> AuditReport:
     """Compare a sweep's measured points against the theoretical curve.
 
-    ``sweep`` is a sequence of (beta, mean_f, dkl) triples (or (beta,
-    MomentEstimates) pairs, such as ``(r["beta"], r["moments"])`` for the
-    records ``pareto_sweep`` returns) on the same beta grid as ``curve``.  An undershoot flag marks a point whose measured expectation
-    falls short of the prediction by more than the margin; a stagnation flag
-    marks a step where the measured divergence barely moves while the
-    predicted one grows.
+    ``sweep`` is a sequence of fit records, as ``solve`` and ``pareto_sweep``
+    return them, or of (beta, mean_f, dkl) triples, on the same beta grid as
+    ``curve``; any other point raises ``ContractError``.  An undershoot flag
+    marks a point whose measured expectation falls short of the prediction by
+    more than the margin; a stagnation flag marks a step where the measured
+    divergence barely moves while the predicted one grows.
     """
-    triples = []
-    for point in sweep:
-        if len(point) == 2 and hasattr(point[1], "mean_f"):
-            beta, est = point
-            triples.append((float(beta), est.mean_f, est.dkl))
-        else:
-            beta, mean_f, dkl = point
-            triples.append((float(beta), float(mean_f), float(dkl)))
+    triples = [_audit_point(point) for point in sweep]
     betas = np.array([t[0] for t in triples])
     if betas.shape != curve.betas.shape or not np.allclose(betas, curve.betas):
         raise ContractError("sweep and theoretical curve must share a beta grid")

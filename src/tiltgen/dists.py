@@ -49,10 +49,12 @@ class Distribution:
         raise NotImplementedError
 
     def score(self, x):
-        raise CapabilityError(f"no analytic score for kind {self.kind!r}")
+        return self.log_density_and_score(x)[1]
 
     def log_density_and_score(self, x):
         """``(log_density(x), score(x))``; override to share work between them."""
+        if type(self).score is Distribution.score:
+            raise CapabilityError(f"no analytic score for kind {self.kind!r}")
         return self.log_density(x), self.score(x)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -94,11 +96,6 @@ class DiagGaussian(Distribution):
         batch, single = _as_batch(x, self.dim)
         diff = batch - self.mean
         out = -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
-        return out[0] if single else out
-
-    def score(self, x):
-        batch, single = _as_batch(x, self.dim)
-        out = -(batch - self.mean) / self.variance
         return out[0] if single else out
 
     def log_density_and_score(self, x):
@@ -152,6 +149,15 @@ class GaussianMixture(Distribution):
         self._log_weights = np.log(np.where(self.weights > 0, self.weights, 1e-300))
         self.weights.flags.writeable = False
 
+    def _shifted_weights(self, component_log_densities):
+        """exp(joint - m), its row sums and m, the row max of the joint
+        log-weights log w_k + log p_k(x)."""
+        joint = component_log_densities + self._log_weights
+        m = joint.max(axis=1, keepdims=True)
+        joint -= m
+        w = np.exp(joint, out=joint)
+        return w, w.sum(axis=1, keepdims=True), m
+
     def _component_log_densities(self, batch) -> np.ndarray:
         return np.stack(
             [c.log_density(batch) for c in self.components], axis=1
@@ -159,46 +165,35 @@ class GaussianMixture(Distribution):
 
     def log_density(self, x):
         batch, single = _as_batch(x, self.dim)
-        joint = self._component_log_densities(batch) + self._log_weights
-        m = joint.max(axis=1, keepdims=True)
-        out = np.log(np.exp(joint - m).sum(axis=1)) + m[:, 0]
+        _, total, m = self._shifted_weights(self._component_log_densities(batch))
+        out = np.log(total[:, 0]) + m[:, 0]
         return out[0] if single else out
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities p(component | x), shape (n, k)."""
         batch, single = _as_batch(x, self.dim)
-        joint = self._component_log_densities(batch) + self._log_weights
-        joint -= joint.max(axis=1, keepdims=True)
-        w = np.exp(joint)
-        w /= w.sum(axis=1, keepdims=True)
+        w, total, _ = self._shifted_weights(self._component_log_densities(batch))
+        w /= total
         return w[0] if single else w
 
-    def score(self, x):
+    def posterior_terms(self, x):
+        """Log-density (n,), responsibilities (n, k), component scores
+        (n, k, d) and mixture score (n, d) of ``x``, from one
+        ``log_density_and_score`` call per component."""
         batch, single = _as_batch(x, self.dim)
-        resp = self.responsibilities(batch)  # (n, k)
-        comp_scores = np.stack([c.score(batch) for c in self.components], axis=1)
-        out = np.einsum("nk,nkd->nd", resp, comp_scores)
-        return out[0] if single else out
-
-    def _fused_parts(self, batch):
-        """Log-density, responsibilities, component scores and mixture score
-        of a batch from one evaluation of the component log-densities; the
-        arithmetic matches ``log_density``, ``responsibilities`` and ``score``
-        exactly."""
-        joint = self._component_log_densities(batch) + self._log_weights
-        m = joint.max(axis=1, keepdims=True)
-        w = np.exp(joint - m)
-        total = w.sum(axis=1, keepdims=True)
+        parts = [c.log_density_and_score(batch) for c in self.components]
+        comp_scores = np.stack([score for _, score in parts], axis=1)
+        w, total, m = self._shifted_weights(np.stack([log_p for log_p, _ in parts], axis=1))
         log_p = np.log(total[:, 0]) + m[:, 0]
         w /= total
-        comp_scores = np.stack([c.score(batch) for c in self.components], axis=1)
         score = np.einsum("nk,nkd->nd", w, comp_scores)
+        if single:
+            return log_p[0], w[0], comp_scores[0], score[0]
         return log_p, w, comp_scores, score
 
     def log_density_and_score(self, x):
-        batch, single = _as_batch(x, self.dim)
-        log_p, _, _, score = self._fused_parts(batch)
-        return (log_p[0], score[0]) if single else (log_p, score)
+        log_p, _, _, score = self.posterior_terms(x)
+        return log_p, score
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:

@@ -17,7 +17,7 @@ from tiltgen.criteria import Criterion
 from tiltgen.diagnostics import ZERO_MASS_EPS
 from tiltgen.dists import Distribution
 from tiltgen.rng import make_generator
-from tiltgen.solver import pareto_sweep
+from tiltgen.solver import MomentEstimates, pareto_sweep
 from tiltgen.tuner import TuneConfig
 
 
@@ -264,9 +264,8 @@ def test_audit_flags_undertrained_run(std_normal_1d):
                      improvement_tol=0)
     records = pareto_sweep(std_normal_1d, f, betas, tune_cfg=cfg,
                            moments_n=5000, seed=22)
-    points = [(r["beta"], r["moments"]) for r in records]
     curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=23)
-    report = audit_run(points, curve)
+    report = audit_run(records, curve)
     assert report.undershoot
     assert report.stagnation
 
@@ -276,3 +275,39 @@ def test_audit_requires_matching_grids(std_normal_1d):
     curve = importance_curves(f, std_normal_1d, [0.0, 1.0], n=10**4, seed=24)
     with pytest.raises(ContractError):
         audit_run([(0.0, 0.0, 0.0)], curve)
+
+
+def _record(beta, mean_f, dkl):
+    est = MomentEstimates(mean_f=mean_f, var_f=1.0, third_central_f=0.0, dkl=dkl, n=100,
+                          se_mean=0.1, se_var=0.1, se_third=0.1, se_dkl=0.1)
+    return {"iteration": 0, "beta": beta, "moments": est, "trace": []}
+
+
+def test_audit_takes_records_like_triples(std_normal_1d):
+    f = LinearCriterion([1.0])
+    betas = [0.0, 1.0, 2.0]
+    curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=25)
+    triples = [(0.0, 0.01, 0.02), (1.0, 0.4, 0.1), (2.0, 0.5, 0.12)]
+    from_records = audit_run([_record(*t) for t in triples], curve)
+    assert from_records == audit_run(triples, curve)
+    assert from_records.undershoot and from_records.stagnation
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (1.0, _record(1.0, 0.5, 0.5)["moments"]),  # the retired (beta, moments) pair
+        (1.0, 0.5),
+        {"beta": 1.0, "mean_f": 0.5, "dkl": 0.5},
+        {"moments": _record(1.0, 0.5, 0.5)["moments"]},
+        (1.0, "half", 0.5),
+        None,
+    ],
+    ids=["pair", "short-tuple", "dict-without-moments", "record-without-beta",
+         "non-numeric", "none"],
+)
+def test_audit_rejects_malformed_point(std_normal_1d, point):
+    curve = importance_curves(LinearCriterion([1.0]), std_normal_1d, [0.0, 1.0], n=10**4,
+                              seed=26)
+    with pytest.raises(ContractError, match="audit point"):
+        audit_run([(0.0, 0.0, 0.0), point], curve)

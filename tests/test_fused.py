@@ -1,5 +1,6 @@
 """Fused evaluation (``value_and_grad``, ``log_density_and_score``) returns
-bit for bit what the separate calls return, for every built-in."""
+bit for bit what the separate calls return, for every built-in; and the
+protocol a user subclass or classifier must follow."""
 
 import numpy as np
 import pytest
@@ -123,6 +124,49 @@ def test_fused_default_keeps_missing_score_error():
     model = TunedModel(DiagGaussian.standard(2), init_identity(2, seed=0), beta=0.0)
     with pytest.raises(CapabilityError):
         model.log_density_and_score(np.zeros((3, 2)))
+    with pytest.raises(CapabilityError):
+        model.score(np.zeros((3, 2)))
+
+
+class ValueOnlyCriterion(Criterion):
+    dim = 2
+
+    def value(self, x):
+        return np.sum(x, axis=-1)
+
+
+def test_criterion_without_gradient_raises_not_implemented():
+    f = ValueOnlyCriterion()
+    for call in (f.grad, f.value_and_grad):
+        with pytest.raises(NotImplementedError, match="neither grad nor value_and_grad"):
+            call(np.zeros((3, 2)))
+
+
+class ProtocolOnlyClassifier:
+    """A user classifier offering only the two protocol methods."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.dim = inner.dim
+        self.num_classes = inner.num_classes
+
+    def log_probabilities(self, batch):
+        return self._inner.log_probabilities(batch)
+
+    def log_probabilities_and_grads(self, batch, labels):
+        return self._inner.log_probabilities_and_grads(batch, labels)
+
+
+@pytest.mark.parametrize("form", ClassifierCriterion.FORMS)
+def test_protocol_only_classifier_matches_logistic(form):
+    logistic = LogisticClassifier([1.5, -0.5], 0.2)
+    builtin = ClassifierCriterion(logistic, 1, form)
+    user = ClassifierCriterion(ProtocolOnlyClassifier(logistic), 1, form)
+    x = _points(2, 33, 9)
+    for points in (x, x[0]):
+        _assert_same(user.value_and_grad(points), builtin.value_and_grad(points))
+        _assert_same((user.value(points), user.grad(points)),
+                     (builtin.value(points), builtin.grad(points)))
 
 
 # ---------------------------------------------------------------------------
