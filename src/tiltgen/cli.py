@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_plan, criterion_from_spec, load_config, validate_config
+from .config import build_plan, criterion_from_spec, load_config
 from .criteria import normalize_affine
 from .diagnostics import compare_criteria, importance_curves
 from .dists import LatentDecoder
@@ -54,6 +54,11 @@ def _setup_logging():
 
 
 def _load(args) -> dict:
+    """The config file's mapping, with ``--seed-override`` applied.
+
+    The overridden mapping is not validated here: ``build_plan`` validates
+    whatever it is given.
+    """
     raw = load_config(args.config)
     if args.seed_override is not None:
         n = args.seed_override
@@ -63,7 +68,6 @@ def _load(args) -> dict:
             "sampling": derive_seed(n, "sampling"),
             "diagnostics": derive_seed(n, "diagnostics"),
         }
-        validate_config(raw)
     return raw
 
 
@@ -169,12 +173,13 @@ def run_command(args) -> int:
     0, or 2 when the command did not converge.
     """
     command = args.command
+    phases = Phases(command)
     raw = _load(args)
     plan = build_plan(raw, require=_REQUIRES[command])
+    phases.end("load")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     log.info("%s: writing to %s", command, out)
-    phases = Phases(command)
     outcome = args.compute(plan, out, phases)
     final = {"converged": outcome.converged, "message": outcome.message, **outcome.final}
     if outcome.records:

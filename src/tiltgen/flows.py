@@ -59,9 +59,11 @@ class Mlp:
         h = u
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            # in place on the fresh matmul output: u and earlier acts are untouched
+            h = h @ w
+            h += b
             if i < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
@@ -71,8 +73,11 @@ class Mlp:
         dbiases, dweights = [None] * (last + 1), [None] * (last + 1)
         dh = dout
         for i in range(last, -1, -1):
-            if i < last:
-                dh = dh * (1.0 - acts[i + 1] ** 2)  # through tanh
+            if i < last:  # through tanh: dh * (1 - a**2), in one temporary
+                t = acts[i + 1] * acts[i + 1]
+                np.subtract(1.0, t, out=t)
+                t *= dh
+                dh = t
             dweights[i] = acts[i].T @ dh
             dbiases[i] = dh.sum(axis=0)
             dh = dh @ self.weights[i].T

@@ -2,8 +2,10 @@ import json
 import logging
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, validate_config
@@ -61,10 +63,12 @@ def curve_diagnose_config():
 
 # every run path: (command, config factory, timings.json phases besides total)
 RUN_PATHS = {
-    "searched-tune": ("tune", small_tune_config, ["solve", "artifacts"]),
-    "fixed-tune": ("tune", fixed_tune_config, ["solve", "artifacts"]),
-    "pareto": ("pareto", pareto_config, ["sweep", "artifacts"]),
-    "diagnose-curves": ("diagnose", curve_diagnose_config, ["compare", "curves", "artifacts"]),
+    "searched-tune": ("tune", small_tune_config, ["load", "solve", "artifacts"]),
+    "fixed-tune": ("tune", fixed_tune_config, ["load", "solve", "artifacts"]),
+    "pareto": ("pareto", pareto_config, ["load", "sweep", "artifacts"]),
+    "diagnose-curves": (
+        "diagnose", curve_diagnose_config, ["load", "compare", "curves", "artifacts"]
+    ),
 }
 
 
@@ -226,6 +230,52 @@ def test_schema_validates_nested_unknown_keys():
 
 def test_schema_is_json_serializable():
     json.dumps(SCHEMA)
+
+
+def test_schema_is_valid_and_not_rechecked_per_call(monkeypatch):
+    validator = validator_for(SCHEMA)
+    validator.check_schema(SCHEMA)
+
+    def check_schema(*args, **kwargs):
+        raise AssertionError("validate_config re-checked the constant schema")
+
+    monkeypatch.setattr(validator, "check_schema", check_schema)
+    assert validate_config(small_tune_config()) == small_tune_config()
+    bad = small_tune_config()
+    bad["tune"]["steps"] = 0
+    with pytest.raises(ConfigError, match="config invalid at tune/steps"):
+        validate_config(bad)
+
+
+# each edit makes small_tune_config() invalid; the two-error edits make
+# best_match choose between errors at the same depth and at different depths
+INVALID_CONFIGS = {
+    "wrong-type": lambda c: c["tune"].update(steps="400"),
+    "missing-required": lambda c: c["seeds"].pop("sampling"),
+    "missing-top-level": lambda c: c.pop("seeds"),
+    "unknown-key": lambda c: c.update(momentum=0.9),
+    "below-minimum": lambda c: c["moments"].update(samples=50),
+    "nested-path": lambda c: c.update(criterion={
+        "name": "classifier", "model": {"type": "logistic", "weights": [1.0, "x"]},
+    }),
+    "one-of": lambda c: c.update(
+        criterion={"name": "peak", "window": [0, 1], "temperature": 0}
+    ),
+    "two-errors": lambda c: (c["tune"].update(steps=0), c["seeds"].update(init=-1)),
+    "two-depths": lambda c: (c["tune"].update(steps=0), c.update(momentum=0.9)),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_CONFIGS))
+def test_config_error_text_matches_jsonschema_validate(case):
+    cfg = small_tune_config()
+    INVALID_CONFIGS[case](cfg)
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(cfg, SCHEMA)
+    where = "/".join(str(p) for p in reference.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == f"config invalid at {where}: {reference.value.message}"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -197,6 +197,46 @@ def test_backward_matches_finite_differences():
         assert an[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7), f"param {k}"
 
 
+def test_mlp_passes_work_in_place_on_their_own_buffers_only():
+    rng = np.random.default_rng(17)
+    mlp = Mlp.build(2, 8, 2, 3, rng)
+    mlp.weights[-1] = rng.standard_normal(mlp.weights[-1].shape)  # zero at init
+    mlp.biases = [rng.standard_normal(b.shape) for b in mlp.biases]
+    u = rng.standard_normal((5, 2))
+    u_before = u.copy()
+    out, acts = mlp.forward(u)
+    acts_before = [a.copy() for a in acts]
+    dout = rng.standard_normal(out.shape)
+    dout_before = dout.copy()
+
+    _, later_acts = mlp.forward(u)
+    du, grads = mlp.backward(acts, dout)
+
+    assert np.array_equal(u, u_before)
+    assert np.array_equal(dout, dout_before)
+    assert acts[0] is u and out is acts[-1]
+    for a, before, later in zip(acts[1:], acts_before[1:], later_acts[1:]):
+        assert np.array_equal(a, before)
+        assert not np.shares_memory(a, later)
+
+    # the out-of-place arithmetic, bit for bit
+    last = len(mlp.weights) - 1
+    ref = [u_before]
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        h = ref[-1] @ w + b
+        ref.append(np.tanh(h) if i < last else h)
+    dh, dbiases, dweights = dout_before, [], []
+    for i in range(last, -1, -1):
+        if i < last:
+            dh = dh * (1.0 - ref[i + 1] ** 2)
+        dweights.insert(0, ref[i].T @ dh)
+        dbiases.insert(0, dh.sum(axis=0))
+        dh = dh @ mlp.weights[i].T
+    assert all(np.array_equal(a, r) for a, r in zip(acts, ref))
+    assert np.array_equal(du, dh)
+    assert all(np.array_equal(g, r) for g, r in zip(grads, dbiases + dweights))
+
+
 def test_coupling_mask_must_split():
     mlp = Mlp.build(1, 4, 1, 1, np.random.default_rng(0))
     with pytest.raises(ContractError):
