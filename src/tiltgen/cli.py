@@ -6,8 +6,10 @@
     tiltgen oracle   tilt|kl-bound [params]
 
 Exit codes: 0 success/convergence, 2 solver non-convergence (the manifest is
-still written), 1 configuration or runtime error, including a bad command
-line.  Set TILTGEN_LOG to debug/info/warning to control verbosity.
+still written), 3 a fit, moment estimate or beta step failed part-way (the
+manifest and the CSVs of the finished fits are still written), 1
+configuration or runtime error, including a bad command line.  Set
+TILTGEN_LOG to debug/info/warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .manifest import (
 )
 from .oracles import GaussianTiltOracle, latent_kl_bound_check
 from .rng import derive_seed, make_generator
-from .solver import fit_chain, pareto_sweep, solve
+from .solver import CHAIN_FAILURES, fit_chain, pareto_sweep, solve
 
 log = logging.getLogger("tiltgen")
 
@@ -126,7 +128,8 @@ class Outcome:
     ``records`` holds one entry per fit in ``solve``'s record shape; the
     manifest's ``iterations`` and the final beta and moments come from them.
     ``final`` adds command-specific final keys; ``summary`` stands in for
-    ``message`` on the status line.
+    ``message`` on the status line.  ``failure`` is the error that stopped
+    the fit chain part-way, if any; ``records`` then holds the fits before it.
     """
 
     message: str
@@ -136,6 +139,7 @@ class Outcome:
     normalization: dict | None = None
     final: dict = field(default_factory=dict)
     summary: str | None = None
+    failure: Exception | None = None
 
 
 class Phases:
@@ -152,13 +156,18 @@ class Phases:
         self.mark = now
         log.info("%s: %s took %.3f s", self.command, name, self.seconds[name])
 
-    def timings(self) -> dict:
-        return {"wall_seconds": {**self.seconds, "total": self.mark - self.start}}
+    def timings(self, records: list) -> dict:
+        """The phases' wall times and each fit record's ``seconds``."""
+        return {
+            "wall_seconds": {**self.seconds, "total": self.mark - self.start},
+            "iterations": [r["seconds"] for r in records],
+        }
 
 
 def _iteration(record: dict) -> dict:
-    """Manifest entry of one fit record: its scalar fields and the moments."""
-    fields = {k: v for k, v in record.items() if k not in ("moments", "trace")}
+    """Manifest entry of one fit record: its scalar fields and the moments;
+    the volatile ``seconds`` go to timings.json instead."""
+    fields = {k: v for k, v in record.items() if k not in ("moments", "trace", "seconds")}
     return {**fields, **moments_dict(record["moments"])}
 
 
@@ -170,7 +179,7 @@ def run_command(args) -> int:
 
     Loads and plans the config, times the command's phases, writes the
     manifest and ``timings.json``, and maps the outcome to an exit code:
-    0, or 2 when the command did not converge.
+    0, 2 when the command did not converge, or 3 when its fit chain failed.
     """
     command = args.command
     phases = Phases(command)
@@ -182,6 +191,9 @@ def run_command(args) -> int:
     log.info("%s: writing to %s", command, out)
     outcome = args.compute(plan, out, phases)
     final = {"converged": outcome.converged, "message": outcome.message, **outcome.final}
+    failure = outcome.failure
+    if failure is not None:
+        final["failure"] = {"type": type(failure).__name__, "message": str(failure)}
     if outcome.records:
         last = outcome.records[-1]
         final.update(beta=last["beta"], **moments_dict(last["moments"]))
@@ -189,8 +201,11 @@ def run_command(args) -> int:
         command, raw, plan.seeds, [_iteration(r) for r in outcome.records],
         final, outcome.artifacts, outcome.normalization,
     )
-    write_run_outputs(out, manifest, phases.timings())
+    write_run_outputs(out, manifest, phases.timings(outcome.records))
     log.info("%s finished: %s", command, outcome.message)
+    if failure is not None:
+        print(f"tiltgen {command}: failed: {type(failure).__name__}: {failure}", file=sys.stderr)
+        return 3
     if not outcome.converged:
         print(f"tiltgen {command}: non-convergence: {outcome.message}", file=sys.stderr)
         return 2
@@ -200,44 +215,57 @@ def run_command(args) -> int:
 
 def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
-    if plan.fixed_beta is not None:
-        model, records = fit_chain(
-            plan.base, f_used, plan.fixed_beta, lambda records: None, **_chain_options(plan)
-        )
-        # a pinned beta has no target to miss: it reports the divergence it reached
-        records[0].update(achieved=records[0]["moments"].dkl, residual=0.0)
-        converged, message = True, "fixed tilt strength"
-    else:
-        res = solve(
-            plan.base, f_used, plan.target, **_chain_options(plan), **plan.solver_options
-        )
-        model, records, converged, message = res.model, res.records, res.converged, res.message
+    failure = None
+    try:
+        if plan.fixed_beta is not None:
+            model, records = fit_chain(
+                plan.base, f_used, plan.fixed_beta, lambda records: None,
+                **_chain_options(plan),
+            )
+            # a pinned beta has no target to miss: it reports the divergence it reached
+            records[0].update(achieved=records[0]["moments"].dkl, residual=0.0)
+            converged, message = True, "fixed tilt strength"
+        else:
+            res = solve(
+                plan.base, f_used, plan.target, **_chain_options(plan), **plan.solver_options
+            )
+            model, records = res.model, res.records
+            converged, message = res.converged, res.message
+    except CHAIN_FAILURES as err:
+        records, converged, message, failure = err.records, False, str(err), err
     phases.end("solve")
     write_csv(out / "trajectory.csv", *_moment_table(records, ["iteration", "beta"]))
     _write_traces(out, records)
-    _write_samples(out, plan, model)
+    artifacts = {"trajectory": "trajectory.csv", "trace": "trace.csv"}
+    if failure is None:
+        _write_samples(out, plan, model)
+        artifacts["samples"] = "samples.csv"
     phases.end("artifacts")
     return Outcome(
-        message,
-        {"trajectory": "trajectory.csv", "trace": "trace.csv", "samples": "samples.csv"},
-        records=records,
-        converged=converged,
-        normalization=norm_info,
+        message, artifacts, records=records, converged=converged,
+        normalization=norm_info, failure=failure,
     )
 
 
 def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
     f_used, norm_info = _prepare_criterion(plan)
-    records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **_chain_options(plan))
+    failure = None
+    try:
+        records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **_chain_options(plan))
+        message = f"swept {len(records)} grid points"
+    except CHAIN_FAILURES as err:
+        records, message, failure = err.records, str(err), err
     phases.end("sweep")
     write_csv(out / "sweep.csv", *_moment_table(records, ["beta"]))
     _write_traces(out, records)
     phases.end("artifacts")
     return Outcome(
-        f"swept {len(records)} grid points",
+        message,
         {"sweep": "sweep.csv", "trace": "trace.csv"},
         records=records,
+        converged=failure is None,
         normalization=norm_info,
+        failure=failure,
     )
 
 

@@ -17,14 +17,16 @@ escapes the bracket is replaced by bisection.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .criteria import Criterion
 from .dists import Distribution
-from .errors import ContractError, FlatCriterionError, NumericError
+from .errors import ContractError, DivergenceError, FlatCriterionError, NumericError
 from .flows import FlowArchitecture, init_identity
 from .rng import derive_seed
 from .tuner import TuneConfig, TunedModel, fit_q
@@ -40,6 +42,11 @@ __all__ = [
     "solve",
     "pareto_sweep",
 ]
+
+log = logging.getLogger(__name__)
+
+# what a fit, a moment estimate or a beta proposal raises when it fails
+CHAIN_FAILURES = (DivergenceError, NumericError, FlatCriterionError)
 
 
 @dataclass(frozen=True)
@@ -251,10 +258,16 @@ def fit_chain(
     """Warm-started fits at the betas ``propose`` picks: fit, measure, repeat.
 
     Fits at ``beta`` from the identity flow, estimates the moments, and
-    appends the record ``{"iteration", "beta", "moments", "trace"}``.  Then
-    ``propose(records)`` returns the next beta, fitted from the last flow, or
-    None to stop; it may add keys to the records.  Returns the last model and
-    the records.
+    appends the record ``{"iteration", "beta", "moments", "trace",
+    "seconds"}``.  Then ``propose(records)`` returns the next beta, fitted
+    from the last flow, or None to stop; it may add keys to the records.
+    Returns the last model and the records.  ``seconds`` holds the wall time
+    of the fit and of the moment estimate (``fit_s``, ``moments_s``); it is
+    the one volatile key, so leave it out of anything that must reproduce.
+
+    A ``CHAIN_FAILURES`` error raised by a fit, a moment estimate or
+    ``propose`` is re-raised with the records finished so far attached as
+    its ``records`` attribute.
 
     Fit 0 runs ``tune_cfg`` as given.  Fit i > 0 runs its ``warm_steps``
     budget on batches drawn from ``derive_seed(tune_cfg.seed, "fit", i)``.
@@ -267,19 +280,31 @@ def fit_chain(
     flow = init_identity(p.dim, arch, seed=init_seed)
     cfg = tune_cfg
     records: list[dict] = []
-    while beta is not None:
-        i = len(records)
-        if i > 0:
-            cfg = tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "fit", i))
-        model = fit_q(p, f, beta, flow, cfg)
-        flow = model.flow
-        est = estimate_moments(
-            model, f, moments_n, derive_seed(seed, "moments", i), moments_batches
-        )
-        records.append(
-            {"iteration": i, "beta": beta, "moments": est, "trace": model.trace_rows}
-        )
-        beta = propose(records)
+    try:
+        while beta is not None:
+            i = len(records)
+            if i > 0:
+                cfg = tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "fit", i))
+            start = time.perf_counter()
+            model = fit_q(p, f, beta, flow, cfg)
+            fitted = time.perf_counter()
+            flow = model.flow
+            est = estimate_moments(
+                model, f, moments_n, derive_seed(seed, "moments", i), moments_batches
+            )
+            seconds = {"fit_s": fitted - start, "moments_s": time.perf_counter() - fitted}
+            log.info(
+                "fit %d at beta=%.6g: %d steps in %.3f s, moments in %.3f s",
+                i, beta, len(model.trace_rows), seconds["fit_s"], seconds["moments_s"],
+            )
+            records.append({
+                "iteration": i, "beta": beta, "moments": est,
+                "trace": model.trace_rows, "seconds": seconds,
+            })
+            beta = propose(records)
+    except CHAIN_FAILURES as err:
+        err.records = records
+        raise
     return model, records
 
 
@@ -318,7 +343,8 @@ def solve(
     beta) while the target is still missed reports non-convergence
     (stagnation), as does exhausting ``max_iterations``.  Each record also
     carries ``achieved`` and ``residual``; the records always come back, so
-    a non-converged run can still be audited.
+    a non-converged run can still be audited (after a failure, attached to
+    the error as in ``fit_chain``).
     """
     if max_iterations < 1:
         raise ContractError("max_iterations must be >= 1")

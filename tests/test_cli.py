@@ -1,5 +1,6 @@
 import json
 import logging
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
+from tiltgen import cli
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, validate_config
+from tiltgen.criteria import Criterion
 from tiltgen.errors import ConfigError, ContractError
 from tiltgen.flows import FlowArchitecture
 from tiltgen.solver import Target
@@ -80,6 +83,10 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def run_dir_files(out):
     return {p.name: p.read_bytes() for p in Path(out).iterdir()}
+
+
+def read_lines(path):
+    return Path(path).read_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,58 @@ def test_tune_iteration_cap_exits_two_with_manifest(tmp_path):
     assert rc == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["final"]["converged"]
+
+
+class NanAfter(Criterion):
+    """``base`` until ``value`` has run ``k`` times, then NaN everywhere.
+
+    ``value`` runs once per moment estimate, so fit ``k`` is the first to see
+    NaN and diverges at its first step.
+    """
+
+    def __init__(self, base, k):
+        self.base, self.k, self.calls, self.dim = base, k, 0, base.dim
+
+    def _spoil(self, values):
+        return values if self.calls < self.k else np.full_like(values, np.nan)
+
+    def value(self, x):
+        out = self._spoil(self.base.value(x))
+        self.calls += 1
+        return out
+
+    def value_and_grad(self, x):
+        values, grads = self.base.value_and_grad(x)
+        return self._spoil(values), grads
+
+
+@pytest.mark.parametrize("path, k", [("fixed-tune", 0), ("searched-tune", 1), ("pareto", 2)])
+def test_failure_mid_chain_keeps_finished_fits_and_exits_three(
+    tmp_path, capsys, monkeypatch, path, k
+):
+    command, make_config, _ = RUN_PATHS[path]
+    monkeypatch.setattr(
+        cli, "_prepare_criterion", lambda plan: (NanAfter(plan.criterion, k), None)
+    )
+    cfgp = write_config(tmp_path, make_config())
+    out = tmp_path / "run"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 3
+    assert f"tiltgen {command}: failed: DivergenceError: " in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    final = manifest["final"]
+    assert not final["converged"]
+    assert final["failure"]["type"] == "DivergenceError"
+    assert final["failure"]["message"].startswith("objective diverged at step 0")
+    assert [it["iteration"] for it in manifest["iterations"]] == list(range(k))
+    if k:
+        assert final["beta"] == manifest["iterations"][-1]["beta"]
+    table = "sweep" if command == "pareto" else "trajectory"
+    assert set(manifest["artifacts"]) == {table, "trace"}
+    assert len(read_lines(out / f"{table}.csv")) == 1 + k
+    trace = read_lines(out / "trace.csv")[1:]
+    assert sorted({int(row.split(",")[0]) for row in trace}) == list(range(k))
+    assert not (out / "samples.csv").exists()
+    assert len(json.loads((out / "timings.json").read_text())["iterations"]) == k
 
 
 def test_tune_fixed_beta_mode(tmp_path):
@@ -428,8 +487,19 @@ def test_info_log_reports_out_dir_and_phases(tmp_path, caplog, path):
     for phase in phases:
         assert any(m.startswith(f"{command}: {phase} took ") for m in messages), phase
     assert any(m.startswith(f"{command} finished: ") for m in messages)
-    timings = json.loads((out / "timings.json").read_text())["wall_seconds"]
-    assert set(timings) == {*phases, "total"}
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings["wall_seconds"]) == {*phases, "total"}
+    # one entry per fit, each logged with its beta and step count
+    fits = json.loads((out / "manifest.json").read_text())["iterations"]
+    assert (len(fits) == 0) == (command == "diagnose")
+    steps = Counter()
+    if fits:
+        steps.update(int(row.split(",")[0]) for row in read_lines(out / "trace.csv")[1:])
+    fit_logs = [r.getMessage() for r in caplog.records if r.name == "tiltgen.solver"]
+    assert len(timings["iterations"]) == len(fit_logs) == len(fits)
+    for i, (entry, fit, line) in enumerate(zip(timings["iterations"], fits, fit_logs)):
+        assert set(entry) == {"fit_s", "moments_s"} and min(entry.values()) >= 0
+        assert line.startswith(f"fit {i} at beta={fit['beta']:.6g}: {steps[i]} steps in ")
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiltgen.flows import FlowArchitecture, FlowModel, init_identity
+from tiltgen.flows import (
+    AdditiveCouplingLayer,
+    AffineDiagonalLayer,
+    FlowArchitecture,
+    FlowModel,
+    init_identity,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def flows(draw):
+def flows(draw, max_width=5):
     """A perturbed flow over a random small architecture, and a seed."""
     dim = draw(st.integers(1, 4))
     arch = FlowArchitecture(
         blocks=draw(st.integers(1, 3)),
-        hidden_width=draw(st.integers(1, 5)),
+        hidden_width=draw(st.integers(1, max_width)),
         hidden_depth=draw(st.integers(1, 2)),
         permute=draw(st.booleans()),
     )
@@ -103,3 +109,124 @@ def test_parameters_and_gradients_share_one_layout(case):
         again = flow.backward(x, dy, dld)
         assert not np.shares_memory(again.vector, grads.vector)
         assert np.array_equal(again.vector, grads.vector)
+
+
+# ---------------------------------------------------------------------------
+# the flow passes against an out-of-place reference: matmul with ``@``,
+# ``exp(s)`` recomputed at every use, one logdet array per layer
+
+
+def ref_mlp_forward(mlp, u):
+    acts, h = [u], u
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        h = h @ w + b
+        if i < len(mlp.weights) - 1:
+            h = np.tanh(h)
+        acts.append(h)
+    return h, acts
+
+
+def ref_mlp_backward(mlp, acts, dout):
+    dbiases, dweights, dh = [], [], dout
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        if i < len(mlp.weights) - 1:
+            dh = dh * (1.0 - acts[i + 1] * acts[i + 1])
+        dweights.insert(0, acts[i].T @ dh)
+        dbiases.insert(0, dh.sum(axis=0))
+        dh = dh @ mlp.weights[i].T
+    return dh, dbiases + dweights
+
+
+def ref_scale(layer):
+    return np.clip(layer.log_scale, -layer.scale_clamp, layer.scale_clamp)
+
+
+def ref_forward(g, x):
+    h, logdet, caches = x, np.zeros(x.shape[0]), []
+    for layer in g.layers:
+        if isinstance(layer, AffineDiagonalLayer):
+            s = ref_scale(layer)
+            caches.append(h)
+            h = h * np.exp(s) + layer.shift
+            logdet = logdet + np.full(x.shape[0], s.sum())
+        elif isinstance(layer, AdditiveCouplingLayer):
+            shift, acts = ref_mlp_forward(layer.mlp, h[:, layer.cond_idx])
+            caches.append(acts)
+            y = h.copy()
+            y[:, layer.shift_idx] = h[:, layer.shift_idx] + shift
+            h = y
+            logdet = logdet + np.zeros(x.shape[0])
+        else:
+            caches.append(None)
+            h = h[:, layer.perm]
+            logdet = logdet + np.zeros(x.shape[0])
+    return h, logdet, caches
+
+
+def ref_backward(g, caches, dy, dlogdet):
+    grads, dh = [], dy
+    for layer, cache in zip(reversed(g.layers), reversed(caches)):
+        if isinstance(layer, AffineDiagonalLayer):
+            s = ref_scale(layer)
+            ds = (dh * cache).sum(axis=0) * np.exp(s) + dlogdet.sum()
+            active = np.abs(layer.log_scale) < layer.scale_clamp
+            grads.insert(0, [np.where(active, ds, 0.0), dh.sum(axis=0)])
+            dh = dh * np.exp(s)
+        elif isinstance(layer, AdditiveCouplingLayer):
+            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shift_idx])
+            grads.insert(0, g_layer)
+            dx = dh.copy()
+            dx[:, layer.cond_idx] = dh[:, layer.cond_idx] + du
+            dh = dx
+        else:
+            grads.insert(0, [])
+            dh = dh[:, layer.inv]
+    flat = [np.ravel(a) for layer_grads in grads for a in layer_grads]
+    return (np.concatenate(flat) if flat else np.zeros(0)), dh
+
+
+def ref_inverse(g, y):
+    h = y
+    for layer in reversed(g.layers):
+        if isinstance(layer, AffineDiagonalLayer):
+            h = (h - layer.shift) * np.exp(-ref_scale(layer))
+        elif isinstance(layer, AdditiveCouplingLayer):
+            shift, _ = ref_mlp_forward(layer.mlp, h[:, layer.cond_idx])
+            x = h.copy()
+            x[:, layer.shift_idx] = h[:, layer.shift_idx] - shift
+            h = x
+        else:
+            h = h[:, layer.inv]
+    total = 0.0
+    for layer in g.layers:
+        if isinstance(layer, AffineDiagonalLayer):
+            total += ref_scale(layer).sum()
+    return h, np.full(y.shape[0], float(total))
+
+
+@PROPERTY
+@given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]))
+def test_passes_are_bit_identical_to_the_reference(case, n, clamp):
+    g, seed = case
+    for layer in g.layers:  # a small clamp clips some log-scales
+        if isinstance(layer, AffineDiagonalLayer):
+            layer.scale_clamp = clamp
+    rng = np.random.default_rng(seed + 5)
+    x = rng.standard_normal((n, g.dim))
+    dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
+
+    y, logdet, caches = g._forward_cached(x)
+    ref_y, ref_logdet, ref_caches = ref_forward(g, x)
+    assert np.array_equal(y, ref_y) and np.array_equal(logdet, ref_logdet)
+
+    grads, dx = g._backward_cached(caches, dy, dld)
+    ref_vector, ref_dx = ref_backward(g, ref_caches, dy, dld)
+    assert np.array_equal(grads.vector, ref_vector) and np.array_equal(dx, ref_dx)
+
+    y0, logdet0 = g.forward(x[0])
+    ref_y0, ref_logdet0, _ = ref_forward(g, x[:1])
+    assert np.array_equal(y0, ref_y0[0]) and logdet0 == ref_logdet0[0]
+
+    xi, logdet_inv = g.inverse(y)
+    ref_xi, ref_logdet_inv = ref_inverse(g, y)
+    assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)

@@ -15,7 +15,8 @@ from tiltgen import (
     solve,
 )
 from tiltgen.oracles import GaussianTiltOracle
-from tiltgen.solver import BetaState, MomentEstimates, _quadratic_root
+from tiltgen import solver
+from tiltgen.solver import BetaState, MomentEstimates, _quadratic_root, fit_chain
 from tiltgen.tuner import TuneConfig
 from tests.conftest import exact_shift_model
 
@@ -321,3 +322,31 @@ def test_moment_estimates_reject_nan(field):
 def test_moment_estimates_reject_infinite_standard_error():
     with pytest.raises(NumericError, match="se_var"):
         MomentEstimates(0.0, 1.0, 0.0, 0.5, 100, 0.1, float("inf"), 0.1, 0.1)
+
+
+@pytest.mark.parametrize("failing", ["moments", "propose"])
+def test_fit_chain_failure_carries_the_finished_records(std_normal_1d, monkeypatch, failing):
+    # the third moment estimate fails, or the beta proposed after the second fit
+    estimate = solver.estimate_moments
+    calls = []
+
+    def flaky_estimate(*args, **kwargs):
+        calls.append(1)
+        if failing == "moments" and len(calls) == 3:
+            raise NumericError("non-finite moment estimate: dkl")
+        return estimate(*args, **kwargs)
+
+    def propose(records):
+        if failing == "propose" and len(records) == 2:
+            raise FlatCriterionError("flat")
+        return float(len(records))
+
+    monkeypatch.setattr(solver, "estimate_moments", flaky_estimate)
+    error = NumericError if failing == "moments" else FlatCriterionError
+    with pytest.raises(error) as err:
+        fit_chain(
+            std_normal_1d, LinearCriterion([1.0]), 0.0, propose,
+            tune_cfg=TuneConfig(steps=5, warm_steps=5), moments_n=200,
+        )
+    assert [r["iteration"] for r in err.value.records] == [0, 1]
+    assert [r["beta"] for r in err.value.records] == [0.0, 1.0]
