@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dists import _as_batch
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
 
@@ -312,16 +313,24 @@ class FlowModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _forward_cached(self, batch: np.ndarray):
+    def _forward_cached(self, batch: np.ndarray, keep: bool = True):
+        """Returns (y, logdet, caches).  With ``keep=False`` (evaluation
+        only) ``caches`` is empty and each layer's cache is freed as soon as
+        the layer returns, so the pass holds one layer's activations at a
+        time instead of every layer's."""
         # each layer's logdet is one float for the whole batch; summing the
         # floats and broadcasting once adds what a per-sample array would
         h = batch
         total = 0.0
         caches = []
         for layer in self.layers:
-            h, ld, cache = layer.forward(h)
+            if keep:
+                h, ld, cache = layer.forward(h)
+                caches.append(cache)
+            else:
+                # no name may stay bound to the cache into the next layer
+                h, ld = layer.forward(h)[:2]
             total += ld
-            caches.append(cache)
         logdet = np.full(batch.shape[0], total)
         # Every layer maps a non-finite coordinate to a non-finite one, so a
         # single check at the end detects what a per-layer check would.
@@ -334,19 +343,18 @@ class FlowModel:
         h = batch
         with np.errstate(all="ignore"):
             for i, layer in enumerate(self.layers):
-                h, ld, _ = layer.forward(h)
+                h, ld = layer.forward(h)[:2]
                 if not (np.all(np.isfinite(h)) and math.isfinite(ld)):
                     raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
         raise NumericError("non-finite accumulated log-determinant")
 
     def forward(self, x):
-        """Map points forward; returns (y, logdet) with logdet per sample."""
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        batch = arr[None, :] if single else arr
-        if batch.shape[1] != self.dim:
-            raise ContractError(f"expected dimension {self.dim}, got {batch.shape[1]}")
-        y, logdet, _ = self._forward_cached(batch)
+        """Map points forward; returns (y, logdet) with logdet per sample.
+
+        An evaluation pass: it keeps no per-layer caches (see
+        ``_forward_cached``)."""
+        batch, single = _as_batch(x, self.dim)
+        y, logdet, _ = self._forward_cached(batch, keep=False)
         if single:
             return y[0], float(logdet[0])
         return y, logdet
@@ -354,11 +362,7 @@ class FlowModel:
     def inverse(self, y):
         """Invert the stack; returns (x, logdet) where logdet is the forward
         log-determinant evaluated at x (constant per sample for these layers)."""
-        arr = np.asarray(y, dtype=float)
-        single = arr.ndim == 1
-        batch = arr[None, :] if single else arr
-        if batch.shape[1] != self.dim:
-            raise ContractError(f"expected dimension {self.dim}, got {batch.shape[1]}")
+        batch, single = _as_batch(y, self.dim)
         h = batch
         for layer in reversed(self.layers):
             h = layer.inverse(h)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dists import Distribution
+from .dists import Distribution, _as_batch
 from .errors import ContractError, DivergenceError, NumericError
 from .flows import FlowGradients, FlowModel
 from .rng import derive_seed
@@ -138,9 +138,7 @@ class TunedModel(Distribution):
         return y, logratio
 
     def log_density(self, x):
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        batch = np.atleast_2d(arr)
+        batch, single = _as_batch(x, self.dim)
         x_hat, logdet = self.flow.inverse(batch)
         out = self.base.log_density(x_hat) - logdet
         return out[0] if single else out
@@ -246,7 +244,10 @@ def kl_between(model: TunedModel, other: Distribution, n: int, seed: int) -> tup
     """Monte-Carlo KL(q || other) using exact pathwise log q on own samples.
 
     ``kl_between(model, model.base, n, seed)`` is the divergence from the base.
+    The standard error needs ``n >= 2``.
     """
+    if n < 2:
+        raise ContractError("the KL estimate needs at least 2 samples")
     x_hat = model.base.sample(n, seed)
     y, logdet = model.flow.forward(x_hat)
     log_q = model.base.log_density(x_hat) - logdet

@@ -1,0 +1,56 @@
+"""Evaluation passes through the flow hold one layer's activations at a time.
+
+The fit step keeps every layer's cache for the backward pass; an
+evaluation-only pass (``FlowModel.forward`` and everything built on it) must
+free each cache as soon as the next layer has run.  With the default
+architecture a coupling conditioner holds two hidden activations of
+n x hidden_width floats while it runs, so the peak of a pass stays under three
+of them plus a few (n, dim) arrays.  A pass that kept its caches would hold
+about eight.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tiltgen import DiagGaussian, FlowArchitecture, LinearCriterion, init_identity
+from tiltgen.solver import estimate_moments
+from tiltgen.tuner import TunedModel
+
+N = 20_000
+DIM = 2
+ARCH = FlowArchitecture()
+ACTIVATION_BYTES = N * ARCH.hidden_width * 8
+# three hidden activations, plus eight (n, dim) arrays for the points, the
+# sliced conditioner inputs, the log-determinant and the densities
+BOUND_BYTES = 3 * ACTIVATION_BYTES + 8 * N * DIM * 8
+
+
+def _perturbed_model():
+    g = init_identity(DIM, ARCH, seed=3)
+    g.theta += 0.1 * np.random.default_rng(4).standard_normal(g.theta.shape)
+    return TunedModel(DiagGaussian.standard(DIM), g, beta=1.0)
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry", ["forward", "estimate_moments"])
+def test_evaluation_pass_keeps_no_per_layer_caches(entry):
+    model = _perturbed_model()
+    if entry == "forward":
+        x = np.random.default_rng(5).standard_normal((N, DIM))
+        peak = _peak_bytes(model.flow.forward, x)
+    else:
+        peak = _peak_bytes(estimate_moments, model, LinearCriterion([1.0, 0.0]), N, 6)
+    assert peak < BOUND_BYTES, (
+        f"{entry} peaked at {peak / ACTIVATION_BYTES:.1f} hidden activations"
+    )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiltgen import DiagGaussian, NumericError
 from tiltgen.flows import (
     AdditiveCouplingLayer,
     AffineDiagonalLayer,
@@ -12,6 +13,7 @@ from tiltgen.flows import (
     FlowModel,
     init_identity,
 )
+from tiltgen.tuner import TunedModel, kl_between
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -227,6 +229,39 @@ def test_passes_are_bit_identical_to_the_reference(case, n, clamp):
     ref_y0, ref_logdet0, _ = ref_forward(g, x[:1])
     assert np.array_equal(y0, ref_y0[0]) and logdet0 == ref_logdet0[0]
 
+    # the evaluation pass (no caches kept) and everything built on it give the
+    # bytes of the cached pass
+    y_eval, logdet_eval = g.forward(x)
+    assert np.array_equal(y_eval, y) and np.array_equal(logdet_eval, logdet)
+    base = DiagGaussian.standard(g.dim)
+    model = TunedModel(base, g, beta=1.0)
+    x_hat = base.sample(n, seed)
+    y_hat, logdet_hat, _ = g._forward_cached(x_hat)
+    assert np.array_equal(model.sample(n, seed), y_hat)
+    logratio = base.log_density(x_hat) - logdet_hat - base.log_density(y_hat)
+    y_s, logratio_s = model.sample_with_logratio(n, seed)
+    assert np.array_equal(y_s, y_hat) and np.array_equal(logratio_s, logratio)
+    if n >= 2:
+        other = DiagGaussian(np.full(g.dim, 0.5), np.full(g.dim, 2.0))
+        values = base.log_density(x_hat) - logdet_hat - other.log_density(y_hat)
+        expected = (float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
+        assert kl_between(model, other, n, seed) == expected
+
     xi, logdet_inv = g.inverse(y)
     ref_xi, ref_logdet_inv = ref_inverse(g, y)
     assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)
+
+
+@PROPERTY
+@given(flows(), st.data())
+def test_evaluation_pass_names_the_first_non_finite_layer(case, data):
+    g, seed = case
+    couplings = [i for i, l in enumerate(g.layers) if isinstance(l, AdditiveCouplingLayer)]
+    if not couplings:  # a 1-d flow has no coupling layers
+        return
+    k = data.draw(st.sampled_from(couplings))
+    g.layers[k].mlp.weights[-1][0, 0] = np.inf  # a view of g.theta
+    x = np.random.default_rng(seed + 6).standard_normal((7, g.dim))
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+        g.forward(x)
+    assert f"layer {k} (additive-coupling)" in str(err.value)

@@ -125,6 +125,18 @@ def test_non_finite_input_names_layer():
         g.forward(np.array([[np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.float64(0.5), np.zeros((2, 2, 2))], ids=["0-d", "3-d"])
+def test_points_neither_vector_nor_matrix_are_a_contract_error(bad):
+    from tiltgen import DiagGaussian
+    from tiltgen.tuner import TunedModel
+
+    g = perturbed_flow(2, seed=15)
+    model = TunedModel(DiagGaussian.standard(2), g, beta=0.0)
+    for entry in (g.forward, g.inverse, model.log_density):
+        with pytest.raises(ContractError, match="vector or a matrix"):
+            entry(bad)
+
+
 # ---------------------------------------------------------------------------
 # pushforward normalization (change of variables)
 

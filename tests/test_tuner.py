@@ -219,6 +219,13 @@ def test_tuned_model_score_unsupported(std_normal_1d):
         model.score(np.array([0.0]))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_kl_between_needs_two_samples(std_normal_1d, n):
+    model = TunedModel(std_normal_1d, shift_flow(1, 2.0), beta=2.0)
+    with pytest.raises(ContractError, match="at least 2 samples"):
+        kl_between(model, model.base, n, seed=26)
+
+
 def test_kl_between_base_exact_shift(std_normal_1d):
     model = TunedModel(std_normal_1d, shift_flow(1, 2.0), beta=2.0)
     kl, se = kl_between(model, model.base, 50000, seed=26)
