@@ -79,13 +79,17 @@ def grad_norm_profile(
     With ``cap`` set, norms above it are folded into the top bin and the
     profile is flagged as truncated, so counts always sum to ``n``.
     """
-    return _profile_from_norms(f.label, _grad_norms(f, p, n, seed), bins, cap)
+    return _profile_from_norms(f.label, _grad_norms(f, _profile_sample(p, n, seed)), bins, cap)
 
 
-def _grad_norms(f: Criterion, p: Distribution, n: int, seed: int) -> np.ndarray:
+def _profile_sample(p: Distribution, n: int, seed: int) -> np.ndarray:
     if n < 1000:
         raise ContractError("gradient profiling needs n >= 1000")
-    return np.linalg.norm(np.atleast_2d(f.grad(p.sample(n, seed))), axis=1)
+    return p.sample(n, seed)
+
+
+def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(np.atleast_2d(f.grad(x)), axis=1)
 
 
 def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:
@@ -139,6 +143,22 @@ class TheoreticalCurve:
         }
 
 
+def _self_normalized(values: np.ndarray, log_w: np.ndarray) -> tuple[float, float, float]:
+    """Self-normalized importance weighting of ``values`` by ``exp(log_w)``.
+
+    Returns (log Z, weighted mean, ESS), where Z is the mean weight and the
+    ESS is (sum w)^2 / sum w^2.  ``log_w`` is overwritten with the weights
+    scaled by exp(-max log_w): one ``exp`` per sample and nothing of the
+    sample's size is allocated.
+    """
+    m = log_w.max()
+    log_w -= m
+    w = np.exp(log_w, out=log_w)
+    total = w.sum()
+    log_z = m + np.log(total) - np.log(w.shape[0])
+    return float(log_z), float(np.dot(w, values) / total), float(total * total / np.dot(w, w))
+
+
 def importance_curves(
     f: Criterion,
     p: Distribution,
@@ -153,17 +173,12 @@ def importance_curves(
     betas = np.asarray(list(beta_grid), dtype=float)
     log_z = np.empty_like(betas)
     mean_f = np.empty_like(betas)
-    dkl = np.empty_like(betas)
     ess = np.empty_like(betas)
+    log_w = np.empty_like(values)
     for i, beta in enumerate(betas):
-        log_w = beta * values
-        m = log_w.max()
-        lse = m + np.log(np.exp(log_w - m).sum())
-        log_z[i] = lse - np.log(n)
-        w = np.exp(log_w - lse)  # normalized to sum 1
-        mean_f[i] = w @ values
-        dkl[i] = beta * mean_f[i] - log_z[i]
-        ess[i] = 1.0 / np.sum(w * w)
+        np.multiply(values, beta, out=log_w)
+        log_z[i], mean_f[i], ess[i] = _self_normalized(values, log_w)
+    dkl = betas * mean_f - log_z
     reliable = np.logical_and.accumulate(ess >= ess_floor)
     return TheoreticalCurve(betas, log_z, mean_f, dkl, ess, reliable)
 
@@ -219,14 +234,16 @@ def compare_criteria(
 
     Candidates should already be normalized (the score is scale-free, but
     the raw histograms are only comparable on a common scale).  Ties go to
-    the smaller zero-mass fraction, then to input order.  Each candidate's
-    gradient norms are computed once and feed both its profile and score.
+    the smaller zero-mass fraction, then to input order.  Every candidate is
+    profiled on the same ``n`` draws from ``p``; its gradient norms are
+    computed once and feed both its profile and score.
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")
+    x = _profile_sample(p, n, seed)
     entries = []
     for i, f in enumerate(candidates):
-        norms = _grad_norms(f, p, n, seed)
+        norms = _grad_norms(f, x)
         profile = _profile_from_norms(f.label, norms, bins, cap)
         nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
         med = float(np.quantile(nonzero, 0.5)) if nonzero.size else 0.0

@@ -202,7 +202,7 @@ class GaussianMixture(Distribution):
         idx = rng.choice(len(self.components), size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
         means = np.stack([c.mean for c in self.components])[idx]
-        stds = np.sqrt(np.stack([c.variance for c in self.components])[idx])
+        stds = np.sqrt(np.stack([c.variance for c in self.components]))[idx]
         return means + z * stds
 
     def spec(self) -> dict:

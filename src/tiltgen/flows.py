@@ -31,6 +31,12 @@ from .dists import _as_batch
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
 
+# Rows per chunk of an evaluation pass.  A pass holds one chunk's hidden
+# activations at a time, so its memory does not grow with n x hidden_width.
+# With the default architecture, chunks of 2048-8192 rows timed alike on a
+# 2-core box, and about a quarter faster than one batch of 50 000 rows.
+EVAL_CHUNK_ROWS = 4096
+
 
 class Mlp:
     """Small feed-forward conditioner: tanh hidden layers, linear output.
@@ -348,13 +354,34 @@ class FlowModel:
                     raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
         raise NumericError("non-finite accumulated log-determinant")
 
+    def _eval_chunks(self, batch: np.ndarray):
+        """The evaluation pass: yields (rows, y, logdet) for consecutive
+        ``EVAL_CHUNK_ROWS``-row slices of ``batch``.
+
+        Each chunk runs ``_forward_cached(chunk, keep=False)``, so a pass
+        holds one layer's activations of one chunk at a time, and a
+        non-finite chunk still names its first non-finite layer."""
+        start, n = 0, batch.shape[0]
+        while start < n:
+            # a lone last row would take BLAS's matrix-vector product, which
+            # rounds differently from the same row inside a batch: keep it
+            # with the chunk before it
+            stop = n if n - start <= EVAL_CHUNK_ROWS + 1 else start + EVAL_CHUNK_ROWS
+            y, logdet, _ = self._forward_cached(batch[start:stop], keep=False)
+            yield slice(start, stop), y, logdet
+            start = stop
+
     def forward(self, x):
         """Map points forward; returns (y, logdet) with logdet per sample.
 
-        An evaluation pass: it keeps no per-layer caches (see
-        ``_forward_cached``)."""
+        An evaluation pass in row chunks that keeps no per-layer caches (see
+        ``_eval_chunks``)."""
         batch, single = _as_batch(x, self.dim)
-        y, logdet, _ = self._forward_cached(batch, keep=False)
+        y = np.empty(batch.shape)
+        logdet = np.empty(batch.shape[0])
+        for rows, y_rows, logdet_rows in self._eval_chunks(batch):
+            y[rows] = y_rows
+            logdet[rows] = logdet_rows
         if single:
             return y[0], float(logdet[0])
         return y, logdet
@@ -397,10 +424,21 @@ class FlowModel:
         """Parameter gradients of sum_i [grad_y[i] . y_i + grad_logdet[i] * logdet_i].
 
         Recomputes the forward pass at ``x`` to rebuild intermediate state.
+        ``x`` is one point or (n, dim) points; ``grad_y`` and ``grad_logdet``
+        match it, (dim,) and a scalar or (n, dim) and (n,).  Any other shape
+        raises ``ContractError``.
         """
-        batch = np.atleast_2d(np.asarray(x, dtype=float))
-        dy = np.atleast_2d(np.asarray(grad_y, dtype=float))
-        dld = np.atleast_1d(np.asarray(grad_logdet, dtype=float))
+        batch, single = _as_batch(x, self.dim)
+        dy = np.asarray(grad_y, dtype=float)
+        dld = np.asarray(grad_logdet, dtype=float)
+        if single:
+            dy, dld = dy[None], dld[None]
+        n = batch.shape[0]
+        if dy.shape != (n, self.dim) or dld.shape != (n,):
+            raise ContractError(
+                f"for {n} points of dimension {self.dim}, grad_y must be "
+                f"{(n, self.dim)} and grad_logdet {(n,)}; got {dy.shape} and {dld.shape}"
+            )
         _, _, caches = self._forward_cached(batch)
         grads, _ = self._backward_cached(caches, dy, dld)
         return grads

@@ -164,11 +164,19 @@ def estimate_moments(
     """Sample moments of f under q plus the pathwise divergence estimate.
 
     Standard errors come from batch means over contiguous sample blocks.
+    The samples are evaluated in row chunks and only f and the log-ratio
+    are kept, so memory grows with n by a few floats per sample.
     """
     if n < 100:
         raise ContractError("moment estimation needs n >= 100")
-    y, logratio = q.sample_with_logratio(n, seed)
-    f_vals = np.asarray(f.value(y), dtype=float)
+    # draw the base points first, so the sampler's temporaries are freed
+    # before f and the log-ratio are allocated
+    chunks = q._logratio_chunks(n, seed, q.base)
+    f_vals = np.empty(n)
+    logratio = np.empty(n)
+    for rows, y, logratio_rows in chunks:
+        f_vals[rows] = f.value(y)
+        logratio[rows] = logratio_rows
     return MomentEstimates(
         mean_f=float(f_vals.mean()),
         var_f=float(f_vals.var(ddof=1)),

@@ -132,10 +132,29 @@ class TunedModel(Distribution):
         Uses the generating base point: log q(y) = log p(x_hat) - logdet,
         so no flow inversion is required.
         """
-        x_hat = self.base.sample(n, seed)
-        y, logdet = self.flow.forward(x_hat)
-        logratio = self.base.log_density(x_hat) - logdet - self.base.log_density(y)
+        chunks = self._logratio_chunks(n, seed, self.base)
+        y = np.empty((n, self.dim))
+        logratio = np.empty(n)
+        for rows, y_rows, logratio_rows in chunks:
+            y[rows] = y_rows
+            logratio[rows] = logratio_rows
         return y, logratio
+
+    def _logratio_chunks(self, n: int, seed: int, other: Distribution):
+        """An iterator of (rows, y, log q(y) - log other(y)) over row chunks
+        of the n samples that ``sample(n, seed)`` draws.
+
+        The base points are drawn whole, at the call (so a bad ``n`` raises
+        here), and the random stream does not depend on the chunking; the
+        flow and the densities then run one chunk at a time, so a caller
+        that keeps only what it needs of each chunk holds no
+        n x hidden_width activations.
+        """
+        x_hat = self.base.sample(n, seed)
+        return (
+            (rows, y, self.base.log_density(x_hat[rows]) - logdet - other.log_density(y))
+            for rows, y, logdet in self.flow._eval_chunks(x_hat)
+        )
 
     def log_density(self, x):
         batch, single = _as_batch(x, self.dim)
@@ -248,7 +267,7 @@ def kl_between(model: TunedModel, other: Distribution, n: int, seed: int) -> tup
     """
     if n < 2:
         raise ContractError("the KL estimate needs at least 2 samples")
-    x_hat = model.base.sample(n, seed)
-    y, logdet = model.flow.forward(x_hat)
-    log_q = model.base.log_density(x_hat) - logdet
-    return _mean_and_se(log_q - other.log_density(y))
+    values = np.empty(n)
+    for rows, _, logratio in model._logratio_chunks(n, seed, other):
+        values[rows] = logratio
+    return _mean_and_se(values)

@@ -1,0 +1,139 @@
+"""Evaluation passes run in row chunks and give what one whole batch gives.
+
+The base sample is drawn whole, then the flow, the densities and the
+criterion run over ``flows.EVAL_CHUNK_ROWS``-row chunks.  At n = 2 chunks + 17
+rows every entry point crosses two chunk boundaries and ends on a short chunk.
+"""
+
+import numpy as np
+import pytest
+
+from tiltgen import (
+    DiagGaussian,
+    FlowArchitecture,
+    LinearCriterion,
+    NumericError,
+    flows,
+    init_identity,
+)
+from tiltgen.solver import estimate_moments
+from tiltgen.tuner import TunedModel, kl_between
+
+CHUNK = flows.EVAL_CHUNK_ROWS
+N = 2 * CHUNK + 17
+SEED = 8
+
+
+def perturbed_model(dim):
+    g = init_identity(dim, FlowArchitecture(), seed=3)
+    g.theta += 0.1 * np.random.default_rng(4).standard_normal(g.theta.shape)
+    return TunedModel(DiagGaussian.standard(dim), g, beta=1.0)
+
+
+def whole_batch(model, other, n):
+    """(y, log q(y) - log other(y)) from one whole-batch cached pass."""
+    x_hat = model.base.sample(n, SEED)
+    y, logdet, _ = model.flow._forward_cached(x_hat)
+    return y, model.base.log_density(x_hat) - logdet - other.log_density(y)
+
+
+def chunked_and_whole(dim, n, monkeypatch):
+    """Every chunked quantity and its whole-batch counterpart."""
+    model = perturbed_model(dim)
+    other = DiagGaussian(np.full(dim, 0.5), np.full(dim, 2.0))
+    f = LinearCriterion(np.linspace(1.0, -0.5, dim))
+    y, logratio = whole_batch(model, model.base, n)
+    _, kl_values = whole_batch(model, other, n)
+    chunked = {
+        "sample": model.sample(n, SEED),
+        "sample_with_logratio": model.sample_with_logratio(n, SEED),
+        "kl_between": kl_between(model, other, n, SEED),
+        "estimate_moments": estimate_moments(model, f, n, SEED),
+    }
+    # one chunk as large as the sample: one whole-batch pass
+    monkeypatch.setattr(flows, "EVAL_CHUNK_ROWS", n)
+    whole = {
+        "sample": y,
+        "sample_with_logratio": (y, logratio),
+        "kl_between": (float(kl_values.mean()), float(kl_values.std(ddof=1) / np.sqrt(n))),
+        "estimate_moments": estimate_moments(model, f, n, SEED),
+    }
+    return chunked, whole
+
+
+def test_chunked_passes_are_bit_identical_to_one_batch_in_dim_2(monkeypatch):
+    chunked, whole = chunked_and_whole(2, N, monkeypatch)
+    assert np.array_equal(chunked["sample"], whole["sample"])
+    for got, want in zip(chunked["sample_with_logratio"], whole["sample_with_logratio"]):
+        assert np.array_equal(got, want)
+    assert chunked["kl_between"] == whole["kl_between"]
+    assert chunked["estimate_moments"] == whole["estimate_moments"]
+
+
+def test_chunked_passes_agree_with_one_batch_in_dim_3(monkeypatch):
+    # a 1-and-2 coordinate coupling split: BLAS may round a short chunk
+    # differently from the same rows inside a long batch
+    chunked, whole = chunked_and_whole(3, N, monkeypatch)
+
+    def close(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    close(chunked["sample"], whole["sample"])
+    for got, want in zip(chunked["sample_with_logratio"], whole["sample_with_logratio"]):
+        close(got, want)
+    close(chunked["kl_between"], whole["kl_between"])
+    got, want = chunked["estimate_moments"], whole["estimate_moments"]
+    for name in ("mean_f", "var_f", "third_central_f", "dkl", "se_mean", "se_dkl"):
+        close(getattr(got, name), getattr(want, name))
+
+
+def counted_passes(g):
+    """Replace ``g._forward_cached`` by a wrapper; returns the list of the
+    row counts it is called with."""
+    calls = []
+    original = g._forward_cached
+
+    def counted(batch, keep=True):
+        calls.append(batch.shape[0])
+        return original(batch, keep)
+
+    g._forward_cached = counted
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, chunks",
+    [
+        (1, [1]),
+        (CHUNK, [CHUNK]),
+        # a lone last row would go through BLAS's matrix-vector product and
+        # round differently from one batch, so it joins the chunk before it
+        (CHUNK + 1, [CHUNK + 1]),
+        (CHUNK + 2, [CHUNK, 2]),
+        (N, [CHUNK, CHUNK, 17]),
+    ],
+)
+def test_evaluation_pass_chunk_sizes(n, chunks):
+    g = init_identity(2, FlowArchitecture(blocks=1), seed=3)
+    calls = counted_passes(g)
+    x = np.random.default_rng(10).standard_normal((n, 2))
+    y, logdet = g.forward(x)
+    assert calls == chunks
+    assert np.array_equal(y, x) and np.array_equal(logdet, np.zeros(n))
+
+
+def test_non_finite_coupling_in_a_later_chunk_names_its_layer():
+    # identity flow; the first coupling adds 1e308 to x1, which overflows
+    # only on one row of the last chunk
+    g = init_identity(2, FlowArchitecture(blocks=1), seed=3)
+    couplings = (i for i, l in enumerate(g.layers) if isinstance(l, flows.AdditiveCouplingLayer))
+    k = next(couplings)
+    g.layers[k].mlp.biases[-1][:] = 1e308
+    x = np.random.default_rng(9).standard_normal((N, 2))
+    x[N - 5] = [0.0, 1e308]
+    calls = counted_passes(g)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        g.forward(x)
+    assert f"layer {k} (additive-coupling)" in str(err.value)
+    assert calls == [CHUNK, CHUNK, 17]  # the first two chunks passed

@@ -7,6 +7,10 @@ architecture a coupling conditioner holds two hidden activations of
 n x hidden_width floats while it runs, so the peak of a pass stays under three
 of them plus a few (n, dim) arrays.  A pass that kept its caches would hold
 about eight.
+
+Evaluation passes also run in row chunks of ``flows.EVAL_CHUNK_ROWS``, so
+those activations are a chunk's, not the whole sample's, and the memory of
+``estimate_moments`` grows with n by a few floats per sample only.
 """
 
 import tracemalloc
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 
 from tiltgen import DiagGaussian, FlowArchitecture, LinearCriterion, init_identity
+from tiltgen.flows import EVAL_CHUNK_ROWS
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel
 
@@ -54,3 +59,15 @@ def test_evaluation_pass_keeps_no_per_layer_caches(entry):
     assert peak < BOUND_BYTES, (
         f"{entry} peaked at {peak / ACTIVATION_BYTES:.1f} hidden activations"
     )
+
+
+def test_moment_estimate_memory_does_not_grow_with_n_times_hidden_width():
+    n = 200_000
+    chunk_activation_bytes = EVAL_CHUNK_ROWS * ARCH.hidden_width * 8
+    # three hidden activations of one chunk, plus six n-length float arrays:
+    # the base sampler's three (n, 2) arrays, or later the base points, f,
+    # the log-ratio and two temporaries of the moment statistics; one
+    # whole-batch pass would hold 2 x n x hidden_width
+    bound = 3 * chunk_activation_bytes + 6 * n * 8
+    peak = _peak_bytes(estimate_moments, _perturbed_model(), LinearCriterion([1.0, 0.0]), n, 6)
+    assert peak < bound, f"estimate_moments peaked at {peak / (n * 8):.1f} n-length arrays"
