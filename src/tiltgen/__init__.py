@@ -49,7 +49,6 @@ from .oracles import (
     top_quantile_threshold,
 )
 from .solver import (
-    BetaState,
     MomentEstimates,
     Target,
     estimate_moments,
@@ -57,6 +56,6 @@ from .solver import (
     pareto_sweep,
     solve,
 )
-from .tuner import TuneConfig, TunedModel, elbo_objective, fit_q
+from .tuner import TuneConfig, TunedModel, fit_q
 
 __version__ = "0.1.0"

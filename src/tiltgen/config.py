@@ -14,6 +14,7 @@ curves, auto-scaled temperatures).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -183,7 +184,7 @@ SCHEMA = {
                 },
                 "samples": {"type": "integer", "minimum": 1000},
                 "bins": {"type": "integer", "minimum": 1},
-                "cap": {"type": ["number", "null"]},
+                "cap": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "curve_betas": _NUMBER_ARRAY,
                 "curve_samples": {"type": "integer", "minimum": 10000},
             },
@@ -230,9 +231,20 @@ def _reject_constant(name: str):
     raise ConfigError(f"config contains the non-finite number {name}")
 
 
+def _finite_float(text: str) -> float:
+    # a literal such as 1e999 overflows to inf without naming a constant
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        raw = json.loads(
+            Path(path).read_text(),
+            parse_float=_finite_float, parse_constant=_reject_constant,
+        )
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except json.JSONDecodeError as err:

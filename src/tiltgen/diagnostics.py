@@ -77,14 +77,20 @@ def grad_norm_profile(
     """Histogram of ||grad f|| over ``n`` base-model samples.
 
     With ``cap`` set, norms above it are folded into the top bin and the
-    profile is flagged as truncated, so counts always sum to ``n``.
+    profile is flagged as truncated, so counts always sum to ``n``.  A cap
+    must be positive.
     """
-    return _profile_from_norms(f.label, _grad_norms(f, _profile_sample(p, n, seed)), bins, cap)
+    x = _profile_sample(p, n, seed, cap)
+    return _profile_from_norms(f.label, _grad_norms(f, x), bins, cap)
 
 
-def _profile_sample(p: Distribution, n: int, seed: int) -> np.ndarray:
+def _profile_sample(p: Distribution, n: int, seed: int, cap) -> np.ndarray:
+    """The profile's ``n`` draws from ``p``, once ``n`` and ``cap`` are checked."""
     if n < 1000:
         raise ContractError("gradient profiling needs n >= 1000")
+    # a cap at or below 0 folds every norm onto or below the lower edge
+    if cap is not None and not cap > 0:
+        raise ContractError(f"gradient-norm cap must be > 0, got {cap!r}")
     return p.sample(n, seed)
 
 
@@ -240,7 +246,7 @@ def compare_criteria(
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")
-    x = _profile_sample(p, n, seed)
+    x = _profile_sample(p, n, seed, cap)
     entries = []
     for i, f in enumerate(candidates):
         norms = _grad_norms(f, x)

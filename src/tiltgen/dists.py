@@ -110,7 +110,10 @@ class DiagGaussian(Distribution):
             raise ContractError("sample count must be >= 1")
         rng = make_generator(seed)
         z = rng.standard_normal((n, self.dim))
-        return self.mean + z * np.sqrt(self.variance)
+        # in place, the same bytes as mean + z * std
+        z *= np.sqrt(self.variance)
+        z += self.mean
+        return z
 
     def entropy(self) -> float:
         """Differential entropy, 0.5 * sum(1 + log(2 pi variance))."""
@@ -201,9 +204,10 @@ class GaussianMixture(Distribution):
         rng = make_generator(seed)
         idx = rng.choice(len(self.components), size=n, p=self.weights)
         z = rng.standard_normal((n, self.dim))
-        means = np.stack([c.mean for c in self.components])[idx]
-        stds = np.sqrt(np.stack([c.variance for c in self.components]))[idx]
-        return means + z * stds
+        # in place, one gathered (n, dim) array at a time
+        z *= np.sqrt(np.stack([c.variance for c in self.components]))[idx]
+        z += np.stack([c.mean for c in self.components])[idx]
+        return z
 
     def spec(self) -> dict:
         return {

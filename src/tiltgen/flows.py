@@ -420,29 +420,6 @@ class FlowModel:
         vector = _concat([g for layer_grads in reversed(grads) for g in layer_grads])
         return FlowGradients(vector, self._shapes), dh
 
-    def backward(self, x, grad_y, grad_logdet) -> FlowGradients:
-        """Parameter gradients of sum_i [grad_y[i] . y_i + grad_logdet[i] * logdet_i].
-
-        Recomputes the forward pass at ``x`` to rebuild intermediate state.
-        ``x`` is one point or (n, dim) points; ``grad_y`` and ``grad_logdet``
-        match it, (dim,) and a scalar or (n, dim) and (n,).  Any other shape
-        raises ``ContractError``.
-        """
-        batch, single = _as_batch(x, self.dim)
-        dy = np.asarray(grad_y, dtype=float)
-        dld = np.asarray(grad_logdet, dtype=float)
-        if single:
-            dy, dld = dy[None], dld[None]
-        n = batch.shape[0]
-        if dy.shape != (n, self.dim) or dld.shape != (n,):
-            raise ContractError(
-                f"for {n} points of dimension {self.dim}, grad_y must be "
-                f"{(n, self.dim)} and grad_logdet {(n,)}; got {dy.shape} and {dld.shape}"
-            )
-        _, _, caches = self._forward_cached(batch)
-        grads, _ = self._backward_cached(caches, dy, dld)
-        return grads
-
     # -- parameters ---------------------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .tuner import TuneConfig, TunedModel, fit_q
 __all__ = [
     "MomentEstimates",
     "Target",
-    "BetaState",
     "SolveResult",
     "estimate_moments",
     "fit_chain",
@@ -113,31 +112,6 @@ class Target:
         if self.mode == "expectation":
             return est.mean_f, est.se_mean
         return est.dkl, est.se_dkl
-
-
-@dataclass
-class BetaState:
-    """Search state: current beta, measurement history, residual bracket."""
-
-    beta: float = 0.0
-    history: list[tuple[float, MomentEstimates]] = field(default_factory=list)
-    bracket: tuple[float, float] | None = None
-
-    def record(self, beta: float, est: MomentEstimates, residual: float):
-        self.history.append((beta, est))
-        lo, hi = self.bracket if self.bracket else (None, None)
-        if residual < 0.0:
-            lo = beta if lo is None else max(lo, beta)
-        else:
-            hi = beta if hi is None else min(hi, beta)
-        self.bracket = (lo, hi)
-
-    def sign_change_bracketed(self) -> bool:
-        return (
-            self.bracket is not None
-            and self.bracket[0] is not None
-            and self.bracket[1] is not None
-        )
 
 
 def _third_central(values: np.ndarray) -> float:
@@ -221,17 +195,27 @@ def _quadratic_root(r: float, d1: float, d2: float) -> float:
     return -2.0 * r / (d1 + math.copysign(math.sqrt(disc), d1))
 
 
-def newton_step(state: BetaState, target: Target) -> float:
-    """Propose the next beta from the latest moment estimates.
+def _bracket(records: list[dict]) -> tuple[float | None, float | None]:
+    """(lo, hi): the largest beta with a negative residual and the smallest
+    with a residual of 0 or above, None where no record has that sign."""
+    below = [r["beta"] for r in records if r["residual"] < 0.0]
+    above = [r["beta"] for r in records if r["residual"] >= 0.0]
+    return max(below, default=None), min(above, default=None)
 
-    Second-order model step, clamped to the trust region |step| <=
-    max(1, |beta|); if a residual sign change is bracketed and the model step
-    escapes the bracket, bisect instead.  A criterion variance below its own
-    noise floor aborts: the tilt strength has no measurable effect.
+
+def newton_step(records: list[dict], target: Target) -> float:
+    """Propose the next beta from the records of the fits so far.
+
+    Reads ``beta`` and ``moments`` from the last record and brackets the
+    root with every record's ``residual`` (see ``_bracket``).  Second-order
+    model step, clamped to the trust region |step| <= max(1, |beta|); if a
+    residual sign change is bracketed and the model step escapes the
+    bracket, bisect instead.  A criterion variance below its own noise floor
+    aborts: the tilt strength has no measurable effect.
     """
-    if not state.history:
+    if not records:
         raise ContractError("newton_step requires at least one moment estimate")
-    beta, est = state.history[-1]
+    beta, est = records[-1]["beta"], records[-1]["moments"]
     noise_floor = max(1e-12, 3.0 * est.se_var)
     if est.var_f <= noise_floor:
         raise FlatCriterionError(
@@ -244,10 +228,9 @@ def newton_step(state: BetaState, target: Target) -> float:
     cap = max(1.0, abs(beta))
     step = float(np.clip(step, -cap, cap))
     proposed = max(0.0, beta + step)
-    if state.sign_change_bracketed():
-        lo, hi = state.bracket
-        if not lo <= proposed <= hi:
-            proposed = 0.5 * (lo + hi)
+    lo, hi = _bracket(records)
+    if lo is not None and hi is not None and not lo <= proposed <= hi:
+        proposed = 0.5 * (lo + hi)
     return proposed
 
 
@@ -318,10 +301,9 @@ def fit_chain(
 
 @dataclass
 class SolveResult:
-    """Outcome of the full search: final model, state, per-iteration records."""
+    """Outcome of the full search: final model and per-iteration records."""
 
     model: TunedModel
-    state: BetaState
     records: list[dict]
     converged: bool
     message: str
@@ -356,7 +338,6 @@ def solve(
     """
     if max_iterations < 1:
         raise ContractError("max_iterations must be >= 1")
-    state = BetaState()
     converged = False
     message = f"iteration cap ({max_iterations}) exceeded"
 
@@ -367,13 +348,11 @@ def solve(
         achieved, se = target.achieved(est)
         residual = achieved - target.value
         record.update(achieved=achieved, residual=residual)
-        state.beta = beta
-        state.record(beta, est, residual)
         if abs(residual) <= max(relative_tolerance * abs(target.value), 3.0 * se):
             converged = True
             message = f"target reached at beta={beta:.6g}"
             return None
-        new_beta = newton_step(state, target)
+        new_beta = newton_step(records, target)
         if abs(new_beta - beta) < beta_tolerance * max(1.0, abs(beta)):
             message = "beta stagnated before reaching the target"
             return None
@@ -382,7 +361,7 @@ def solve(
     model, records = fit_chain(
         p, f, 0.0, propose, arch, tune_cfg, moments_n, moments_batches, seed, init_seed
     )
-    return SolveResult(model, state, records, converged, message)
+    return SolveResult(model, records, converged, message)
 
 
 def pareto_sweep(

@@ -19,14 +19,13 @@ import numpy as np
 
 from .dists import Distribution, _as_batch
 from .errors import ContractError, DivergenceError, NumericError
-from .flows import FlowGradients, FlowModel
+from .flows import FlowModel
 from .rng import derive_seed
 
 __all__ = [
     "TuneConfig",
     "TunedModel",
     "Adam",
-    "elbo_objective",
     "fit_q",
     "kl_between",
 ]
@@ -195,18 +194,6 @@ def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np
     log_p_hat = p.log_density(batch)
     batch_kl = float(np.mean(log_p_hat - logdet - log_p))
     return objective, grads, mean_f, batch_kl
-
-
-def elbo_objective(p: Distribution, f, beta: float, flow: FlowModel,
-                   batch: np.ndarray) -> tuple[float, FlowGradients]:
-    """Batch-mean tilt objective and its parameter gradients.
-
-    The three terms are the scaled criterion, the base log-density of the
-    perturbed points, and the flow log-determinant.  A non-finite term raises
-    ``NumericError`` naming the offender.
-    """
-    objective, grads, _, _ = _objective_parts(p, f, beta, flow, batch)
-    return objective, grads
 
 
 def _decayed_lr(cfg: TuneConfig, step: int) -> float:

@@ -50,6 +50,14 @@ def exact_shift_model(base, shift, beta=0.0) -> TunedModel:
     return TunedModel(base, FlowModel(base.dim, [layer]), beta)
 
 
+def flow_gradients(g, x, grad_y, grad_logdet):
+    """Parameter gradients of sum_i [grad_y[i] . y_i + grad_logdet[i] * logdet_i]
+    at the (n, dim) points ``x``, through the cached passes a fit step runs."""
+    _, _, caches = g._forward_cached(x)
+    grads, _ = g._backward_cached(caches, grad_y, grad_logdet)
+    return grads
+
+
 def finite_diff_grad(fn, x, h=1e-5):
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)

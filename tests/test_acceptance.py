@@ -99,7 +99,7 @@ def test_criterion_01_gaussian_tilt_end_to_end():
     )
     elapsed = time.perf_counter() - t0
     beta_star = np.sqrt(2 * 4.61)
-    beta = res.state.beta
+    beta = res.records[-1]["beta"]
     final = res.records[-1]["moments"]
     oracle = GaussianTiltOracle([0.0, 0.0], [1.0, 1.0], [1.0, 0.0])
     kl, kl_se = kl_between(res.model, oracle.tilted_dist(beta), 50000, seed=7)

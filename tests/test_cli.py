@@ -349,6 +349,36 @@ def test_non_finite_literal_rejected(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block, key", [("solver", "relative_tolerance"),
+                                        ("tune", "learning_rate")])
+def test_overflowing_float_literal_rejected(tmp_path, capsys, block, key):
+    # 1e999 parses to inf without naming a constant, and inf passes the schema
+    cfg = small_tune_config()
+    cfg.setdefault(block, {})[key] = "OVERFLOW"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"OVERFLOW"', "1e999"))
+    out = tmp_path / "r"
+    assert main(["tune", "--config", str(path), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", [-1.0, 0.0])
+def test_diagnose_rejects_a_cap_that_is_not_positive(tmp_path, capsys, cap):
+    cfg = curve_diagnose_config()
+    cfg["diagnostics"]["cap"] = cap
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "config invalid at diagnostics/cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_accepts_a_null_cap(tmp_path):
+    cfg = curve_diagnose_config()
+    cfg["diagnostics"]["cap"] = None
+    validate_config(cfg)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_target_rejects_non_finite_value(value):
     with pytest.raises(ContractError):

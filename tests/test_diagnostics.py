@@ -232,6 +232,16 @@ def test_compare_score_is_p99_over_median_of_nonzero_norms(std_normal_1d):
         assert entry.regularity_score == expected
 
 
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+def test_gradient_norm_cap_must_be_positive(std_normal_1d, cap):
+    # a cap of -1 once put every norm outside the histogram: all counts 0
+    f = LinearCriterion([1.0])
+    with pytest.raises(ContractError, match="cap must be > 0"):
+        grad_norm_profile(f, std_normal_1d, n=2000, bins=10, seed=2, cap=cap)
+    with pytest.raises(ContractError, match="cap must be > 0"):
+        compare_criteria([f, f], std_normal_1d, n=2000, seed=2, cap=cap)
+
+
 def test_compare_needs_two_candidates(std_normal_1d):
     f = normalize_affine(LinearCriterion([1.0]), std_normal_1d, 5000, seed=18)
     with pytest.raises(ContractError):

@@ -8,6 +8,7 @@ from tiltgen import (
     LatentDecoder,
     distribution_from_spec,
 )
+from tiltgen.rng import make_generator
 from tests.conftest import finite_diff_grad
 
 LOG_2PI = np.log(2 * np.pi)
@@ -69,6 +70,25 @@ def test_sample_determinism(mixture_pm2):
     assert np.array_equal(a, b)
     c = mixture_pm2.sample(500, seed=78)
     assert not np.array_equal(a, c)
+
+
+def test_samples_are_the_bytes_of_the_out_of_place_expression():
+    # sampling scales and shifts the normal draws in place; the reference is
+    # mean + z * std, drawn from the same stream
+    n, seed = 10**5, 5
+    gauss = DiagGaussian([1.5, -0.25], [0.3, 2.0])
+    z = make_generator(seed).standard_normal((n, 2))
+    assert np.array_equal(gauss.sample(n, seed), gauss.mean + z * np.sqrt(gauss.variance))
+
+    mix = GaussianMixture(
+        [0.3, 0.7], [DiagGaussian([-2.0, 1.0], [0.5, 1.5]), gauss]
+    )
+    rng = make_generator(seed)
+    idx = rng.choice(2, size=n, p=mix.weights)
+    z = rng.standard_normal((n, 2))
+    means = np.stack([c.mean for c in mix.components])[idx]
+    stds = np.sqrt(np.stack([c.variance for c in mix.components]))[idx]
+    assert np.array_equal(mix.sample(n, seed), means + z * stds)
 
 
 def test_mixture_component_fractions(mixture_pm2):

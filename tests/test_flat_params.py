@@ -15,6 +15,7 @@ from tiltgen.flows import (
 )
 from tiltgen.rng import derive_seed
 from tiltgen.tuner import Adam, TuneConfig
+from tests.conftest import flow_gradients
 
 
 def perturbed(dim=3, seed=0, blocks=2):
@@ -91,7 +92,7 @@ def test_gradient_vector_matches_flat_layout():
     g = perturbed(seed=7)
     rng = np.random.default_rng(8)
     x = rng.standard_normal((9, 3))
-    grads = g.backward(x, rng.standard_normal((9, 3)), rng.standard_normal(9))
+    grads = flow_gradients(g, x, rng.standard_normal((9, 3)), rng.standard_normal(9))
     vector = grads.vector
     assert vector.shape == g.theta.shape
     assert np.array_equal(vector, np.concatenate([a.ravel() for a in grads.flat()]))

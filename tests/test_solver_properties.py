@@ -5,7 +5,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiltgen.solver import BetaState, MomentEstimates, Target, _quadratic_root, newton_step
+from tiltgen.solver import MomentEstimates, Target, _bracket, _quadratic_root, newton_step
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -60,9 +60,7 @@ betas = st.floats(0.0, 1e3)
 @PROPERTY
 @given(beta=betas, est=estimates(), residual=st.floats(-100.0, 100.0), target=targets)
 def test_newton_step_without_bracket_stays_in_the_trust_region(beta, est, residual, target):
-    state = BetaState(beta=beta)
-    state.record(beta, est, residual)
-    proposed = newton_step(state, target)
+    proposed = newton_step([{"beta": beta, "moments": est, "residual": residual}], target)
     assert proposed >= 0.0
     assert abs(proposed - beta) <= max(1.0, abs(beta))
 
@@ -78,10 +76,10 @@ def test_newton_step_without_bracket_stays_in_the_trust_region(beta, est, residu
 def test_newton_step_never_leaves_a_bracket(ends, t, ests, residual, target):
     lo, hi = ends
     beta = lo + t * (hi - lo)
-    state = BetaState(beta=beta)
-    state.record(lo, ests[0], -1.0)
-    state.record(hi, ests[1], 1.0)
-    state.record(beta, ests[2], residual)
-    lo, hi = state.bracket
-    proposed = newton_step(state, target)
+    records = [
+        {"beta": b, "moments": est, "residual": r}
+        for b, est, r in zip((lo, hi, beta), ests, (-1.0, 1.0, residual))
+    ]
+    lo, hi = _bracket(records)
+    proposed = newton_step(records, target)
     assert 0.0 <= lo <= proposed <= hi

@@ -9,12 +9,11 @@ from tiltgen import (
     FlowArchitecture,
     LinearCriterion,
     NumericError,
-    elbo_objective,
     fit_q,
     init_identity,
 )
 from tiltgen.flows import AffineDiagonalLayer, FlowModel
-from tiltgen.tuner import TuneConfig, TunedModel, kl_between
+from tiltgen.tuner import TuneConfig, TunedModel, _objective_parts, kl_between
 from tiltgen.criteria import Criterion
 
 
@@ -25,7 +24,7 @@ def shift_flow(dim, shift):
 def test_elbo_at_beta_zero_identity_collapses(std_normal_1d):
     g = init_identity(1, seed=0)
     batch = std_normal_1d.sample(512, seed=1)
-    obj, grads = elbo_objective(std_normal_1d, LinearCriterion([1.0]), 0.0, g, batch)
+    obj = _objective_parts(std_normal_1d, LinearCriterion([1.0]), 0.0, g, batch)[0]
     assert obj == pytest.approx(float(std_normal_1d.log_density(batch).mean()))
 
 
@@ -35,8 +34,8 @@ def test_elbo_gap_of_exact_shift_is_half_beta_squared(std_normal_1d):
     f = LinearCriterion([1.0])
     batch = std_normal_1d.sample(1024, seed=2)
     for beta in (0.5, 2.0, 3.0):
-        obj_shift, _ = elbo_objective(std_normal_1d, f, beta, shift_flow(1, beta), batch)
-        obj_id, _ = elbo_objective(std_normal_1d, f, beta, init_identity(1, seed=0), batch)
+        obj_shift = _objective_parts(std_normal_1d, f, beta, shift_flow(1, beta), batch)[0]
+        obj_id = _objective_parts(std_normal_1d, f, beta, init_identity(1, seed=0), batch)[0]
         gap = obj_shift - obj_id
         assert gap == pytest.approx(beta**2 / 2 - beta * batch.mean(), abs=1e-10)
         assert gap == pytest.approx(beta**2 / 2, abs=4 * beta / np.sqrt(1024))
@@ -50,7 +49,7 @@ def test_elbo_gradients_match_finite_differences(std_normal_2d):
     f = LinearCriterion([1.0, -0.5])
     batch = std_normal_2d.sample(64, seed=5)
     beta = 1.3
-    _, grads = elbo_objective(std_normal_2d, f, beta, g, batch)
+    grads = _objective_parts(std_normal_2d, f, beta, g, batch)[1]
     params = g.parameters()
     flat = grads.flat()
     h = 1e-5
@@ -58,9 +57,9 @@ def test_elbo_gradients_match_finite_differences(std_normal_2d):
         idx = tuple(rng.integers(0, s) for s in p.shape)
         old = p[idx]
         p[idx] = old + h
-        up, _ = elbo_objective(std_normal_2d, f, beta, g, batch)
+        up = _objective_parts(std_normal_2d, f, beta, g, batch)[0]
         p[idx] = old - h
-        dn, _ = elbo_objective(std_normal_2d, f, beta, g, batch)
+        dn = _objective_parts(std_normal_2d, f, beta, g, batch)[0]
         p[idx] = old
         assert an[idx] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-8)
 
@@ -82,7 +81,7 @@ def test_elbo_names_non_finite_term(std_normal_1d):
     g = init_identity(1, seed=0)
     batch = std_normal_1d.sample(16, seed=6)
     with pytest.raises(NumericError, match="criterion term"):
-        elbo_objective(std_normal_1d, ExplodingCriterion(), 1.0, g, batch)
+        _objective_parts(std_normal_1d, ExplodingCriterion(), 1.0, g, batch)
 
 
 # ---------------------------------------------------------------------------
