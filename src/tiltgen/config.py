@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from jsonschema.validators import extend, validator_for
 
 from . import criteria as crit
 from .dists import (
@@ -208,10 +208,28 @@ SCHEMA = {
 }
 
 
+def _is_float_number(checker, instance) -> bool:
+    """A schema ``number`` is one a float holds.  JSON reads integers
+    exactly, and one too large for a float (1 followed by 400 zeros) would
+    raise ``OverflowError`` where the run first uses it; ``integer`` keys
+    (the seeds) still take any size."""
+    if isinstance(instance, bool) or not isinstance(instance, (int, float)):
+        return False
+    try:
+        float(instance)
+    except OverflowError:
+        return False
+    return True
+
+
 # Built once per process.  SCHEMA is a constant, so its own validity against
 # the metaschema is checked by a test rather than on every call (that check
 # costs about a hundred times the validation itself).
-_VALIDATOR = validator_for(SCHEMA)(SCHEMA)
+_SCHEMA_CLASS = validator_for(SCHEMA)
+_VALIDATOR = extend(
+    _SCHEMA_CLASS,
+    type_checker=_SCHEMA_CLASS.TYPE_CHECKER.redefine("number", _is_float_number),
+)(SCHEMA)
 
 
 def validate_config(raw: dict) -> dict:

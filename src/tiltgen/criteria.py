@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dists import Distribution, GaussianMixture, LatentDecoder, _as_batch
-from .errors import ContractError, DegenerateCriterionError
+from .errors import ContractError, DegenerateCriterionError, NumericError
 from .rng import make_generator
 
 LOG_PROB_FLOOR = -30.0
@@ -95,11 +95,16 @@ def normalize_affine(f: Criterion, p: Distribution, n: int, seed: int) -> Criter
     """Shift/scale ``f`` so its sample mean and std under ``p`` are 0 and 1.
 
     Raises ``DegenerateCriterionError`` when the empirical variance is zero
-    (a constant criterion cannot drive any tilt).
+    (a constant criterion cannot drive any tilt), and ``NumericError`` when a
+    value is non-finite.
     """
     if n < 2:
         raise ContractError("normalization needs at least 2 samples")
     values = np.asarray(f.value(p.sample(n, seed)), dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericError(
+            f"criterion {f.label!r} has a non-finite value on a base-model sample"
+        )
     shift = float(values.mean())
     scale = float(values.std(ddof=1))
     if not np.isfinite(scale) or scale < 1e-12 * max(1.0, abs(shift)):

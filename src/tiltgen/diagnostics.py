@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import Criterion
-from .dists import Distribution
-from .errors import ContractError
+from .dists import Distribution, _row_chunks
+from .errors import ContractError, NumericError
 
 __all__ = [
     "GradNormProfile",
@@ -95,7 +95,23 @@ def _profile_sample(p: Distribution, n: int, seed: int, cap) -> np.ndarray:
 
 
 def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(np.atleast_2d(f.grad(x)), axis=1)
+    def norms(rows):
+        return np.linalg.norm(np.atleast_2d(f.grad(rows)), axis=1)
+
+    return _per_row(f, x, "gradient norm", norms)
+
+
+def _per_row(f: Criterion, x: np.ndarray, what: str, fn) -> np.ndarray:
+    """``fn`` of each row chunk of ``x``, one ``what`` per row; a
+    non-finite one raises ``NumericError`` naming ``f``."""
+    out = np.empty(x.shape[0])
+    for rows in _row_chunks(x.shape[0]):
+        out[rows] = fn(x[rows])
+    if not np.isfinite(out).all():
+        raise NumericError(
+            f"criterion {f.label!r} has a non-finite {what} on a base-model sample"
+        )
+    return out
 
 
 def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:
@@ -149,20 +165,37 @@ class TheoreticalCurve:
         }
 
 
-def _self_normalized(values: np.ndarray, log_w: np.ndarray) -> tuple[float, float, float]:
-    """Self-normalized importance weighting of ``values`` by ``exp(log_w)``.
+def _self_normalized(values: np.ndarray, betas: np.ndarray):
+    """Self-normalized importance weighting of ``values`` by ``exp(beta * values)``
+    for every beta at once.
 
-    Returns (log Z, weighted mean, ESS), where Z is the mean weight and the
-    ESS is (sum w)^2 / sum w^2.  ``log_w`` is overwritten with the weights
-    scaled by exp(-max log_w): one ``exp`` per sample and nothing of the
-    sample's size is allocated.
+    Returns arrays over ``betas`` of log Z, the weighted mean and the ESS,
+    where Z is the mean weight and the ESS is (sum w)^2 / sum w^2.  One pass
+    over ``values`` in row chunks: a chunk's weights for all betas fill one
+    (len(betas), chunk) block, whose rows give the chunk's part of sum w,
+    sum w*v and sum w^2.  The weights are scaled by exp(-max(beta * values));
+    that max is beta * max(values) for beta >= 0 and beta * min(values) for
+    beta < 0, exactly, since rounding is monotone.
     """
-    m = log_w.max()
-    log_w -= m
-    w = np.exp(log_w, out=log_w)
-    total = w.sum()
-    log_z = m + np.log(total) - np.log(w.shape[0])
-    return float(log_z), float(np.dot(w, values) / total), float(total * total / np.dot(w, w))
+    shift = np.where(betas >= 0, betas * values.max(), betas * values.min())
+    chunks = list(_row_chunks(values.shape[0]))
+    # the chunks' parts are added pairwise at the end, as in one sum over the
+    # whole sample; adding them up chunk by chunk lost up to 3.5e-13 relative
+    # in log Z on 10^6 values
+    sums = np.empty((3, betas.shape[0], len(chunks)))
+    block = np.empty((betas.shape[0], max(rows.stop - rows.start for rows in chunks)))
+    for j, rows in enumerate(chunks):
+        v = values[rows]
+        w = block[:, : v.shape[0]]
+        np.multiply.outer(betas, v, out=w)
+        w -= shift[:, None]
+        np.exp(w, out=w)
+        sums[0, :, j] = w.sum(axis=1)
+        sums[1, :, j] = w @ v
+        sums[2, :, j] = np.einsum("ij,ij->i", w, w)
+    total, weighted, squares = sums.sum(axis=2)
+    log_z = shift + np.log(total) - np.log(values.shape[0])
+    return log_z, weighted / total, total * total / squares
 
 
 def importance_curves(
@@ -173,17 +206,16 @@ def importance_curves(
     seed: int,
     ess_floor: float = 50.0,
 ) -> TheoreticalCurve:
+    """The theoretical curve of ``f`` over ``beta_grid`` from ``n`` draws of ``p``.
+
+    The sample is drawn whole and ``f`` is evaluated one row chunk at a
+    time; a non-finite value raises ``NumericError`` naming ``f``.
+    """
     if n < 10**4:
         raise ContractError("importance curves need n >= 10^4")
-    values = np.asarray(f.value(p.sample(n, seed)), dtype=float)
+    values = _per_row(f, p.sample(n, seed), "value", f.value)
     betas = np.asarray(list(beta_grid), dtype=float)
-    log_z = np.empty_like(betas)
-    mean_f = np.empty_like(betas)
-    ess = np.empty_like(betas)
-    log_w = np.empty_like(values)
-    for i, beta in enumerate(betas):
-        np.multiply(values, beta, out=log_w)
-        log_z[i], mean_f[i], ess[i] = _self_normalized(values, log_w)
+    log_z, mean_f, ess = _self_normalized(values, betas)
     dkl = betas * mean_f - log_z
     reliable = np.logical_and.accumulate(ess >= ess_floor)
     return TheoreticalCurve(betas, log_z, mean_f, dkl, ess, reliable)
@@ -242,7 +274,9 @@ def compare_criteria(
     the raw histograms are only comparable on a common scale).  Ties go to
     the smaller zero-mass fraction, then to input order.  Every candidate is
     profiled on the same ``n`` draws from ``p``; its gradient norms are
-    computed once and feed both its profile and score.
+    computed once, one row chunk at a time, and feed both its profile and
+    score.  A non-finite gradient norm raises ``NumericError`` naming the
+    candidate.
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")

@@ -27,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import _as_batch
+from .dists import _as_batch, _row_chunks
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
-
-# Rows per chunk of an evaluation pass.  A pass holds one chunk's hidden
-# activations at a time, so its memory does not grow with n x hidden_width.
-# With the default architecture, chunks of 2048-8192 rows timed alike on a
-# 2-core box, and about a quarter faster than one batch of 50 000 rows.
-EVAL_CHUNK_ROWS = 4096
 
 
 class Mlp:
@@ -355,21 +349,15 @@ class FlowModel:
         raise NumericError("non-finite accumulated log-determinant")
 
     def _eval_chunks(self, batch: np.ndarray):
-        """The evaluation pass: yields (rows, y, logdet) for consecutive
-        ``EVAL_CHUNK_ROWS``-row slices of ``batch``.
+        """The evaluation pass: yields (rows, y, logdet) for the row chunks
+        of ``batch`` that ``dists._row_chunks`` gives.
 
         Each chunk runs ``_forward_cached(chunk, keep=False)``, so a pass
         holds one layer's activations of one chunk at a time, and a
         non-finite chunk still names its first non-finite layer."""
-        start, n = 0, batch.shape[0]
-        while start < n:
-            # a lone last row would take BLAS's matrix-vector product, which
-            # rounds differently from the same row inside a batch: keep it
-            # with the chunk before it
-            stop = n if n - start <= EVAL_CHUNK_ROWS + 1 else start + EVAL_CHUNK_ROWS
-            y, logdet, _ = self._forward_cached(batch[start:stop], keep=False)
-            yield slice(start, stop), y, logdet
-            start = stop
+        for rows in _row_chunks(batch.shape[0]):
+            y, logdet, _ = self._forward_cached(batch[rows], keep=False)
+            yield rows, y, logdet
 
     def forward(self, x):
         """Map points forward; returns (y, logdet) with logdet per sample.

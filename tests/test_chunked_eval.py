@@ -1,25 +1,33 @@
 """Evaluation passes run in row chunks and give what one whole batch gives.
 
 The base sample is drawn whole, then the flow, the densities and the
-criterion run over ``flows.EVAL_CHUNK_ROWS``-row chunks.  At n = 2 chunks + 17
+criterion run over ``dists.EVAL_CHUNK_ROWS``-row chunks.  At n = 2 chunks + 17
 rows every entry point crosses two chunk boundaries and ends on a short chunk.
+The same row chunks run the criterion passes of ``diagnose`` and the
+mixture sampler's per-row gathers, which give the bytes of one batch.
 """
 
 import numpy as np
 import pytest
 
 from tiltgen import (
+    BayesPosteriorClassifier,
+    ClassifierCriterion,
     DiagGaussian,
     FlowArchitecture,
+    GaussianMixture,
     LinearCriterion,
+    LogisticClassifier,
     NumericError,
+    diagnostics,
+    dists,
     flows,
     init_identity,
 )
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel, kl_between
 
-CHUNK = flows.EVAL_CHUNK_ROWS
+CHUNK = dists.EVAL_CHUNK_ROWS
 N = 2 * CHUNK + 17
 SEED = 8
 
@@ -51,7 +59,7 @@ def chunked_and_whole(dim, n, monkeypatch):
         "estimate_moments": estimate_moments(model, f, n, SEED),
     }
     # one chunk as large as the sample: one whole-batch pass
-    monkeypatch.setattr(flows, "EVAL_CHUNK_ROWS", n)
+    monkeypatch.setattr(dists, "EVAL_CHUNK_ROWS", n)
     whole = {
         "sample": y,
         "sample_with_logratio": (y, logratio),
@@ -137,3 +145,45 @@ def test_non_finite_coupling_in_a_later_chunk_names_its_layer():
         g.forward(x)
     assert f"layer {k} (additive-coupling)" in str(err.value)
     assert calls == [CHUNK, CHUNK, 17]  # the first two chunks passed
+
+
+# sizes around the chunk boundary: one row, a chunk short of one, one chunk, a
+# chunk and a lone row (which joins it), and three chunks and a lone row
+DIAGNOSE_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1]
+
+
+def mixture(dim):
+    return GaussianMixture(
+        [0.3, 0.7],
+        [DiagGaussian(np.full(dim, -2.0), np.full(dim, 0.5)),
+         DiagGaussian(np.linspace(1.0, 2.0, dim), np.linspace(0.5, 1.5, dim))],
+    )
+
+
+def diagnose_criteria(dim):
+    bayes = BayesPosteriorClassifier(mixture(dim))
+    return [
+        LinearCriterion(np.linspace(1.0, -0.5, dim)),
+        ClassifierCriterion(bayes, 1, "log-prob"),
+        ClassifierCriterion(bayes, 1, "prob"),
+        ClassifierCriterion(LogisticClassifier(np.linspace(4.0, -1.0, dim), 0.5), 1, "log-prob"),
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16])
+@pytest.mark.parametrize("n", DIAGNOSE_SIZES)
+def test_criterion_passes_in_chunks_are_bit_identical_to_one_batch(n, dim):
+    x = mixture(dim).sample(n, SEED)
+    for f in diagnose_criteria(dim):
+        values = diagnostics._per_row(f, x, "value", f.value)
+        assert np.array_equal(values, f.value(x)), f.label
+        norms = diagnostics._grad_norms(f, x)
+        assert np.array_equal(norms, np.linalg.norm(f.grad(x), axis=1)), f.label
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16])
+@pytest.mark.parametrize("n", DIAGNOSE_SIZES)
+def test_mixture_sample_in_chunks_is_bit_identical_to_one_batch(n, dim, monkeypatch):
+    chunked = mixture(dim).sample(n, SEED)
+    monkeypatch.setattr(dists, "EVAL_CHUNK_ROWS", n)
+    assert np.array_equal(chunked, mixture(dim).sample(n, SEED))

@@ -10,7 +10,7 @@ from jsonschema.validators import validator_for
 
 from tiltgen import cli
 from tiltgen.cli import main
-from tiltgen.config import SCHEMA, build_plan, validate_config
+from tiltgen.config import SCHEMA, build_plan, load_config, validate_config
 from tiltgen.criteria import Criterion
 from tiltgen.errors import ConfigError, ContractError
 from tiltgen.flows import FlowArchitecture
@@ -363,6 +363,37 @@ def test_overflowing_float_literal_rejected(tmp_path, capsys, block, key):
     assert not out.exists()
 
 
+HUGE_INTEGER = "1" + "0" * 400  # exact as a JSON integer, too large for a float
+
+
+@pytest.mark.parametrize("path, where", [
+    (("solver", "relative_tolerance"), "solver/relative_tolerance"),
+    (("tune", "learning_rate"), "tune/learning_rate"),
+    (("distribution", "mean"), "distribution/mean/0"),
+], ids=["relative_tolerance", "learning_rate", "mean"])
+def test_number_key_too_large_for_a_float_rejected(tmp_path, capsys, path, where):
+    cfg = small_tune_config()
+    block, key = path
+    cfg.setdefault(block, {})[key] = ["HUGE"] if key == "mean" else "HUGE"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg).replace('"HUGE"', HUGE_INTEGER))
+    out = tmp_path / "r"
+    assert main(["tune", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: config invalid at {where}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_seeds_too_large_for_a_float_are_accepted(tmp_path):
+    cfg = small_tune_config()
+    cfg["seeds"]["init"] = "HUGE"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg).replace('"HUGE"', HUGE_INTEGER))
+    seeds = build_plan(load_config(config), require="target").seeds
+    assert seeds["init"] == int(HUGE_INTEGER)  # reduced mod 2^64 where it is used
+
+
 @pytest.mark.parametrize("cap", [-1.0, 0.0])
 def test_diagnose_rejects_a_cap_that_is_not_positive(tmp_path, capsys, cap):
     cfg = curve_diagnose_config()
@@ -478,6 +509,29 @@ def test_diagnose_with_curves(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert len(report["curves"]) == 2
     assert report["curves"][0]["dkl"][0] == 0.0
+
+
+class InfAbove3(Criterion):
+    """x0, but +inf where x0 > 3."""
+
+    label = "inf-above-3"
+    dim = 1
+
+    def value(self, x):
+        return np.where(x[:, 0] > 3.0, np.inf, x[:, 0])
+
+    def grad(self, x):
+        return np.ones_like(x)
+
+
+def test_diagnose_non_finite_criterion_exits_one_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "criterion_from_spec", lambda *args: InfAbove3())
+    cfgp = write_config(tmp_path, curve_diagnose_config())
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "tiltgen: error: criterion 'inf-above-3' has a non-finite value" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_diagnose_mixed_lift_fails_before_out_dir(tmp_path, capsys):

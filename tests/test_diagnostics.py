@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from tiltgen import (
     DiagGaussian,
     LinearCriterion,
     LogisticClassifier,
+    NumericError,
     audit_run,
     compare_criteria,
+    dists,
     grad_norm_profile,
     importance_curves,
     normalize_affine,
@@ -172,6 +176,66 @@ def test_curves_monotone_and_reliability_marking(std_normal_1d):
 def test_curves_require_enough_samples(std_normal_1d):
     with pytest.raises(ContractError):
         importance_curves(LinearCriterion([1.0]), std_normal_1d, [0.0], n=100, seed=0)
+
+
+@pytest.mark.parametrize("chunk_rows", [dists.EVAL_CHUNK_ROWS, 1000, 3 * 4096 + 1],
+                         ids=["default-chunks", "small-chunks", "one-chunk"])
+def test_curves_match_an_exactly_rounded_sum(monkeypatch, chunk_rows):
+    # all betas are weighted in one blocked pass over row chunks; each sum
+    # must stay as accurate as one over the whole sample.  Values near 5 keep
+    # every mean and ESS, and log Z off beta = 0 (where it is exactly 0), well
+    # away from 0, so a relative bound is meaningful.
+    p = DiagGaussian([5.0], [1.0])
+    f = LinearCriterion([1.0])
+    betas = [-1.5, -0.2, 0.0, 0.3, 2.0]
+    n = 3 * 4096 + 1
+    monkeypatch.setattr(dists, "EVAL_CHUNK_ROWS", chunk_rows)
+    curve = importance_curves(f, p, betas, n=n, seed=27)
+    values = [float(v) for v in f.value(p.sample(n, seed=27))]
+    for i, beta in enumerate(betas):
+        log_w = [beta * v for v in values]
+        shift = max(log_w)
+        w = [math.exp(lw - shift) for lw in log_w]
+        total = math.fsum(w)
+        log_z = shift + math.log(total) - math.log(n)
+        mean_f = math.fsum(wi * v for wi, v in zip(w, values)) / total
+        ess = total * total / math.fsum(wi * wi for wi in w)
+        assert curve.log_z[i] == pytest.approx(log_z, rel=1e-13, abs=0.0), beta
+        assert curve.mean_f[i] == pytest.approx(mean_f, rel=1e-13, abs=0.0), beta
+        assert curve.ess[i] == pytest.approx(ess, rel=1e-13, abs=0.0), beta
+
+
+class InfAbove(Criterion):
+    """x0, but +inf where x0 > 3: its value and its gradient norm blow up."""
+
+    label = "inf-above-3"
+    dim = 1
+
+    def value(self, x):
+        batch = np.asarray(x, dtype=float)
+        return np.where(batch[:, 0] > 3.0, np.inf, batch[:, 0])
+
+    def grad(self, x):
+        batch = np.asarray(x, dtype=float)
+        return np.where(batch > 3.0, np.inf, 1.0)
+
+
+def test_curves_name_a_criterion_with_a_non_finite_value(std_normal_1d):
+    with pytest.raises(NumericError, match="'inf-above-3' has a non-finite value"):
+        importance_curves(InfAbove(), std_normal_1d, [0.0, 1.0], n=10**4, seed=28)
+
+
+def test_profiles_name_a_criterion_with_a_non_finite_gradient(std_normal_1d):
+    candidates = [LinearCriterion([1.0]), InfAbove()]
+    with pytest.raises(NumericError, match="'inf-above-3' has a non-finite gradient norm"):
+        compare_criteria(candidates, std_normal_1d, n=10**4, seed=29)
+    with pytest.raises(NumericError, match="'inf-above-3' has a non-finite gradient norm"):
+        grad_norm_profile(InfAbove(), std_normal_1d, n=10**4, bins=10, seed=29)
+
+
+def test_normalization_names_a_criterion_with_a_non_finite_value(std_normal_1d):
+    with pytest.raises(NumericError, match="'inf-above-3' has a non-finite value"):
+        normalize_affine(InfAbove(), std_normal_1d, 10**4, seed=30)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ n x hidden_width floats while it runs, so the peak of a pass stays under three
 of them plus a few (n, dim) arrays.  A pass that kept its caches would hold
 about eight.
 
-Evaluation passes also run in row chunks of ``flows.EVAL_CHUNK_ROWS``, so
+Evaluation passes also run in row chunks of ``dists.EVAL_CHUNK_ROWS``, so
 those activations are a chunk's, not the whole sample's, and the memory of
-``estimate_moments`` grows with n by a few floats per sample only.
+``estimate_moments`` grows with n by a few floats per sample only.  The
+criterion passes of ``diagnose`` run in the same chunks, so there too a
+criterion's temporaries are a chunk's.
 """
 
 import tracemalloc
@@ -18,8 +20,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiltgen import DiagGaussian, FlowArchitecture, LinearCriterion, init_identity
-from tiltgen.flows import EVAL_CHUNK_ROWS
+from tiltgen import (
+    BayesPosteriorClassifier,
+    ClassifierCriterion,
+    DiagGaussian,
+    FlowArchitecture,
+    GaussianMixture,
+    LinearCriterion,
+    LogisticClassifier,
+    compare_criteria,
+    importance_curves,
+    init_identity,
+    normalize_affine,
+)
+from tiltgen.dists import EVAL_CHUNK_ROWS
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel
 
@@ -71,3 +85,36 @@ def test_moment_estimate_memory_does_not_grow_with_n_times_hidden_width():
     bound = 3 * chunk_activation_bytes + 6 * n * 8
     peak = _peak_bytes(estimate_moments, _perturbed_model(), LinearCriterion([1.0, 0.0]), n, 6)
     assert peak < bound, f"estimate_moments peaked at {peak / (n * 8):.1f} n-length arrays"
+
+
+MIB = 2**20
+# the mixture and the four normalized candidates of the diagnose-curves
+# benchmark config
+MIXTURE = GaussianMixture(
+    [0.5, 0.5], [DiagGaussian([-2.0, 0.0], [1.0, 1.0]), DiagGaussian([2.0, 0.0], [1.0, 1.0])]
+)
+CANDIDATES = [
+    normalize_affine(f, MIXTURE, 10_000, seed=40 + i)
+    for i, f in enumerate([
+        ClassifierCriterion(BayesPosteriorClassifier(MIXTURE), 1, "log-prob"),
+        ClassifierCriterion(BayesPosteriorClassifier(MIXTURE), 1, "prob"),
+        ClassifierCriterion(LogisticClassifier([4.0, 0.0], 0.0), 1, "log-prob"),
+        LinearCriterion([1.0, 0.0]),
+    ])
+]
+
+
+@pytest.mark.parametrize("position", range(len(CANDIDATES)))
+def test_importance_curves_memory_is_the_sample_and_its_values(position):
+    # 10^6 2-d points (15.3 MiB) and their values (7.6 MiB), plus a chunk's
+    # temporaries; one whole-sample criterion pass peaked at 68.7 MiB (Bayes)
+    betas = np.linspace(0.0, 4.0, 41)
+    peak = _peak_bytes(importance_curves, CANDIDATES[position], MIXTURE, betas, 10**6, 7)
+    assert peak <= 30 * MIB, f"peaked at {peak / MIB:.1f} MiB"
+
+
+def test_compare_criteria_memory_is_the_sample_and_its_norms():
+    # 200 000 2-d points and a candidate's norms and their order statistics;
+    # whole-sample gradient passes peaked at 32.5 MiB
+    peak = _peak_bytes(compare_criteria, CANDIDATES, MIXTURE, 200_000, 8)
+    assert peak <= 15 * MIB, f"peaked at {peak / MIB:.1f} MiB"
