@@ -8,8 +8,9 @@
 Exit codes: 0 success/convergence, 2 solver non-convergence (the manifest is
 still written), 3 a fit, moment estimate or beta step failed part-way (the
 manifest and the CSVs of the finished fits are still written), 1
-configuration or runtime error, including a bad command line.  Set
-TILTGEN_LOG to debug/info/warning to control verbosity.
+configuration or runtime error, including a bad command line (once the out
+dir exists, the manifest still names the error).  Set TILTGEN_LOG to
+debug/info/warning to control verbosity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -174,22 +175,8 @@ def _iteration(record: dict) -> dict:
 _REQUIRES = {"tune": "target", "pareto": "sweep", "diagnose": "diagnostics"}
 
 
-def run_command(args) -> int:
-    """Shared body of tune, pareto and diagnose around ``args.compute``.
-
-    Loads and plans the config, times the command's phases, writes the
-    manifest and ``timings.json``, and maps the outcome to an exit code:
-    0, 2 when the command did not converge, or 3 when its fit chain failed.
-    """
-    command = args.command
-    phases = Phases(command)
-    raw = _load(args)
-    plan = build_plan(raw, require=_REQUIRES[command])
-    phases.end("load")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    log.info("%s: writing to %s", command, out)
-    outcome = args.compute(plan, out, phases)
+def _write_record(command, raw, plan, out, phases, outcome) -> None:
+    """Write the manifest and ``timings.json`` of ``outcome`` into ``out``."""
     final = {"converged": outcome.converged, "message": outcome.message, **outcome.final}
     failure = outcome.failure
     if failure is not None:
@@ -202,7 +189,34 @@ def run_command(args) -> int:
         final, outcome.artifacts, outcome.normalization,
     )
     write_run_outputs(out, manifest, phases.timings(outcome.records))
+
+
+def run_command(args) -> int:
+    """Shared body of tune, pareto and diagnose around ``args.compute``.
+
+    Loads and plans the config, times the command's phases, writes the
+    manifest and ``timings.json``, and maps the outcome to an exit code:
+    0, 2 when the command did not converge, or 3 when its fit chain failed.
+    Any other ``TiltgenError`` from ``compute`` is recorded in the manifest's
+    ``final.failure`` and re-raised, so the run exits 1.
+    """
+    command = args.command
+    phases = Phases(command)
+    raw = _load(args)
+    plan = build_plan(raw, require=_REQUIRES[command])
+    phases.end("load")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    log.info("%s: writing to %s", command, out)
+    try:
+        outcome = args.compute(plan, out, phases)
+    except TiltgenError as err:
+        failed = Outcome(str(err), {}, converged=False, failure=err)
+        _write_record(command, raw, plan, out, phases, failed)
+        raise
+    _write_record(command, raw, plan, out, phases, outcome)
     log.info("%s finished: %s", command, outcome.message)
+    failure = outcome.failure
     if failure is not None:
         print(f"tiltgen {command}: failed: {type(failure).__name__}: {failure}", file=sys.stderr)
         return 3
@@ -337,9 +351,9 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
             for rank, e in enumerate(ranked)
         ],
     )
-    report_payload = report.to_dict()
+    report_payload = asdict(report)
     if curves:
-        report_payload["curves"] = [curve.to_dict() for curve in curves]
+        report_payload["curves"] = [asdict(curve) for curve in curves]
     write_json_atomic(out / "report.json", report_payload)
     artifacts["ranking"] = "ranking.csv"
     artifacts["report"] = "report.json"

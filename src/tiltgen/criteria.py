@@ -292,26 +292,16 @@ class PeakCriterion(Criterion):
         return out[0] if single else out
 
 
-class WindowMeanCriterion(Criterion):
-    """Mean over a window minus the mean over the whole curve."""
+class WindowMeanCriterion(LinearCriterion):
+    """Mean over a window minus the mean over the whole curve: a linear
+    criterion whose coefficients are set by the window."""
 
     def __init__(self, dim: int, window):
-        self.dim = int(dim)
-        self.window = _check_window(window, self.dim)
-        self.label = f"window-mean[{self.window[0]}:{self.window[1]}]"
-        g = np.full(self.dim, -1.0 / self.dim)
+        dim = int(dim)
+        self.window = _check_window(window, dim)
+        g = np.full(dim, -1.0 / dim)
         g[self.window[0] : self.window[1]] += 1.0 / (self.window[1] - self.window[0])
-        self._grad = g
-
-    def value(self, x):
-        batch, single = self._batch(x)
-        out = batch @ self._grad
-        return out[0] if single else out
-
-    def grad(self, x):
-        batch, single = self._batch(x)
-        out = np.broadcast_to(self._grad, batch.shape).copy()
-        return out[0] if single else out
+        super().__init__(g, label=f"window-mean[{self.window[0]}:{self.window[1]}]")
 
 
 def default_peak_temperature(p: Distribution, n: int, seed: int) -> float:

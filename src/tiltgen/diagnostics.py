@@ -50,21 +50,6 @@ class GradNormProfile:
     truncated: bool
     cap: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "sample_count": self.sample_count,
-            "bin_edges": self.bin_edges.tolist(),
-            "counts": self.counts.tolist(),
-            "median": self.median,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-            "zero_mass_fraction": self.zero_mass_fraction,
-            "truncated": self.truncated,
-            "cap": self.cap,
-        }
-
 
 def grad_norm_profile(
     f: Criterion,
@@ -154,16 +139,6 @@ class TheoreticalCurve:
     ess: np.ndarray
     reliable: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "betas": self.betas.tolist(),
-            "log_z": self.log_z.tolist(),
-            "mean_f": self.mean_f.tolist(),
-            "dkl": self.dkl.tolist(),
-            "ess": self.ess.tolist(),
-            "reliable": self.reliable.tolist(),
-        }
-
 
 def _self_normalized(values: np.ndarray, betas: np.ndarray):
     """Self-normalized importance weighting of ``values`` by ``exp(beta * values)``
@@ -235,15 +210,6 @@ class CriterionEntry:
     regularity_score: float
     zero_mass_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "label": self.label,
-            "regularity_score": self.regularity_score,
-            "zero_mass_fraction": self.zero_mass_fraction,
-            "profile": self.profile.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -252,12 +218,6 @@ class ComparisonReport:
 
     def ranked(self) -> list[CriterionEntry]:
         return [self.entries[i] for i in self.ranking]
-
-    def to_dict(self) -> dict:
-        return {
-            "ranking": list(self.ranking),
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 def compare_criteria(
@@ -320,32 +280,12 @@ class AuditRow:
     undershoot: bool
     stagnation: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "empirical_mean_f": self.empirical_mean_f,
-            "theoretical_mean_f": self.theoretical_mean_f,
-            "mean_f_gap": self.mean_f_gap,
-            "empirical_dkl": self.empirical_dkl,
-            "theoretical_dkl": self.theoretical_dkl,
-            "dkl_gap": self.dkl_gap,
-            "undershoot": self.undershoot,
-            "stagnation": self.stagnation,
-        }
-
 
 @dataclass(frozen=True)
 class AuditReport:
     rows: tuple
     undershoot: bool
     stagnation: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "undershoot": self.undershoot,
-            "stagnation": self.stagnation,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def _audit_point(point) -> tuple[float, float, float]:

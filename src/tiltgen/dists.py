@@ -81,10 +81,6 @@ class Distribution:
     def sample(self, n: int, seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    def spec(self) -> dict:
-        """JSON-ready constructor parameters (run-config schema)."""
-        raise CapabilityError(f"kind {self.kind!r} is not config-serializable")
-
 
 class DiagGaussian(Distribution):
     """Gaussian with diagonal covariance.
@@ -139,13 +135,6 @@ class DiagGaussian(Distribution):
     def entropy(self) -> float:
         """Differential entropy, 0.5 * sum(1 + log(2 pi variance))."""
         return 0.5 * np.sum(1.0 + _LOG_2PI + np.log(self.variance))
-
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mean": self.mean.tolist(),
-            "variance": self.variance.tolist(),
-        }
 
 
 class GaussianMixture(Distribution):
@@ -234,16 +223,6 @@ class GaussianMixture(Distribution):
             chunk += mean[idx[rows]]
         return z
 
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": self.weights.tolist(),
-            "components": [
-                {"mean": c.mean.tolist(), "variance": c.variance.tolist()}
-                for c in self.components
-            ],
-        }
-
 
 class LatentDecoder:
     """Linear-Gaussian decoder x = A z + sigma * eps with standard-normal prior.
@@ -286,13 +265,6 @@ class LatentDecoder:
 
     def marginal(self) -> "DecoderMarginal":
         return DecoderMarginal(self)
-
-    def spec(self) -> dict:
-        return {
-            "kind": "latent-decoder",
-            "weights": self.weights.tolist(),
-            "noise_variance": self.noise_variance,
-        }
 
 
 class DecoderMarginal(Distribution):
@@ -356,9 +328,6 @@ class DecoderMarginal(Distribution):
             eps = rng.standard_normal((n, self.dim))
             x = x + np.sqrt(self.decoder.noise_variance) * eps
         return x
-
-    def spec(self) -> dict:
-        return self.decoder.spec()
 
 
 def distribution_from_spec(spec: dict) -> Distribution:

@@ -134,23 +134,6 @@ class AffineDiagonalLayer:
         dx = dy * scale
         return dx, [np.where(active, ds, 0.0), dy.sum(axis=0)]
 
-    def to_spec(self):
-        return {
-            "type": self.kind,
-            "log_scale": self.log_scale.tolist(),
-            "shift": self.shift.tolist(),
-            "scale_clamp": self.scale_clamp,
-        }
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(
-            len(spec["log_scale"]),
-            spec["log_scale"],
-            spec["shift"],
-            spec.get("scale_clamp", 5.0),
-        )
-
 
 class AdditiveCouplingLayer:
     """Shift the unmasked coordinates by a conditioner of the masked ones.
@@ -196,22 +179,6 @@ class AdditiveCouplingLayer:
         dx[:, self.cond_idx] += du
         return dx, grads
 
-    def to_spec(self):
-        return {
-            "type": self.kind,
-            "mask": self.mask.astype(int).tolist(),
-            "weights": [w.tolist() for w in self.mlp.weights],
-            "biases": [b.tolist() for b in self.mlp.biases],
-        }
-
-    @classmethod
-    def from_spec(cls, spec):
-        mlp = Mlp(
-            [np.asarray(w, dtype=float) for w in spec["weights"]],
-            [np.asarray(b, dtype=float) for b in spec["biases"]],
-        )
-        return cls(np.asarray(spec["mask"], dtype=bool), mlp)
-
 
 class PermutationLayer:
     """Fixed coordinate permutation; no parameters, logdet = 0."""
@@ -237,20 +204,6 @@ class PermutationLayer:
 
     def backward(self, cache, dy: np.ndarray, dlogdet_sum: float):
         return dy[:, self.inv], []
-
-    def to_spec(self):
-        return {"type": self.kind, "perm": self.perm.tolist()}
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(spec["perm"])
-
-
-_LAYER_TYPES = {
-    AffineDiagonalLayer.kind: AffineDiagonalLayer,
-    AdditiveCouplingLayer.kind: AdditiveCouplingLayer,
-    PermutationLayer.kind: PermutationLayer,
-}
 
 
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
@@ -420,21 +373,6 @@ class FlowModel:
         new = copy.deepcopy(self)
         new._bind_theta()
         return new
-
-    # -- serialization ------------------------------------------------------
-
-    def to_spec(self) -> dict:
-        return {"dim": self.dim, "layers": [l.to_spec() for l in self.layers]}
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FlowModel":
-        layers = []
-        for lspec in spec["layers"]:
-            ltype = _LAYER_TYPES.get(lspec["type"])
-            if ltype is None:
-                raise ContractError(f"unknown layer type {lspec['type']!r}")
-            layers.append(ltype.from_spec(lspec))
-        return cls(spec["dim"], layers)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,17 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _plain(value):
+    """A numpy array or scalar as the plain list or number ``json`` writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json_atomic(path, payload: dict) -> None:
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n")
     os.replace(tmp, path)
 
 

@@ -161,14 +161,6 @@ class TunedModel(Distribution):
         out = self.base.log_density(x_hat) - logdet
         return out[0] if single else out
 
-    def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "beta": self.beta,
-            "base": self.base.spec(),
-            "flow": self.flow.to_spec(),
-        }
-
 
 def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray):
     """Forward pass of the tilt objective on one batch.

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from collections import Counter
@@ -12,6 +13,7 @@ from tiltgen import cli
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, load_config, validate_config
 from tiltgen.criteria import Criterion
+from tiltgen.diagnostics import CriterionEntry, GradNormProfile, TheoreticalCurve
 from tiltgen.errors import ConfigError, ContractError
 from tiltgen.flows import FlowArchitecture
 from tiltgen.solver import Target
@@ -152,6 +154,28 @@ def test_tune_constant_criterion_exits_one(tmp_path, capsys):
     rc = main(["tune", "--config", cfgp, "--out", str(tmp_path / "run")])
     assert rc == 1
     assert "zero empirical variance" in capsys.readouterr().err
+
+
+def test_tune_constant_criterion_writes_manifest_naming_it(tmp_path, capsys):
+    cfg = small_tune_config(
+        distribution={"kind": "diag-gaussian", "mean": [0.0, 0.0], "variance": [1.0, 1.0]},
+        criterion={"name": "linear", "coefficients": [0, 0]},
+    )
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "tiltgen: error:" in err and "zero empirical variance" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["iterations"] == []
+    assert manifest["artifacts"] == {}
+    final = manifest["final"]
+    assert final["converged"] is False
+    assert final["failure"]["type"] == "DegenerateCriterionError"
+    assert "zero empirical variance" in final["failure"]["message"]
+    timings = json.loads((out / "timings.json").read_text())
+    assert timings["iterations"] == []
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "timings.json"]
 
 
 def test_tune_iteration_cap_exits_two_with_manifest(tmp_path):
@@ -511,6 +535,29 @@ def test_diagnose_with_curves(tmp_path):
     assert report["curves"][0]["dkl"][0] == 0.0
 
 
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_diagnose_report_keys_follow_the_dataclasses(tmp_path):
+    cfgp = write_config(tmp_path, curve_diagnose_config())
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"ranking", "entries", "curves"}
+    assert sorted(report["ranking"]) == [0, 1]
+    for entry in report["entries"]:
+        assert set(entry) == field_names(CriterionEntry)
+        assert set(entry["profile"]) == field_names(GradNormProfile)
+        counts = entry["profile"]["counts"]
+        assert all(type(c) is int for c in counts)
+        assert sum(counts) == entry["profile"]["sample_count"]
+    for curve in report["curves"]:
+        assert set(curve) == field_names(TheoreticalCurve)
+        assert all(type(r) is bool for r in curve["reliable"])
+        assert len(curve["reliable"]) == 3
+
+
 class InfAbove3(Criterion):
     """x0, but +inf where x0 > 3."""
 
@@ -531,7 +578,10 @@ def test_diagnose_non_finite_criterion_exits_one_naming_it(tmp_path, capsys, mon
     assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "tiltgen: error: criterion 'inf-above-3' has a non-finite value" in err
-    assert not (out / "manifest.json").exists()
+    final = json.loads((out / "manifest.json").read_text())["final"]
+    assert final["converged"] is False
+    assert final["failure"]["type"] == "NumericError"
+    assert "criterion 'inf-above-3' has a non-finite value" in final["failure"]["message"]
 
 
 def test_diagnose_mixed_lift_fails_before_out_dir(tmp_path, capsys):

@@ -152,12 +152,24 @@ def test_deterministic_decoder_marginal_density_needs_full_rank():
     assert np.isfinite(full.log_density(np.zeros(1)))
 
 
-def test_spec_round_trip(mixture_pm2):
-    for d in [DiagGaussian([0.1, 0.2], [1.0, 2.0]), mixture_pm2,
-              LatentDecoder([[1.0, 0.0]], noise_variance=0.4).marginal()]:
-        rebuilt = distribution_from_spec(d.spec())
+def test_distribution_from_spec_loads_each_kind(mixture_pm2):
+    cases = [
+        ({"kind": "diag-gaussian", "mean": [0.1, 0.2], "variance": [1.0, 2.0]},
+         DiagGaussian([0.1, 0.2], [1.0, 2.0])),
+        ({"kind": "gaussian-mixture", "weights": [0.5, 0.5],
+          "components": [{"mean": [-2.0], "variance": [1.0]},
+                         {"mean": [2.0], "variance": [1.0]}]},
+         mixture_pm2),
+        ({"kind": "latent-decoder", "weights": [[1.0, 0.0]], "noise_variance": 0.4},
+         LatentDecoder([[1.0, 0.0]], noise_variance=0.4).marginal()),
+    ]
+    for spec, d in cases:
+        loaded = distribution_from_spec(spec)
+        assert loaded.kind == spec["kind"] and loaded.dim == d.dim
         x = np.linspace(-1, 1, 7)[:, None] * np.ones((1, d.dim))
-        assert np.allclose(rebuilt.log_density(x), d.log_density(x))
+        assert np.allclose(loaded.log_density(x), d.log_density(x))
+    with pytest.raises(ContractError, match="unknown distribution kind"):
+        distribution_from_spec({"kind": "student-t"})
 
 
 def test_decoder_decode_paths():

@@ -1,5 +1,7 @@
 """The flow's parameters live in one contiguous vector, ``FlowModel.theta``."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -24,32 +26,36 @@ def perturbed(dim=3, seed=0, blocks=2):
     return g
 
 
-def spec_order(flow):
-    """Parameter values in the layout the flat vector must follow: per layer,
-    keys sorted (so b0, b1, .., w0, w1, .. for a conditioner), read from the
-    serialized spec rather than from the live arrays."""
+def attribute_order(flow):
+    """The layout the flat vector must follow, read from the layer attributes
+    that the forward passes use rather than from ``parameters()``: per layer,
+    an affine layer's log-scale and shift, a conditioner's biases, then its
+    weights."""
     out = []
-    for lspec in flow.to_spec()["layers"]:
-        if lspec["type"] == "affine-diagonal":
-            out += [lspec["log_scale"], lspec["shift"]]
-        elif lspec["type"] == "additive-coupling":
-            out += lspec["biases"] + lspec["weights"]
-    return [np.asarray(v, dtype=float) for v in out]
+    for layer in flow.layers:
+        if isinstance(layer, AffineDiagonalLayer):
+            out += [layer.log_scale, layer.shift]
+        elif isinstance(layer, AdditiveCouplingLayer):
+            out += layer.mlp.biases + layer.mlp.weights
+    return out
 
 
 def assert_flat(flow):
     theta = flow.theta
     assert theta.ndim == 1 and theta.dtype == np.float64
     assert theta.flags.c_contiguous and theta.flags.owndata
-    expected = spec_order(flow)
+    expected = attribute_order(flow)
     params = flow.parameters()
     assert len(params) == len(expected)
     base = theta.__array_interface__["data"][0]
     offset = 0
     for p, want in zip(params, expected):
-        assert p.base is theta
-        assert p.__array_interface__["data"][0] == base + 8 * offset
-        assert p.shape == want.shape and np.array_equal(p, want)
+        # the parameter and the attribute the forward pass reads are the
+        # same slice of theta
+        for a in (p, want):
+            assert a.base is theta
+            assert a.__array_interface__["data"][0] == base + 8 * offset
+        assert p.shape == want.shape
         offset += p.size
     assert offset == theta.size
 
@@ -58,11 +64,11 @@ def test_init_identity_binds_views():
     assert_flat(init_identity(3, FlowArchitecture(blocks=2, hidden_width=6), seed=2))
 
 
-def test_copy_and_from_spec_bind_views():
+def test_copy_and_rebuilt_model_bind_views():
     g = perturbed(seed=3)
     assert_flat(g)
     assert_flat(g.copy())
-    assert_flat(FlowModel.from_spec(g.to_spec()))
+    assert_flat(FlowModel(g.dim, copy.deepcopy(g.layers)))
 
 
 def test_theta_updates_reach_layers():
@@ -71,7 +77,7 @@ def test_theta_updates_reach_layers():
     y0, _ = g.forward(x)
     g.theta *= 1.5
     y1, _ = g.forward(x)
-    h = FlowModel.from_spec(g.to_spec())
+    h = FlowModel(g.dim, copy.deepcopy(g.layers))
     assert not np.array_equal(y0, y1)
     assert np.array_equal(y1, h.forward(x)[0])
 

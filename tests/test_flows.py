@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -254,19 +253,3 @@ def test_coupling_mask_must_split():
     mlp = Mlp.build(1, 4, 1, 1, np.random.default_rng(0))
     with pytest.raises(ContractError):
         AdditiveCouplingLayer(np.array([True, True]), mlp)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_spec_round_trip_preserves_behavior():
-    g = perturbed_flow(3, seed=19)
-    spec = g.to_spec()
-    json.dumps(spec)  # binary-free JSON
-    g2 = FlowModel.from_spec(spec)
-    x = np.random.default_rng(20).standard_normal((30, 3))
-    y1, ld1 = g.forward(x)
-    y2, ld2 = g2.forward(x)
-    assert np.array_equal(y1, y2)
-    assert np.array_equal(ld1, ld2)
