@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import build_plan, criterion_from_spec, load_config
@@ -91,7 +90,6 @@ def _write_samples(out, plan, model):
     n = plan.output_samples
     points = model.sample(n, derive_seed(plan.seeds["sampling"], "dump"))
     data = plan.decode_samples(points)
-    data = np.atleast_2d(data)
     header = [f"x{i}" for i in range(data.shape[1])]
     write_csv(out / "samples.csv", header, data)
 
@@ -370,15 +368,39 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     )
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _finite_list(text: str) -> list[float]:
+    """An argparse type: one or more comma-separated finite floats."""
+    parts = [v for v in text.split(",") if v.strip()]
+    if not parts:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return [_finite(v) for v in parts]
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def cmd_oracle(args) -> int:
     if args.oracle_command == "tilt":
-        oracle = GaussianTiltOracle(
-            _floats(args.mean), _floats(args.variance), _floats(args.coeff)
-        )
+        oracle = GaussianTiltOracle(args.mean, args.variance, args.coeff)
         beta = args.beta
         mean_str = ",".join(f"{v:.12g}" for v in oracle.tilted_mean(beta))
         var_str = ",".join(f"{v:.12g}" for v in oracle.variance)
@@ -438,13 +460,18 @@ def build_parser() -> argparse.ArgumentParser:
     op = sub.add_parser("oracle", help="print closed-form oracle values")
     osub = op.add_subparsers(dest="oracle_command", required=True)
     tilt = osub.add_parser("tilt", help="closed-form Gaussian tilt")
-    tilt.add_argument("--mean", default="0", help="comma-separated mean")
-    tilt.add_argument("--variance", default="1", help="comma-separated variances")
-    tilt.add_argument("--coeff", default="1", help="comma-separated criterion coefficients")
-    tilt.add_argument("--beta", type=float, required=True)
+    tilt.add_argument("--mean", type=_finite_list, default="0", help="comma-separated mean")
+    tilt.add_argument(
+        "--variance", type=_finite_list, default="1", help="comma-separated variances"
+    )
+    tilt.add_argument(
+        "--coeff", type=_finite_list, default="1",
+        help="comma-separated criterion coefficients",
+    )
+    tilt.add_argument("--beta", type=_finite, required=True)
     tilt.set_defaults(func=cmd_oracle)
     bound = osub.add_parser("kl-bound", help="random latent-vs-marginal KL trials")
-    bound.add_argument("--trials", type=int, default=1000)
+    bound.add_argument("--trials", type=_positive_int, default=1000)
     bound.add_argument("--seed", type=int, default=0)
     bound.set_defaults(func=cmd_oracle)
     return parser

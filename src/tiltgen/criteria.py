@@ -24,10 +24,9 @@ LOG_PROB_FLOOR = -30.0
 class Criterion:
     """Scalar criterion f with value and input gradient.
 
-    ``value`` maps (n, d) points to (n,) reals (or a vector to a scalar);
-    ``grad`` returns the matching input gradients.  A subclass defines
-    ``value`` and one of ``grad`` or ``value_and_grad``; the other derives
-    from it.
+    ``value`` maps (n, d) points to (n,) reals; ``grad`` returns the
+    matching (n, d) input gradients.  A subclass defines ``value`` and one of
+    ``grad`` or ``value_and_grad``; the other derives from it.
     """
 
     label = "criterion"
@@ -47,7 +46,8 @@ class Criterion:
             )
         return self.value(x), self.grad(x)
 
-    def _batch(self, x):
+    def _batch(self, x) -> np.ndarray:
+        """``x`` as (n, dim) points; any other shape is a ``ContractError``."""
         return _as_batch(x, self.dim)
 
 
@@ -61,14 +61,12 @@ class LinearCriterion(Criterion):
         self.coefficients.flags.writeable = False
 
     def value(self, x):
-        batch, single = self._batch(x)
-        out = batch @ self.coefficients
-        return out[0] if single else out
+        batch = self._batch(x)
+        return batch @ self.coefficients
 
     def grad(self, x):
-        batch, single = self._batch(x)
-        out = np.broadcast_to(self.coefficients, batch.shape).copy()
-        return out[0] if single else out
+        batch = self._batch(x)
+        return np.broadcast_to(self.coefficients, batch.shape).copy()
 
 
 class AffineNormalizedCriterion(Criterion):
@@ -207,12 +205,11 @@ class ClassifierCriterion(Criterion):
         return -np.sum(np.exp(log_p) * log_p, axis=1)
 
     def value(self, x):
-        batch, single = self._batch(x)
-        out = self._value_from(self.classifier.log_probabilities(batch))
-        return out[0] if single else out
+        batch = self._batch(x)
+        return self._value_from(self.classifier.log_probabilities(batch))
 
     def value_and_grad(self, x):
-        batch, single = self._batch(x)
+        batch = self._batch(x)
         entropy = self.form == "entropy"
         labels = range(self.classifier.num_classes) if entropy else (self.target_class,)
         log_p, grads = self.classifier.log_probabilities_and_grads(batch, labels)
@@ -226,7 +223,7 @@ class ClassifierCriterion(Criterion):
             grad = np.exp(log_p[:, self.target_class])[:, None] * grads[0]
         else:
             grad = np.where((log_p[:, self.target_class] > self.floor)[:, None], grads[0], 0.0)
-        return (value[0], grad[0]) if single else (value, grad)
+        return value, grad
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +272,20 @@ class PeakCriterion(Criterion):
         self.label = f"soft-peak[{self.window[0]}:{self.window[1]}]"
 
     def value(self, x):
-        batch, single = self._batch(x)
+        batch = self._batch(x)
         w = batch[:, self.window[0] : self.window[1]] / self.temperature
         m = w.max(axis=1)
-        out = self.temperature * (np.log(np.exp(w - m[:, None]).sum(axis=1)) + m)
-        return out[0] if single else out
+        return self.temperature * (np.log(np.exp(w - m[:, None]).sum(axis=1)) + m)
 
     def grad(self, x):
-        batch, single = self._batch(x)
+        batch = self._batch(x)
         w = batch[:, self.window[0] : self.window[1]] / self.temperature
         w -= w.max(axis=1, keepdims=True)
         soft = np.exp(w)
         soft /= soft.sum(axis=1, keepdims=True)
         out = np.zeros_like(batch)
         out[:, self.window[0] : self.window[1]] = soft
-        return out[0] if single else out
+        return out
 
 
 class WindowMeanCriterion(LinearCriterion):
@@ -343,16 +339,15 @@ class LatentCriterion(Criterion):
         self._sigma = np.sqrt(decoder.noise_variance)
 
     def value(self, z):
-        batch, single = self._batch(z)
+        batch = self._batch(z)
         mean = batch @ self.decoder.weights.T
         total = np.zeros(batch.shape[0])
         for eps in self._eps:
             total += self.base.value(mean + self._sigma * eps)
-        out = total / self.mc_samples
-        return out[0] if single else out
+        return total / self.mc_samples
 
     def value_and_grad(self, z):
-        batch, single = self._batch(z)
+        batch = self._batch(z)
         mean = batch @ self.decoder.weights.T
         value = np.zeros(batch.shape[0])
         grad = np.zeros_like(batch)
@@ -362,4 +357,4 @@ class LatentCriterion(Criterion):
             grad += g @ self.decoder.weights
         value /= self.mc_samples
         grad /= self.mc_samples
-        return (value[0], grad[0]) if single else (value, grad)
+        return value, grad

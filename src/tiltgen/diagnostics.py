@@ -81,7 +81,7 @@ def _profile_sample(p: Distribution, n: int, seed: int, cap) -> np.ndarray:
 
 def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
     def norms(rows):
-        return np.linalg.norm(np.atleast_2d(f.grad(rows)), axis=1)
+        return np.linalg.norm(f.grad(rows), axis=1)
 
     return _per_row(f, x, "gradient norm", norms)
 
@@ -289,16 +289,13 @@ class AuditReport:
 
 
 def _audit_point(point) -> tuple[float, float, float]:
-    """(beta, mean_f, dkl) of a fit record or of a triple."""
+    """(beta, mean_f, dkl) of a fit record."""
     try:
-        if isinstance(point, dict):
-            return float(point["beta"]), point["moments"].mean_f, point["moments"].dkl
-        beta, mean_f, dkl = point
-        return float(beta), float(mean_f), float(dkl)
+        return float(point["beta"]), point["moments"].mean_f, point["moments"].dkl
     except (KeyError, AttributeError, TypeError, ValueError):
         raise ContractError(
-            "an audit point is a fit record with 'beta' and 'moments' or a "
-            f"(beta, mean_f, dkl) triple, got {type(point).__name__}"
+            "an audit point is a fit record with 'beta' and 'moments', "
+            f"got {type(point).__name__}"
         ) from None
 
 
@@ -311,11 +308,11 @@ def audit_run(
     """Compare a sweep's measured points against the theoretical curve.
 
     ``sweep`` is a sequence of fit records, as ``solve`` and ``pareto_sweep``
-    return them, or of (beta, mean_f, dkl) triples, on the same beta grid as
-    ``curve``; any other point raises ``ContractError``.  An undershoot flag
-    marks a point whose measured expectation falls short of the prediction by
-    more than the margin; a stagnation flag marks a step where the measured
-    divergence barely moves while the predicted one grows.
+    return them, on the same beta grid as ``curve``; any other point raises
+    ``ContractError``.  An undershoot flag marks a point whose measured
+    expectation falls short of the prediction by more than the margin; a
+    stagnation flag marks a step where the measured divergence barely moves
+    while the predicted one grows.
     """
     triples = [_audit_point(point) for point in sweep]
     betas = np.array([t[0] for t in triples])

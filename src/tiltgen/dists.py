@@ -42,22 +42,13 @@ def _row_chunks(n: int):
         start = stop
 
 
-def _as_batch(x, dim: int):
-    """Coerce ``x`` to shape (n, dim); return (batch, was_single_vector)."""
+def _as_batch(x, dim: int) -> np.ndarray:
+    """``x`` as a float array of points; any shape but (n, dim) is a
+    ``ContractError``."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ContractError(
-                f"expected a vector of length {dim}, got shape {arr.shape}"
-            )
-        return arr[None, :], True
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ContractError(
-                f"expected points of dimension {dim}, got shape {arr.shape}"
-            )
-        return arr, False
-    raise ContractError(f"expected a vector or a matrix of points, got ndim={arr.ndim}")
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ContractError(f"expected points of shape (n, {dim}), got shape {arr.shape}")
+    return arr
 
 
 class Distribution:
@@ -110,17 +101,16 @@ class DiagGaussian(Distribution):
         return cls(np.zeros(dim), np.ones(dim))
 
     def log_density(self, x):
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         diff = batch - self.mean
-        out = -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
-        return out[0] if single else out
+        return -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
 
     def log_density_and_score(self, x):
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         diff = batch - self.mean
         log_p = -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
         score = -diff / self.variance
-        return (log_p[0], score[0]) if single else (log_p, score)
+        return log_p, score
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:
@@ -159,7 +149,9 @@ class GaussianMixture(Distribution):
         if len(dims) != 1:
             raise ContractError("all components must share one dimension")
         self.dim = dims.pop()
-        self._log_weights = np.log(np.where(self.weights > 0, self.weights, 1e-300))
+        # a zero weight gets log weight -inf, so its component carries no density
+        with np.errstate(divide="ignore"):
+            self._log_weights = np.log(self.weights)
         self.weights.flags.writeable = False
 
     def _shifted_weights(self, component_log_densities):
@@ -177,31 +169,28 @@ class GaussianMixture(Distribution):
         )  # (n, k)
 
     def log_density(self, x):
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         _, total, m = self._shifted_weights(self._component_log_densities(batch))
-        out = np.log(total[:, 0]) + m[:, 0]
-        return out[0] if single else out
+        return np.log(total[:, 0]) + m[:, 0]
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities p(component | x), shape (n, k)."""
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         w, total, _ = self._shifted_weights(self._component_log_densities(batch))
         w /= total
-        return w[0] if single else w
+        return w
 
     def posterior_terms(self, x):
         """Log-density (n,), responsibilities (n, k), component scores
         (n, k, d) and mixture score (n, d) of ``x``, from one
         ``log_density_and_score`` call per component."""
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         parts = [c.log_density_and_score(batch) for c in self.components]
         comp_scores = np.stack([score for _, score in parts], axis=1)
         w, total, m = self._shifted_weights(np.stack([log_p for log_p, _ in parts], axis=1))
         log_p = np.log(total[:, 0]) + m[:, 0]
         w /= total
         score = np.einsum("nk,nkd->nd", w, comp_scores)
-        if single:
-            return log_p[0], w[0], comp_scores[0], score[0]
         return log_p, w, comp_scores, score
 
     def log_density_and_score(self, x):
@@ -243,20 +232,17 @@ class LatentDecoder:
         return DiagGaussian.standard(self.latent_dim)
 
     def decode_mean(self, z) -> np.ndarray:
-        batch, single = _as_batch(z, self.latent_dim)
-        out = batch @ self.weights.T
-        return out[0] if single else out
+        batch = _as_batch(z, self.latent_dim)
+        return batch @ self.weights.T
 
     def decode(self, z, seed: int) -> np.ndarray:
         """Sample x ~ p(x | z) for each latent row; deterministic if sigma^2=0."""
-        mean = self.decode_mean(np.atleast_2d(z))
+        mean = self.decode_mean(z)
         if self.noise_variance == 0.0:
-            out = mean
-        else:
-            rng = make_generator(seed)
-            eps = rng.standard_normal(mean.shape)
-            out = mean + np.sqrt(self.noise_variance) * eps
-        return out[0] if np.asarray(z).ndim == 1 else out
+            return mean
+        rng = make_generator(seed)
+        eps = rng.standard_normal(mean.shape)
+        return mean + np.sqrt(self.noise_variance) * eps
 
     def marginal_covariance(self) -> np.ndarray:
         return self.weights @ self.weights.T + self.noise_variance * np.eye(
@@ -304,19 +290,17 @@ class DecoderMarginal(Distribution):
         return np.linalg.solve(chol.T, y).T
 
     def log_density(self, x):
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         quad = np.sum(batch * self._solve(batch), axis=1)
-        out = -0.5 * quad - self._log_norm
-        return out[0] if single else out
+        return -0.5 * quad - self._log_norm
 
     def entropy(self) -> float:
         self._factor()
         return self._log_norm + 0.5 * self.dim
 
     def score(self, x):
-        batch, single = _as_batch(x, self.dim)
-        out = -self._solve(batch)
-        return out[0] if single else out
+        batch = _as_batch(x, self.dim)
+        return -self._solve(batch)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:

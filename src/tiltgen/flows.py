@@ -317,26 +317,22 @@ class FlowModel:
 
         An evaluation pass in row chunks that keeps no per-layer caches (see
         ``_eval_chunks``)."""
-        batch, single = _as_batch(x, self.dim)
+        batch = _as_batch(x, self.dim)
         y = np.empty(batch.shape)
         logdet = np.empty(batch.shape[0])
         for rows, y_rows, logdet_rows in self._eval_chunks(batch):
             y[rows] = y_rows
             logdet[rows] = logdet_rows
-        if single:
-            return y[0], float(logdet[0])
         return y, logdet
 
     def inverse(self, y):
         """Invert the stack; returns (x, logdet) where logdet is the forward
         log-determinant evaluated at x (constant per sample for these layers)."""
-        batch, single = _as_batch(y, self.dim)
+        batch = _as_batch(y, self.dim)
         h = batch
         for layer in reversed(self.layers):
             h = layer.inverse(h)
         logdet = np.full(batch.shape[0], self.constant_logdet())
-        if single:
-            return h[0], float(logdet[0])
         return h, logdet
 
     def constant_logdet(self) -> float:

@@ -157,8 +157,8 @@ class DiscreteTilt:
 def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
     """Exhaustively tilt a finite-support distribution by exp(beta * f).
 
-    ``f`` may be a criterion object, a callable on the support rows, or a
-    precomputed value array.  All moments and the divergence are exact sums.
+    ``f`` is a criterion, evaluated on the support rows.  All moments and the
+    divergence are exact sums.
     """
     support = np.asarray(support, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -168,12 +168,7 @@ def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
         raise ContractError("support size exceeds 10^6")
     if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ContractError("probabilities must be a distribution")
-    if hasattr(f, "value"):
-        f_values = np.asarray(f.value(support), dtype=float)
-    elif callable(f):
-        f_values = np.asarray(f(support), dtype=float)
-    else:
-        f_values = np.asarray(f, dtype=float)
+    f_values = np.asarray(f.value(support), dtype=float)
     live = probs > 0
     log_w = np.where(live, np.log(np.where(live, probs, 1.0)) + beta * f_values, -np.inf)
     m = log_w[live].max()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dists import Distribution, _as_batch
+from .dists import Distribution
 from .errors import ContractError, DivergenceError, NumericError
 from .flows import FlowModel
 from .rng import derive_seed
@@ -156,10 +156,9 @@ class TunedModel(Distribution):
         )
 
     def log_density(self, x):
-        batch, single = _as_batch(x, self.dim)
-        x_hat, logdet = self.flow.inverse(batch)
-        out = self.base.log_density(x_hat) - logdet
-        return out[0] if single else out
+        # the flow's inverse checks that x is an (n, dim) batch
+        x_hat, logdet = self.flow.inverse(x)
+        return self.base.log_density(x_hat) - logdet
 
 
 def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray):

@@ -59,10 +59,12 @@ def flow_gradients(g, x, grad_y, grad_logdet):
 
 
 def finite_diff_grad(fn, x, h=1e-5):
+    """Central differences at the point ``x`` of ``fn``, which maps (n, dim)
+    points to (n,) values."""
     x = np.asarray(x, dtype=float)
     g = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (fn(x + e) - fn(x - e)) / (2 * h)
+        g[i] = (fn((x + e)[None])[0] - fn((x - e)[None])[0]) / (2 * h)
     return g

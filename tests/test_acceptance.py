@@ -63,14 +63,12 @@ class QuadraticTiltCriterion(Criterion):
     dim = 1
 
     def value(self, x):
-        batch, single = self._batch(x)
-        out = batch[:, 0] + 0.25 * batch[:, 0] ** 2
-        return out[0] if single else out
+        batch = self._batch(x)
+        return batch[:, 0] + 0.25 * batch[:, 0] ** 2
 
     def grad(self, x):
-        batch, single = self._batch(x)
-        out = 1.0 + 0.5 * batch
-        return out[0] if single else out
+        batch = self._batch(x)
+        return 1.0 + 0.5 * batch
 
 
 def quadratic_tilt_model(p, beta):

@@ -678,6 +678,25 @@ def test_oracle_kl_bound(capsys):
     assert "bound holds in 100/100 trials" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tilt", "--mean", "a", "--beta", "1"], "argument --mean: expected a finite number, got 'a'"),
+    (["tilt", "--beta", "nan"], "argument --beta: expected a finite number, got 'nan'"),
+    (["tilt", "--variance", "1,inf", "--beta", "1"],
+     "argument --variance: expected a finite number, got 'inf'"),
+    (["tilt", "--coeff", ",", "--beta", "1"],
+     "argument --coeff: expected comma-separated numbers, got ','"),
+    (["kl-bound", "--trials", "-5"], "argument --trials: expected an integer >= 1, got '-5'"),
+    (["kl-bound", "--trials", "2.5"], "argument --trials: expected an integer >= 1, got '2.5'"),
+], ids=["mean-not-a-number", "beta-nan", "variance-inf", "coeff-empty", "trials-negative",
+        "trials-not-an-integer"])
+def test_oracle_rejects_malformed_numbers_as_usage_errors(argv, message, capsys):
+    assert main(["oracle", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # latent-decoder runs through the CLI
 

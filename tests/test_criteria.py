@@ -29,14 +29,12 @@ class QuadraticCriterion(Criterion):
         self.dim = dim
 
     def value(self, x):
-        batch, single = self._batch(x)
-        out = np.sum(batch**2, axis=1)
-        return out[0] if single else out
+        batch = self._batch(x)
+        return np.sum(batch**2, axis=1)
 
     def grad(self, x):
-        batch, single = self._batch(x)
-        out = 2.0 * batch
-        return out[0] if single else out
+        batch = self._batch(x)
+        return 2.0 * batch
 
 
 class ConstantCriterion(Criterion):
@@ -47,14 +45,12 @@ class ConstantCriterion(Criterion):
         self.c = c
 
     def value(self, x):
-        batch, single = self._batch(x)
-        out = np.full(batch.shape[0], self.c)
-        return out[0] if single else out
+        batch = self._batch(x)
+        return np.full(batch.shape[0], self.c)
 
     def grad(self, x):
-        batch, single = self._batch(x)
-        out = np.zeros_like(batch)
-        return out[0] if single else out
+        batch = self._batch(x)
+        return np.zeros_like(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +117,28 @@ def test_logistic_logprob_gradient_closed_form():
     sig = 1 / (1 + np.exp(-z))
     assert np.allclose(f.grad(x), (1 - sig)[:, None] * w)
     fd = finite_diff_grad(lambda v: f.value(v), x[0])
-    assert np.allclose(f.grad(x[0]), fd, rtol=1e-6, atol=1e-8)
+    assert np.allclose(f.grad(x[:1])[0], fd, rtol=1e-6, atol=1e-8)
 
 
 def test_prob_form_saturates_to_zero_gradient():
     h = LogisticClassifier([1.0])
     f = ClassifierCriterion(h, target_class=1, form="prob")
-    assert np.linalg.norm(f.grad(np.array([40.0]))) < 1e-12
+    assert np.linalg.norm(f.grad(np.array([[40.0]]))[0]) < 1e-12
 
 
 def test_log_prob_floor_clamps_value_and_gradient():
     h = LogisticClassifier([1.0])
     f = ClassifierCriterion(h, target_class=1, form="log-prob")
-    x = np.array([-100.0])  # log sigma(-100) = -100 < floor
-    assert f.value(x) == LOG_PROB_FLOOR
-    assert np.all(f.grad(x) == 0.0)
+    x = np.array([[-100.0]])  # log sigma(-100) = -100 < floor
+    assert f.value(x)[0] == LOG_PROB_FLOOR
+    assert np.all(f.grad(x)[0] == 0.0)
 
 
 def test_log_prob_floor_is_configurable():
     h = LogisticClassifier([1.0])
     f = ClassifierCriterion(h, target_class=1, form="log-prob", floor=-50.0)
-    assert f.value(np.array([-100.0])) == -50.0
-    assert f.value(np.array([-40.0])) == pytest.approx(-40.0, abs=1e-12)
+    assert f.value(np.array([[-100.0]]))[0] == -50.0
+    assert f.value(np.array([[-40.0]]))[0] == pytest.approx(-40.0, abs=1e-12)
 
 
 def test_bayes_posterior_tilt_recovers_component(mixture_pm2):
@@ -161,7 +157,7 @@ def test_bayes_posterior_gradient_finite_differences(mixture_pm2):
         f = ClassifierCriterion(h, target_class=1, form=form)
         for x0 in (-2.5, 0.1, 1.7):
             fd = finite_diff_grad(lambda v: f.value(v), np.array([x0]), h=1e-5)
-            assert np.allclose(f.grad(np.array([x0])), fd, rtol=1e-4, atol=1e-8)
+            assert np.allclose(f.grad(np.array([[x0]]))[0], fd, rtol=1e-4, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +198,8 @@ def test_adversarial_tilt_is_geometric_interpolation(std_normal_1d):
 def test_peak_constant_curve():
     f = PeakCriterion(5, (1, 4), temperature=0.1)
     c = 2.5
-    x = np.full(5, c)
-    assert f.value(x) == pytest.approx(c + 0.1 * np.log(3))
+    x = np.full((1, 5), c)
+    assert f.value(x)[0] == pytest.approx(c + 0.1 * np.log(3))
 
 
 def test_peak_bounds_hard_max():
@@ -211,14 +207,14 @@ def test_peak_bounds_hard_max():
     f = PeakCriterion(8, (0, 8), temperature=0.05)
     for _ in range(20):
         x = rng.standard_normal(8)
-        assert f.value(x) >= x.max()
-        assert f.value(x) <= x.max() + 0.05 * np.log(8) + 1e-12
+        assert f.value(x[None])[0] >= x.max()
+        assert f.value(x[None])[0] <= x.max() + 0.05 * np.log(8) + 1e-12
 
 
 def test_peak_gradient_is_window_softmax():
     f = PeakCriterion(6, (2, 5), temperature=0.3)
     x = np.random.default_rng(1).standard_normal(6)
-    g = f.grad(x)
+    g = f.grad(x[None])[0]
     assert np.all(g[:2] == 0) and g[5] == 0
     assert g[2:5].sum() == pytest.approx(1.0)
     fd = finite_diff_grad(lambda v: f.value(v), x)
@@ -227,14 +223,14 @@ def test_peak_gradient_is_window_softmax():
 
 def test_window_mean_constant_curve_is_zero():
     f = WindowMeanCriterion(7, (2, 5))
-    assert f.value(np.full(7, 3.3)) == pytest.approx(0.0, abs=1e-12)
+    assert f.value(np.full((1, 7), 3.3))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_window_mean_indicator_curve():
     f = WindowMeanCriterion(10, (3, 7))
     x = np.zeros(10)
     x[3:7] = 1.0
-    assert f.value(x) == pytest.approx(1.0 - 4 / 10)
+    assert f.value(x[None])[0] == pytest.approx(1.0 - 4 / 10)
 
 
 def test_empty_or_out_of_range_window():
@@ -262,9 +258,9 @@ def test_lift_deterministic_gradient_chain_rule():
     f = QuadraticCriterion(3)
     lifted = LatentCriterion(f, dec, mc_samples=1)
     z = np.array([0.3, -0.7])
-    assert np.allclose(lifted.grad(z), f.grad(z @ a.T) @ a)
+    assert np.allclose(lifted.grad(z[None])[0], f.grad((z @ a.T)[None])[0] @ a)
     fd = finite_diff_grad(lambda v: lifted.value(v), z)
-    assert np.allclose(lifted.grad(z), fd, rtol=1e-5, atol=1e-8)
+    assert np.allclose(lifted.grad(z[None])[0], fd, rtol=1e-5, atol=1e-8)
 
 
 def test_lift_linear_criterion_noise_averages_out():
@@ -283,9 +279,9 @@ def test_lift_linear_criterion_noise_averages_out():
 def test_lift_mc_variance_scaling():
     dec = LatentDecoder([[1.0], [1.0]], noise_variance=1.0)
     f = QuadraticCriterion(2)
-    z = np.array([0.5])
-    vals_1 = [LatentCriterion(f, dec, 1, seed=s).value(z) for s in range(300)]
-    vals_100 = [LatentCriterion(f, dec, 100, seed=s).value(z) for s in range(300)]
+    z = np.array([[0.5]])
+    vals_1 = [LatentCriterion(f, dec, 1, seed=s).value(z)[0] for s in range(300)]
+    vals_100 = [LatentCriterion(f, dec, 100, seed=s).value(z)[0] for s in range(300)]
     ratio = np.var(vals_1) / np.var(vals_100)
     assert 30 < ratio < 300  # ~100x shrinkage
 

@@ -321,7 +321,7 @@ def test_audit_converged_benchmark_has_small_gaps(std_normal_1d):
     betas = [0.0, 0.5, 1.0, 1.5]
     curve = importance_curves(f, std_normal_1d, betas, n=10**5, seed=20)
     # a converged run's sweep: exact tilt values plus realistic MC noise
-    sweep = [(b, b + 0.005, b**2 / 2 + 0.005) for b in betas]
+    sweep = [_record(b, b + 0.005, b**2 / 2 + 0.005) for b in betas]
     report = audit_run(sweep, curve)
     assert not report.undershoot
     assert not report.stagnation
@@ -347,8 +347,8 @@ def test_audit_flags_undertrained_run(std_normal_1d):
 def test_audit_requires_matching_grids(std_normal_1d):
     f = LinearCriterion([1.0])
     curve = importance_curves(f, std_normal_1d, [0.0, 1.0], n=10**4, seed=24)
-    with pytest.raises(ContractError):
-        audit_run([(0.0, 0.0, 0.0)], curve)
+    with pytest.raises(ContractError, match="share a beta grid"):
+        audit_run([_record(0.0, 0.0, 0.0)], curve)
 
 
 def _record(beta, mean_f, dkl):
@@ -357,31 +357,22 @@ def _record(beta, mean_f, dkl):
     return {"iteration": 0, "beta": beta, "moments": est, "trace": []}
 
 
-def test_audit_takes_records_like_triples(std_normal_1d):
-    f = LinearCriterion([1.0])
-    betas = [0.0, 1.0, 2.0]
-    curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=25)
-    triples = [(0.0, 0.01, 0.02), (1.0, 0.4, 0.1), (2.0, 0.5, 0.12)]
-    from_records = audit_run([_record(*t) for t in triples], curve)
-    assert from_records == audit_run(triples, curve)
-    assert from_records.undershoot and from_records.stagnation
-
-
 @pytest.mark.parametrize(
     "point",
     [
         (1.0, _record(1.0, 0.5, 0.5)["moments"]),  # the retired (beta, moments) pair
+        (1.0, 0.5, 0.5),  # the retired (beta, mean_f, dkl) triple
         (1.0, 0.5),
         {"beta": 1.0, "mean_f": 0.5, "dkl": 0.5},
         {"moments": _record(1.0, 0.5, 0.5)["moments"]},
         (1.0, "half", 0.5),
         None,
     ],
-    ids=["pair", "short-tuple", "dict-without-moments", "record-without-beta",
+    ids=["pair", "triple", "short-tuple", "dict-without-moments", "record-without-beta",
          "non-numeric", "none"],
 )
 def test_audit_rejects_malformed_point(std_normal_1d, point):
     curve = importance_curves(LinearCriterion([1.0]), std_normal_1d, [0.0, 1.0], n=10**4,
                               seed=26)
     with pytest.raises(ContractError, match="audit point"):
-        audit_run([(0.0, 0.0, 0.0), point], curve)
+        audit_run([_record(0.0, 0.0, 0.0), point], curve)

@@ -15,12 +15,12 @@ LOG_2PI = np.log(2 * np.pi)
 
 
 def test_standard_normal_mode_log_density(std_normal_1d):
-    assert std_normal_1d.log_density(np.array([0.0])) == pytest.approx(-0.5 * LOG_2PI)
+    assert std_normal_1d.log_density(np.array([[0.0]]))[0] == pytest.approx(-0.5 * LOG_2PI)
 
 
 def test_mixture_log_density_matches_direct_sum(mixture_pm2, oracle_values):
     # two-term sum evaluated independently and frozen
-    assert mixture_pm2.log_density(np.array([0.0])) == pytest.approx(
+    assert mixture_pm2.log_density(np.array([[0.0]]))[0] == pytest.approx(
         oracle_values["mixture_pm2_logpdf_at_0"], abs=1e-12
     )
 
@@ -29,19 +29,19 @@ def test_latent_decoder_marginal_closed_form(oracle_values):
     dec = LatentDecoder([[1.0]], noise_variance=1.0)
     marginal = dec.marginal()
     # marginal of z -> z + eps is N(0, 2)
-    assert marginal.log_density(np.array([0.0])) == pytest.approx(
+    assert marginal.log_density(np.array([[0.0]]))[0] == pytest.approx(
         oracle_values["n_0_2_logpdf_at_0"], abs=1e-12
     )
 
 
 def test_log_density_dimension_mismatch(std_normal_2d):
     with pytest.raises(ContractError):
-        std_normal_2d.log_density(np.zeros(3))
+        std_normal_2d.log_density(np.zeros((1, 3)))
 
 
 def test_gaussian_score_values():
-    assert DiagGaussian([0.0], [1.0]).score(np.array([3.0]))[0] == pytest.approx(-3.0)
-    assert DiagGaussian([1.0], [4.0]).score(np.array([3.0]))[0] == pytest.approx(-0.5)
+    assert DiagGaussian([0.0], [1.0]).score(np.array([[3.0]]))[0, 0] == pytest.approx(-3.0)
+    assert DiagGaussian([1.0], [4.0]).score(np.array([[3.0]]))[0, 0] == pytest.approx(-0.5)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "mixture", "decoder"])
@@ -56,7 +56,7 @@ def test_score_matches_finite_differences(kind, mixture_pm2):
     for _ in range(10):
         x = rng.standard_normal(d.dim) * 2
         fd = finite_diff_grad(lambda v: d.log_density(v), x, h=1e-4)
-        assert np.allclose(d.score(x), fd, rtol=1e-5, atol=1e-7)
+        assert np.allclose(d.score(x[None])[0], fd, rtol=1e-5, atol=1e-7)
 
 
 def test_sample_mean_clt_bound(std_normal_1d):
@@ -129,6 +129,19 @@ def test_own_sample_loglik_matches_entropy():
     assert abs(ll.mean() - d.entropy()) < 3 * se
 
 
+def test_zero_weight_component_carries_no_density():
+    # a zero-weight component far from the live one: the mixture is N(0, 1)
+    mix = GaussianMixture([1.0, 0.0], [DiagGaussian([0.0], [1.0]), DiagGaussian([100.0], [1.0])])
+    x = np.array([[100.0], [0.0]])
+    assert np.array_equal(mix.log_density(x), DiagGaussian([0.0], [1.0]).log_density(x))
+    assert mix.log_density(x)[0] == pytest.approx(-5000.0 - 0.5 * LOG_2PI)
+    assert np.array_equal(mix.responsibilities(x), [[1.0, 0.0], [1.0, 0.0]])
+    log_p, resp, _, score = mix.posterior_terms(x)
+    assert np.array_equal(resp, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(score, [[-100.0], [0.0]])
+    assert np.all(mix.sample(1000, seed=0) < 50.0)
+
+
 def test_mixture_weight_validation():
     comps = [DiagGaussian([0.0], [1.0]), DiagGaussian([1.0], [1.0])]
     with pytest.raises(ContractError):
@@ -146,10 +159,10 @@ def test_deterministic_decoder_marginal_density_needs_full_rank():
     rank_deficient = LatentDecoder([[1.0], [1.0]], noise_variance=0.0).marginal()
     rank_deficient.sample(10, seed=0)  # sampling never factors the covariance
     with pytest.raises(ContractError):
-        rank_deficient.log_density(np.zeros(2))
+        rank_deficient.log_density(np.zeros((1, 2)))
     # full-rank deterministic decoder has a proper density
     full = LatentDecoder([[2.0]], noise_variance=0.0).marginal()
-    assert np.isfinite(full.log_density(np.zeros(1)))
+    assert np.isfinite(full.log_density(np.zeros((1, 1)))[0])
 
 
 def test_distribution_from_spec_loads_each_kind(mixture_pm2):

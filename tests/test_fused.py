@@ -107,7 +107,7 @@ def test_value_and_grad_equals_separate_calls(name, n, seed):
     f = CRITERIA[name]
     x = _points(f.dim, n, seed)
     _assert_same(f.value_and_grad(x), (f.value(x), f.grad(x)))
-    _assert_same(f.value_and_grad(x[0]), (f.value(x[0]), f.grad(x[0])))
+    _assert_same(f.value_and_grad(x[:1]), (f.value(x[:1]), f.grad(x[:1])))
 
 
 @pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
@@ -117,7 +117,7 @@ def test_log_density_and_score_equals_separate_calls(name, n, seed):
     p = DISTRIBUTIONS[name]
     x = _points(p.dim, n, seed)
     _assert_same(p.log_density_and_score(x), (p.log_density(x), p.score(x)))
-    _assert_same(p.log_density_and_score(x[0]), (p.log_density(x[0]), p.score(x[0])))
+    _assert_same(p.log_density_and_score(x[:1]), (p.log_density(x[:1]), p.score(x[:1])))
 
 
 def test_fused_default_keeps_missing_score_error():
@@ -163,7 +163,7 @@ def test_protocol_only_classifier_matches_logistic(form):
     builtin = ClassifierCriterion(logistic, 1, form)
     user = ClassifierCriterion(ProtocolOnlyClassifier(logistic), 1, form)
     x = _points(2, 33, 9)
-    for points in (x, x[0]):
+    for points in (x, x[:1]):
         _assert_same(user.value_and_grad(points), builtin.value_and_grad(points))
         _assert_same((user.value(points), user.grad(points)),
                      (builtin.value(points), builtin.grad(points)))

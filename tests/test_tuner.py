@@ -70,12 +70,11 @@ def test_elbo_names_non_finite_term(std_normal_1d):
         dim = 1
 
         def value(self, x):
-            batch, single = self._batch(x)
-            out = np.full(batch.shape[0], np.inf)
-            return out[0] if single else out
+            batch = self._batch(x)
+            return np.full(batch.shape[0], np.inf)
 
         def grad(self, x):
-            batch, single = self._batch(x)
+            batch = self._batch(x)
             return batch * 0
 
     g = init_identity(1, seed=0)
@@ -133,14 +132,12 @@ def test_fit_divergence_aborts_with_trace(std_normal_1d):
         dim = 1
 
         def value(self, x):
-            batch, single = self._batch(x)
-            out = np.where(batch[:, 0] < 10.0, batch[:, 0], np.nan)
-            return out[0] if single else out
+            batch = self._batch(x)
+            return np.where(batch[:, 0] < 10.0, batch[:, 0], np.nan)
 
         def grad(self, x):
-            batch, single = self._batch(x)
-            out = np.ones_like(batch)
-            return out[0] if single else out
+            batch = self._batch(x)
+            return np.ones_like(batch)
 
     g = init_identity(1, FlowArchitecture(blocks=1), seed=16)
     with pytest.raises(DivergenceError) as err:
