@@ -73,16 +73,13 @@ def _load(args) -> dict:
     return raw
 
 
-def _prepare_criterion(plan):
-    """Apply the configured affine normalization; returns (criterion, info)."""
-    if not plan.normalize:
-        return plan.criterion, None
-    f = normalize_affine(
-        plan.criterion,
-        plan.base,
-        plan.normalize_samples,
-        derive_seed(plan.seeds["sampling"], "normalize"),
-    )
+def _prepare_criterion(f, spec: dict, dist, seed: int):
+    """``f`` with the affine normalization its criterion ``spec`` asks for
+    (``normalize``, ``normalize_samples``) under ``dist``; returns
+    (criterion, info), info being the manifest's shift and scale or None."""
+    if not spec.get("normalize", True):
+        return f, None
+    f = normalize_affine(f, dist, spec.get("normalize_samples", 10000), seed)
     return f, {"shift": f.shift, "scale": f.scale}
 
 
@@ -135,7 +132,7 @@ class Outcome:
     artifacts: dict
     records: list = field(default_factory=list)
     converged: bool = True
-    normalization: dict | None = None
+    normalization: dict | list | None = None
     final: dict = field(default_factory=dict)
     summary: str | None = None
     failure: Exception | None = None
@@ -226,7 +223,10 @@ def run_command(args) -> int:
 
 
 def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
-    f_used, norm_info = _prepare_criterion(plan)
+    f_used, norm_info = _prepare_criterion(
+        plan.criterion, plan.config["criterion"], plan.base,
+        derive_seed(plan.seeds["sampling"], "normalize"),
+    )
     failure = None
     try:
         if plan.fixed_beta is not None:
@@ -260,7 +260,10 @@ def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
 
 
 def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
-    f_used, norm_info = _prepare_criterion(plan)
+    f_used, norm_info = _prepare_criterion(
+        plan.criterion, plan.config["criterion"], plan.base,
+        derive_seed(plan.seeds["sampling"], "normalize"),
+    )
     failure = None
     try:
         records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **_chain_options(plan))
@@ -292,13 +295,14 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     eval_dist = plan.decoder.prior() if specs[0].get("lift") is not None else plan.base
     seeds = plan.seeds
     candidates = []
+    normalization = []
     for i, spec in enumerate(specs):
-        f = criterion_from_spec(spec, plan.data_dist, plan.decoder, seeds)
-        f = normalize_affine(
-            f, eval_dist, spec.get("normalize_samples", 10000),
+        f, info = _prepare_criterion(
+            criterion_from_spec(spec, plan.data_dist, plan.decoder, seeds), spec, eval_dist,
             derive_seed(seeds["diagnostics"], "normalize", i),
         )
         candidates.append(f)
+        normalization.append(info)
 
     n = diag.get("samples", 10000)
     report = compare_criteria(
@@ -360,6 +364,7 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     return Outcome(
         "diagnosis complete",
         artifacts,
+        normalization=normalization,
         final={"best": best.label},
         summary=(
             f"best criterion is {best.label!r} "
@@ -404,10 +409,12 @@ def cmd_oracle(args) -> int:
         beta = args.beta
         mean_str = ",".join(f"{v:.12g}" for v in oracle.tilted_mean(beta))
         var_str = ",".join(f"{v:.12g}" for v in oracle.variance)
+        # every value first: an overflowing one raises before any line is printed
+        mean_f, dkl = oracle.mean_f(beta), oracle.dkl(beta)
         print(f"q = N([{mean_str}], [{var_str}])")
-        print(f"E_f = {oracle.mean_f(beta):.12g}")
+        print(f"E_f = {mean_f:.12g}")
         print(f"Var_f = {oracle.var_f(beta):.12g}")
-        print(f"D_KL = {oracle.dkl(beta):.12g}")
+        print(f"D_KL = {dkl:.12g}")
         return 0
     if args.oracle_command == "kl-bound":
         rng = make_generator(args.seed)

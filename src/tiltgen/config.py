@@ -288,8 +288,6 @@ class RunPlan:
     data_dist: Distribution
     decoder: LatentDecoder | None
     criterion: crit.Criterion
-    normalize: bool
-    normalize_samples: int
     flow_arch: FlowArchitecture
     tune: TuneConfig
     target: Target | None
@@ -400,12 +398,8 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
 
     crit_spec = config.get("criterion")
     criterion = None
-    normalize = True
-    normalize_samples = 10000
     if crit_spec is not None:
         criterion = criterion_from_spec(crit_spec, data_dist, decoder, seeds)
-        normalize = crit_spec.get("normalize", True)
-        normalize_samples = crit_spec.get("normalize_samples", 10000)
     lifted = crit_spec is not None and crit_spec.get("lift") is not None
     base = decoder.prior() if (decoder is not None and lifted) else data_dist
 
@@ -455,8 +449,6 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         data_dist=data_dist,
         decoder=decoder,
         criterion=criterion,
-        normalize=normalize,
-        normalize_samples=normalize_samples,
         flow_arch=flow_arch,
         tune=tune,
         target=target,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dists import Distribution, GaussianMixture, LatentDecoder, _as_batch
+from .dists import Distribution, GaussianMixture, LatentDecoder, _as_batch, _map_rows
 from .errors import ContractError, DegenerateCriterionError, NumericError
 from .rng import make_generator
 
@@ -89,20 +89,28 @@ class AffineNormalizedCriterion(Criterion):
         return (value - self.shift) / self.scale, grad / self.scale
 
 
+def _per_row(f: Criterion, x: np.ndarray, what: str, fn) -> np.ndarray:
+    """``fn`` of each row chunk of ``x`` (``dists._map_rows``), one ``what``
+    per row; a non-finite one raises ``NumericError`` naming ``f``."""
+    (out,) = _map_rows(lambda rows: (fn(rows),), x)
+    if not np.isfinite(out).all():
+        raise NumericError(
+            f"criterion {f.label!r} has a non-finite {what} on a base-model sample"
+        )
+    return out
+
+
 def normalize_affine(f: Criterion, p: Distribution, n: int, seed: int) -> Criterion:
     """Shift/scale ``f`` so its sample mean and std under ``p`` are 0 and 1.
 
-    Raises ``DegenerateCriterionError`` when the empirical variance is zero
-    (a constant criterion cannot drive any tilt), and ``NumericError`` when a
-    value is non-finite.
+    The sample is drawn whole and ``f`` is evaluated one row chunk at a
+    time.  Raises ``DegenerateCriterionError`` when the empirical variance
+    is zero (a constant criterion cannot drive any tilt), and
+    ``NumericError`` when a value is non-finite.
     """
     if n < 2:
         raise ContractError("normalization needs at least 2 samples")
-    values = np.asarray(f.value(p.sample(n, seed)), dtype=float)
-    if not np.isfinite(values).all():
-        raise NumericError(
-            f"criterion {f.label!r} has a non-finite value on a base-model sample"
-        )
+    values = _per_row(f, p.sample(n, seed), "value", f.value)
     shift = float(values.mean())
     scale = float(values.std(ddof=1))
     if not np.isfinite(scale) or scale < 1e-12 * max(1.0, abs(shift)):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import Criterion
+from .criteria import Criterion, _per_row
 from .dists import Distribution, _row_chunks
-from .errors import ContractError, NumericError
+from .errors import ContractError
 
 __all__ = [
     "GradNormProfile",
@@ -84,19 +84,6 @@ def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(f.grad(rows), axis=1)
 
     return _per_row(f, x, "gradient norm", norms)
-
-
-def _per_row(f: Criterion, x: np.ndarray, what: str, fn) -> np.ndarray:
-    """``fn`` of each row chunk of ``x``, one ``what`` per row; a
-    non-finite one raises ``NumericError`` naming ``f``."""
-    out = np.empty(x.shape[0])
-    for rows in _row_chunks(x.shape[0]):
-        out[rows] = fn(x[rows])
-    if not np.isfinite(out).all():
-        raise NumericError(
-            f"criterion {f.label!r} has a non-finite {what} on a base-model sample"
-        )
-    return out
 
 
 def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:

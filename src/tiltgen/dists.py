@@ -20,12 +20,12 @@ from .rng import make_generator
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Rows per chunk of a pass over many points: evaluation passes through the
-# flow, the criterion passes of ``diagnose`` and the mixture's per-row
-# gathers.  A pass holds one chunk's temporaries at a time, so its memory does
-# not grow with n.  With the default flow, chunks of 2048-8192 rows timed
-# alike on a 2-core box, and about a quarter faster than one batch of 50 000
-# rows.
+# Rows per chunk of a pass over many points: the evaluation passes of
+# ``_map_rows`` (the flow, the normalization and ``diagnose``'s criterion
+# passes) and the mixture's per-row gathers.  A pass holds one chunk's
+# temporaries at a time, so its memory does not grow with n.  With the default
+# flow, chunks of 2048-8192 rows timed alike on a 2-core box, and about a
+# quarter faster than one batch of 50 000 rows.
 EVAL_CHUNK_ROWS = 4096
 
 
@@ -40,6 +40,20 @@ def _row_chunks(n: int):
         stop = n if n - start <= EVAL_CHUNK_ROWS + 1 else start + EVAL_CHUNK_ROWS
         yield slice(start, stop)
         start = stop
+
+
+def _map_rows(fn, x: np.ndarray) -> tuple:
+    """``fn`` of each row chunk of ``x``, filled into fresh arrays: ``fn``
+    returns a tuple of float arrays with one entry per row of its chunk, and
+    the map the tuple of whole arrays.  An empty ``x`` is one empty chunk."""
+    outs = None
+    for rows in _row_chunks(x.shape[0]) if x.shape[0] else [slice(0, 0)]:
+        parts = fn(x[rows])
+        if outs is None:
+            outs = tuple(np.empty((x.shape[0], *part.shape[1:])) for part in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
 
 
 def _as_batch(x, dim: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import _as_batch, _row_chunks
+from .dists import _as_batch, _map_rows
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
 
@@ -301,29 +301,15 @@ class FlowModel:
                     raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
         raise NumericError("non-finite accumulated log-determinant")
 
-    def _eval_chunks(self, batch: np.ndarray):
-        """The evaluation pass: yields (rows, y, logdet) for the row chunks
-        of ``batch`` that ``dists._row_chunks`` gives.
-
-        Each chunk runs ``_forward_cached(chunk, keep=False)``, so a pass
-        holds one layer's activations of one chunk at a time, and a
-        non-finite chunk still names its first non-finite layer."""
-        for rows in _row_chunks(batch.shape[0]):
-            y, logdet, _ = self._forward_cached(batch[rows], keep=False)
-            yield rows, y, logdet
-
     def forward(self, x):
         """Map points forward; returns (y, logdet) with logdet per sample.
 
-        An evaluation pass in row chunks that keeps no per-layer caches (see
-        ``_eval_chunks``)."""
+        An evaluation pass: ``_forward_cached(chunk, keep=False)`` mapped
+        over the row chunks of ``dists._map_rows``, so it holds one layer's
+        activations of one chunk at a time, and a non-finite chunk still
+        names its first non-finite layer."""
         batch = _as_batch(x, self.dim)
-        y = np.empty(batch.shape)
-        logdet = np.empty(batch.shape[0])
-        for rows, y_rows, logdet_rows in self._eval_chunks(batch):
-            y[rows] = y_rows
-            logdet[rows] = logdet_rows
-        return y, logdet
+        return _map_rows(lambda chunk: self._forward_cached(chunk, keep=False)[:2], batch)
 
     def inverse(self, y):
         """Invert the stack; returns (x, logdet) where logdet is the forward

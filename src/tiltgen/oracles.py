@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import DiagGaussian, Distribution, LatentDecoder
-from .errors import ContractError, RareEventError
+from .errors import ContractError, NumericError, RareEventError
 from .rng import derive_seed
 
 __all__ = [
@@ -37,6 +37,9 @@ class GaussianTiltOracle:
 
         E[f]   = a.mu + beta * a.S.a        Var[f] = a.S.a (constant)
         D_KL   = beta^2 * a.S.a / 2          log Z  = beta*a.mu + beta^2*a.S.a/2
+
+    A value that overflows a float, a.S.a at construction or a result,
+    raises ``NumericError``.
     """
 
     def __init__(self, mean, variance, coeff):
@@ -47,16 +50,16 @@ class GaussianTiltOracle:
             raise ContractError("mean, variance and coeff must share shape")
         if np.any(self.variance <= 0):
             raise ContractError("variances must be strictly positive")
-        self._asa = float(self.coeff @ (self.variance * self.coeff))
+        self._asa = _finite("a.S.a", lambda: float(self.coeff @ (self.variance * self.coeff)))
 
     def tilted_mean(self, beta: float) -> np.ndarray:
-        return self.mean + beta * self.variance * self.coeff
+        return _finite("tilted mean", lambda: self.mean + beta * self.variance * self.coeff)
 
     def tilted_dist(self, beta: float) -> DiagGaussian:
         return DiagGaussian(self.tilted_mean(beta), self.variance)
 
     def mean_f(self, beta: float) -> float:
-        return float(self.coeff @ self.mean) + beta * self._asa
+        return _finite("E[f]", lambda: float(self.coeff @ self.mean) + beta * self._asa)
 
     def var_f(self, beta: float) -> float:
         return self._asa
@@ -65,10 +68,22 @@ class GaussianTiltOracle:
         return 0.0
 
     def dkl(self, beta: float) -> float:
-        return 0.5 * beta * beta * self._asa
+        return _finite("D_KL", lambda: 0.5 * beta * beta * self._asa)
 
     def log_z(self, beta: float) -> float:
-        return beta * float(self.coeff @ self.mean) + 0.5 * beta * beta * self._asa
+        return _finite(
+            "log Z", lambda: beta * float(self.coeff @ self.mean) + 0.5 * beta * beta * self._asa
+        )
+
+
+def _finite(what: str, compute):
+    """``compute()``, with numpy's overflow warnings off; a result that
+    overflowed to inf or nan raises ``NumericError`` instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    if not np.all(np.isfinite(value)):
+        raise NumericError(f"the Gaussian tilt's {what} is not finite (overflow)")
+    return value
 
 
 def top_quantile_threshold(

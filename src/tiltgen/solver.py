@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .criteria import Criterion
-from .dists import Distribution
+from .dists import Distribution, _map_rows
 from .errors import ContractError, DivergenceError, FlatCriterionError, NumericError
 from .flows import FlowArchitecture, init_identity
 from .rng import derive_seed
@@ -145,12 +145,13 @@ def estimate_moments(
         raise ContractError("moment estimation needs n >= 100")
     # draw the base points first, so the sampler's temporaries are freed
     # before f and the log-ratio are allocated
-    chunks = q._logratio_chunks(n, seed, q.base)
-    f_vals = np.empty(n)
-    logratio = np.empty(n)
-    for rows, y, logratio_rows in chunks:
-        f_vals[rows] = f.value(y)
-        logratio[rows] = logratio_rows
+    x_hat = q.base.sample(n, seed)
+
+    def f_and_logratio(chunk):
+        y, logratio = q._logratio(chunk, q.base)
+        return f.value(y), logratio
+
+    f_vals, logratio = _map_rows(f_and_logratio, x_hat)
     return MomentEstimates(
         mean_f=float(f_vals.mean()),
         var_f=float(f_vals.var(ddof=1)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dists import Distribution
+from .dists import Distribution, _map_rows
 from .errors import ContractError, DivergenceError, NumericError
 from .flows import FlowModel
 from .rng import derive_seed
@@ -126,34 +126,19 @@ class TunedModel(Distribution):
         return y
 
     def sample_with_logratio(self, n: int, seed: int):
-        """Draw n samples y and the exact log q(y) - log p(y) per sample.
-
-        Uses the generating base point: log q(y) = log p(x_hat) - logdet,
-        so no flow inversion is required.
-        """
-        chunks = self._logratio_chunks(n, seed, self.base)
-        y = np.empty((n, self.dim))
-        logratio = np.empty(n)
-        for rows, y_rows, logratio_rows in chunks:
-            y[rows] = y_rows
-            logratio[rows] = logratio_rows
-        return y, logratio
-
-    def _logratio_chunks(self, n: int, seed: int, other: Distribution):
-        """An iterator of (rows, y, log q(y) - log other(y)) over row chunks
-        of the n samples that ``sample(n, seed)`` draws.
-
-        The base points are drawn whole, at the call (so a bad ``n`` raises
-        here), and the random stream does not depend on the chunking; the
-        flow and the densities then run one chunk at a time, so a caller
-        that keeps only what it needs of each chunk holds no
-        n x hidden_width activations.
-        """
+        """Draw n samples y and the exact log q(y) - log p(y) per sample."""
         x_hat = self.base.sample(n, seed)
-        return (
-            (rows, y, self.base.log_density(x_hat[rows]) - logdet - other.log_density(y))
-            for rows, y, logdet in self.flow._eval_chunks(x_hat)
-        )
+        return _map_rows(lambda chunk: self._logratio(chunk, self.base), x_hat)
+
+    def _logratio(self, x_hat: np.ndarray, other: Distribution):
+        """(y, log q(y) - log other(y)) for a chunk of base points, y = g(x_hat).
+
+        log q(y) = log p(x_hat) - logdet needs no flow inversion.  Callers
+        draw the base points whole, so the random stream does not depend on
+        the chunking, and map this over them with ``dists._map_rows``.
+        """
+        y, logdet = self.flow._forward_cached(x_hat, keep=False)[:2]
+        return y, self.base.log_density(x_hat) - logdet - other.log_density(y)
 
     def log_density(self, x):
         # the flow's inverse checks that x is an (n, dim) batch
@@ -245,7 +230,7 @@ def kl_between(model: TunedModel, other: Distribution, n: int, seed: int) -> tup
     """
     if n < 2:
         raise ContractError("the KL estimate needs at least 2 samples")
-    values = np.empty(n)
-    for rows, _, logratio in model._logratio_chunks(n, seed, other):
-        values[rows] = logratio
+    x_hat = model.base.sample(n, seed)
+    # only the log-ratio is kept, not the (n, dim) samples
+    (values,) = _map_rows(lambda chunk: model._logratio(chunk, other)[1:], x_hat)
     return _mean_and_se(values)

@@ -3,8 +3,9 @@
 The base sample is drawn whole, then the flow, the densities and the
 criterion run over ``dists.EVAL_CHUNK_ROWS``-row chunks.  At n = 2 chunks + 17
 rows every entry point crosses two chunk boundaries and ends on a short chunk.
-The same row chunks run the criterion passes of ``diagnose`` and the
-mixture sampler's per-row gathers, which give the bytes of one batch.
+The same row chunks run the criterion passes of ``diagnose`` and of the
+normalization, and the mixture sampler's per-row gathers, which give the
+bytes of one batch.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from tiltgen import (
     dists,
     flows,
     init_identity,
+    normalize_affine,
 )
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel, kl_between
@@ -129,6 +131,20 @@ def test_evaluation_pass_chunk_sizes(n, chunks):
     y, logdet = g.forward(x)
     assert calls == chunks
     assert np.array_equal(y, x) and np.array_equal(logdet, np.zeros(n))
+    # the tuned model's passes, at each n they accept, map over the same
+    # chunks; through the identity flow q is the base, so log q / p is 0
+    model = TunedModel(DiagGaussian.standard(2), g, beta=1.0)
+    passes = {"sample_with_logratio": lambda: model.sample_with_logratio(n, SEED)[1]}
+    if n >= 2:
+        passes["kl_between"] = lambda: kl_between(model, model.base, n, SEED)
+    if n >= 100:
+        passes["estimate_moments"] = lambda: estimate_moments(
+            model, LinearCriterion([1.0, 0.0]), n, SEED
+        ).dkl
+    for name, run in passes.items():
+        calls.clear()
+        assert not np.any(run()), name
+        assert calls == chunks, name
 
 
 def test_non_finite_coupling_in_a_later_chunk_names_its_layer():
@@ -170,6 +186,20 @@ def diagnose_criteria(dim):
     ]
 
 
+def counted_values(f):
+    """Replace ``f.value`` by a wrapper; returns the list of the row counts
+    it is called with."""
+    calls = []
+    original = f.value
+
+    def counted(x):
+        calls.append(x.shape[0])
+        return original(x)
+
+    f.value = counted
+    return calls
+
+
 @pytest.mark.parametrize("dim", [1, 2, 16])
 @pytest.mark.parametrize("n", DIAGNOSE_SIZES)
 def test_criterion_passes_in_chunks_are_bit_identical_to_one_batch(n, dim):
@@ -179,6 +209,13 @@ def test_criterion_passes_in_chunks_are_bit_identical_to_one_batch(n, dim):
         assert np.array_equal(values, f.value(x)), f.label
         norms = diagnostics._grad_norms(f, x)
         assert np.array_equal(norms, np.linalg.norm(f.grad(x), axis=1)), f.label
+        if n >= 2:
+            # the normalization draws the same sample and maps f over its chunks
+            whole = f.value(x)
+            calls = counted_values(f)
+            g = normalize_affine(f, mixture(dim), n, SEED)
+            assert calls == [rows.stop - rows.start for rows in dists._row_chunks(n)], f.label
+            assert (g.shift, g.scale) == (whole.mean(), whole.std(ddof=1)), f.label
 
 
 @pytest.mark.parametrize("dim", [1, 2, 16])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -220,7 +221,7 @@ def test_failure_mid_chain_keeps_finished_fits_and_exits_three(
 ):
     command, make_config, _ = RUN_PATHS[path]
     monkeypatch.setattr(
-        cli, "_prepare_criterion", lambda plan: (NanAfter(plan.criterion, k), None)
+        cli, "_prepare_criterion", lambda f, spec, dist, seed: (NanAfter(f, k), None)
     )
     cfgp = write_config(tmp_path, make_config())
     out = tmp_path / "run"
@@ -584,6 +585,26 @@ def test_diagnose_non_finite_criterion_exits_one_naming_it(tmp_path, capsys, mon
     assert "criterion 'inf-above-3' has a non-finite value" in final["failure"]["message"]
 
 
+def test_diagnose_honours_normalize_and_records_the_normalization(tmp_path):
+    cfg = curve_diagnose_config()
+    linear = {"name": "linear", "normalize": False}
+    cfg["diagnostics"]["candidates"] = [
+        {**linear, "coefficients": [3.0]},
+        {**linear, "coefficients": [5.0]},
+        {"name": "linear", "coefficients": [5.0]},
+    ]
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    entries = json.loads((out / "report.json").read_text())["entries"]
+    assert [e["label"] for e in entries] == ["linear", "linear", "linear (normalized)"]
+    # a linear criterion's gradient norm is |a| / scale at every point
+    assert [e["profile"]["median"] for e in entries[:2]] == [3.0, 5.0]
+    off_a, off_b, info = json.loads((out / "manifest.json").read_text())["normalization"]
+    assert off_a is None and off_b is None
+    assert set(info) == {"shift", "scale"}
+    assert entries[2]["profile"]["median"] == pytest.approx(5.0 / info["scale"], rel=1e-12)
+
+
 def test_diagnose_mixed_lift_fails_before_out_dir(tmp_path, capsys):
     linear = {"name": "linear", "coefficients": [1.0, 0.0]}
     cfg = {
@@ -671,6 +692,16 @@ def test_oracle_tilt_beta_zero_identity(capsys):
     out = capsys.readouterr().out
     assert "q = N([0.5], [1])" in out
     assert "D_KL = 0" in out
+
+
+@pytest.mark.parametrize("coeff, what", [("1e200", "a.S.a"), ("1", "D_KL")])
+def test_oracle_tilt_overflow_exits_one_with_one_error_line(coeff, what, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", "tilt", "--beta", "1e200", "--coeff", coeff]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tiltgen: error: the Gaussian tilt's {what} is not finite (overflow)\n"
 
 
 def test_oracle_kl_bound(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from tiltgen import (
     DiagGaussian,
     LatentDecoder,
     LinearCriterion,
+    NumericError,
     RareEventError,
     RejectionSampler,
     discrete_qbeta,
@@ -49,6 +52,18 @@ def test_tilt_divergence_budget_value():
     v = GaussianTiltOracle([0.0], [1.0], [1.0])
     assert v.dkl(beta) == pytest.approx(4.61, abs=1e-12)
     assert beta == pytest.approx(3.036, abs=1e-3)
+
+
+@pytest.mark.parametrize("coeff, what", [(1e200, "a.S.a"), (1.0, "D_KL")])
+def test_tilt_overflow_raises_numeric_error_without_warnings(coeff, what):
+    # a.S.a = 1e400 overflows at construction; with a = 1 only beta^2/2 does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=what):
+            oracle = GaussianTiltOracle([0.0], [1.0], [coeff])
+            assert np.array_equal(oracle.tilted_mean(1e200), [1e200])
+            assert oracle.mean_f(1e200) == 1e200
+            oracle.dkl(1e200)
 
 
 def test_tilt_vs_discrete_table_on_fine_grid():
