@@ -14,7 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dists import Distribution, GaussianMixture, LatentDecoder, _as_batch, _map_rows
+from .dists import (
+    Distribution,
+    GaussianMixture,
+    LatentDecoder,
+    _as_batch,
+    _map_rows,
+    _sample_chunks,
+)
 from .errors import ContractError, DegenerateCriterionError, NumericError
 from .rng import make_generator
 
@@ -89,10 +96,11 @@ class AffineNormalizedCriterion(Criterion):
         return (value - self.shift) / self.scale, grad / self.scale
 
 
-def _per_row(f: Criterion, x: np.ndarray, what: str, fn) -> np.ndarray:
-    """``fn`` of each row chunk of ``x`` (``dists._map_rows``), one ``what``
-    per row; a non-finite one raises ``NumericError`` naming ``f``."""
-    (out,) = _map_rows(lambda rows: (fn(rows),), x)
+def _per_row(f: Criterion, n: int, chunks, what: str, fn) -> np.ndarray:
+    """``fn`` of each of ``chunks``, row chunks of ``n`` base-model points in
+    all (``dists._map_rows``), one ``what`` per row; a non-finite one raises
+    ``NumericError`` naming ``f``."""
+    (out,) = _map_rows(lambda rows: (fn(rows),), n, chunks)
     if not np.isfinite(out).all():
         raise NumericError(
             f"criterion {f.label!r} has a non-finite {what} on a base-model sample"
@@ -103,14 +111,14 @@ def _per_row(f: Criterion, x: np.ndarray, what: str, fn) -> np.ndarray:
 def normalize_affine(f: Criterion, p: Distribution, n: int, seed: int) -> Criterion:
     """Shift/scale ``f`` so its sample mean and std under ``p`` are 0 and 1.
 
-    The sample is drawn whole and ``f`` is evaluated one row chunk at a
-    time.  Raises ``DegenerateCriterionError`` when the empirical variance
-    is zero (a constant criterion cannot drive any tilt), and
-    ``NumericError`` when a value is non-finite.
+    The sample is drawn and ``f`` evaluated one row chunk at a time, so
+    only the n values are held.  Raises ``DegenerateCriterionError`` when the
+    empirical variance is zero (a constant criterion cannot drive any tilt),
+    and ``NumericError`` when a value is non-finite.
     """
     if n < 2:
         raise ContractError("normalization needs at least 2 samples")
-    values = _per_row(f, p.sample(n, seed), "value", f.value)
+    values = _per_row(f, n, _sample_chunks(p, n, seed), "value", f.value)
     shift = float(values.mean())
     scale = float(values.std(ddof=1))
     if not np.isfinite(scale) or scale < 1e-12 * max(1.0, abs(shift)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import Criterion, _per_row
-from .dists import Distribution, _row_chunks
+from .dists import Distribution, _chunks_of, _row_chunks, _sample_chunks
 from .errors import ContractError
 
 __all__ = [
@@ -83,7 +83,7 @@ def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
     def norms(rows):
         return np.linalg.norm(f.grad(rows), axis=1)
 
-    return _per_row(f, x, "gradient norm", norms)
+    return _per_row(f, x.shape[0], _chunks_of(x), "gradient norm", norms)
 
 
 def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:
@@ -170,12 +170,13 @@ def importance_curves(
 ) -> TheoreticalCurve:
     """The theoretical curve of ``f`` over ``beta_grid`` from ``n`` draws of ``p``.
 
-    The sample is drawn whole and ``f`` is evaluated one row chunk at a
-    time; a non-finite value raises ``NumericError`` naming ``f``.
+    The sample is drawn and ``f`` evaluated one row chunk at a time, so only
+    the n values are held; a non-finite value raises ``NumericError`` naming
+    ``f``.
     """
     if n < 10**4:
         raise ContractError("importance curves need n >= 10^4")
-    values = _per_row(f, p.sample(n, seed), "value", f.value)
+    values = _per_row(f, n, _sample_chunks(p, n, seed), "value", f.value)
     betas = np.asarray(list(beta_grid), dtype=float)
     log_z, mean_f, ess = _self_normalized(values, betas)
     dkl = betas * mean_f - log_z

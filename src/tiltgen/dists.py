@@ -6,6 +6,11 @@ Every distribution here exposes three operations computed in log space:
 * ``score(x)`` -- the input gradient of ``log_density`` (analytic per kind),
 * ``sample(n, seed)`` -- reproducible draws from an explicit seed.
 
+A built-in samples through one chunked draw, ``_draw``, which yields the
+sample one ``_row_chunks`` chunk at a time; ``sample`` fills the chunks into
+one array, and the large evaluation passes take them as they are drawn
+(``_sample_chunks``), so they hold no (n, dim) sample.
+
 Built-ins are a diagonal Gaussian, a Gaussian mixture with diagonal
 components, and the marginal of a linear-Gaussian latent decoder.  All are
 immutable after construction and safe to share across threads.
@@ -22,7 +27,7 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 # Rows per chunk of a pass over many points: the evaluation passes of
 # ``_map_rows`` (the flow, the normalization and ``diagnose``'s criterion
-# passes) and the mixture's per-row gathers.  A pass holds one chunk's
+# passes) and the built-ins' chunked draws.  A pass holds one chunk's
 # temporaries at a time, so its memory does not grow with n.  With the default
 # flow, chunks of 2048-8192 rows timed alike on a 2-core box, and about a
 # quarter faster than one batch of 50 000 rows.
@@ -42,18 +47,42 @@ def _row_chunks(n: int):
         start = stop
 
 
-def _map_rows(fn, x: np.ndarray) -> tuple:
-    """``fn`` of each row chunk of ``x``, filled into fresh arrays: ``fn``
-    returns a tuple of float arrays with one entry per row of its chunk, and
-    the map the tuple of whole arrays.  An empty ``x`` is one empty chunk."""
+def _map_rows(fn, n: int, chunks) -> tuple:
+    """``fn`` of each of ``chunks``, consecutive row chunks of ``n`` rows in
+    all, filled into fresh arrays: ``fn`` returns a tuple of float arrays with
+    one entry per row of its chunk, and the map the tuple of whole arrays."""
     outs = None
-    for rows in _row_chunks(x.shape[0]) if x.shape[0] else [slice(0, 0)]:
-        parts = fn(x[rows])
+    start = 0
+    for chunk in chunks:
+        parts = fn(chunk)
         if outs is None:
-            outs = tuple(np.empty((x.shape[0], *part.shape[1:])) for part in parts)
+            outs = tuple(np.empty((n, *part.shape[1:])) for part in parts)
+        stop = start + chunk.shape[0]
         for out, part in zip(outs, parts):
-            out[rows] = part
+            out[start:stop] = part
+        start = stop
     return outs
+
+
+def _chunks_of(x: np.ndarray):
+    """The ``_row_chunks`` of the array ``x``; an empty ``x`` is one empty chunk."""
+    if x.shape[0] == 0:
+        return [x]
+    return (x[rows] for rows in _row_chunks(x.shape[0]))
+
+
+def _sample_chunks(p: "Distribution", n: int, seed: int):
+    """``p.sample(n, seed)`` in ``_row_chunks``, drawn one chunk at a time.
+
+    A built-in's chunks come from its chunked draw, so no (n, dim) sample is
+    held.  A distribution that overrides ``sample`` is drawn whole through
+    its override and then sliced.  The check is on the class attribute, which
+    a wrapper installed on ``Distribution.sample`` leaves in place."""
+    if type(p).sample is not Distribution.sample:
+        return _chunks_of(p.sample(n, seed))
+    if n < 1:
+        raise ContractError("sample count must be >= 1")
+    return p._draw(n, seed)
 
 
 def _as_batch(x, dim: int) -> np.ndarray:
@@ -84,6 +113,18 @@ class Distribution:
         return self.log_density(x), self.score(x)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        """``n`` reproducible draws from ``seed``: the chunks of ``_draw``
+        filled into one (n, dim) array."""
+        if n < 1:
+            raise ContractError("sample count must be >= 1")
+        (x,) = _map_rows(lambda chunk: (chunk,), n, self._draw(n, seed))
+        return x
+
+    def _draw(self, n: int, seed: int):
+        """Yield ``sample(n, seed)`` one ``_row_chunks`` chunk at a time.
+
+        A built-in defines this and not ``sample``, so a sample drawn whole
+        and one streamed through ``_sample_chunks`` are the same bytes."""
         raise NotImplementedError
 
 
@@ -107,6 +148,7 @@ class DiagGaussian(Distribution):
             raise ContractError("variances must be strictly positive")
         self.dim = self.mean.shape[0]
         self._log_norm = 0.5 * np.sum(_LOG_2PI + np.log(self.variance))
+        self._std = np.sqrt(self.variance)
         self.mean.flags.writeable = False
         self.variance.flags.writeable = False
 
@@ -126,15 +168,15 @@ class DiagGaussian(Distribution):
         score = -diff / self.variance
         return log_p, score
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        if n < 1:
-            raise ContractError("sample count must be >= 1")
+    def _draw(self, n: int, seed: int):
         rng = make_generator(seed)
-        z = rng.standard_normal((n, self.dim))
-        # in place, the same bytes as mean + z * std
-        z *= np.sqrt(self.variance)
-        z += self.mean
-        return z
+        for rows in _row_chunks(n):
+            # one stream: the chunks' normals are those of one (n, dim) draw
+            z = rng.standard_normal((rows.stop - rows.start, self.dim))
+            # in place, the same bytes as mean + z * std
+            z *= self._std
+            z += self.mean
+            yield z
 
     def entropy(self) -> float:
         """Differential entropy, 0.5 * sum(1 + log(2 pi variance))."""
@@ -166,6 +208,8 @@ class GaussianMixture(Distribution):
         # a zero weight gets log weight -inf, so its component carries no density
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
+        self._std = np.sqrt(np.stack([c.variance for c in self.components]))
+        self._mean = np.stack([c.mean for c in self.components])
         self.weights.flags.writeable = False
 
     def _shifted_weights(self, component_log_densities):
@@ -211,20 +255,25 @@ class GaussianMixture(Distribution):
         log_p, _, _, score = self.posterior_terms(x)
         return log_p, score
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        if n < 1:
-            raise ContractError("sample count must be >= 1")
-        rng = make_generator(seed)
-        idx = rng.choice(len(self.components), size=n, p=self.weights)
-        z = rng.standard_normal((n, self.dim))
-        std = np.sqrt(np.stack([c.variance for c in self.components]))
-        mean = np.stack([c.mean for c in self.components])
-        # in place, gathering one chunk's scales and means at a time
+    def _draw(self, n: int, seed: int):
+        # The stream of one whole draw is n uniforms for the component
+        # indices (``choice`` with ``p`` takes one per row), then the normals.
+        # Two generators on the same seed walk it in chunks: ``pick`` through
+        # the uniforms, ``draw`` past them (discarded) and on through the
+        # normals.
+        pick, draw = make_generator(seed), make_generator(seed)
+        discard = np.empty(min(n, EVAL_CHUNK_ROWS + 1))
         for rows in _row_chunks(n):
-            chunk = z[rows]
-            chunk *= std[idx[rows]]
-            chunk += mean[idx[rows]]
-        return z
+            draw.random(out=discard[: rows.stop - rows.start])
+        k = len(self.components)
+        for rows in _row_chunks(n):
+            m = rows.stop - rows.start
+            idx = pick.choice(k, size=m, p=self.weights)
+            z = draw.standard_normal((m, self.dim))
+            # in place; ``take`` gathers the same bytes as fancy indexing, faster
+            z *= np.take(self._std, idx, axis=0)
+            z += np.take(self._mean, idx, axis=0)
+            yield z
 
 
 class LatentDecoder:
@@ -317,6 +366,8 @@ class DecoderMarginal(Distribution):
         return -self._solve(batch)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        # drawn whole: the two normal draws share one stream, and the first
+        # one's length in words varies, so the second cannot be found cheaply
         if n < 1:
             raise ContractError("sample count must be >= 1")
         rng = make_generator(seed)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import _as_batch, _map_rows
+from .dists import _as_batch, _chunks_of, _map_rows
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
 
@@ -309,7 +309,10 @@ class FlowModel:
         activations of one chunk at a time, and a non-finite chunk still
         names its first non-finite layer."""
         batch = _as_batch(x, self.dim)
-        return _map_rows(lambda chunk: self._forward_cached(chunk, keep=False)[:2], batch)
+        return _map_rows(
+            lambda chunk: self._forward_cached(chunk, keep=False)[:2],
+            batch.shape[0], _chunks_of(batch),
+        )
 
     def inverse(self, y):
         """Invert the stack; returns (x, logdet) where logdet is the forward

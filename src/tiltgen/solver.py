@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .criteria import Criterion
-from .dists import Distribution, _map_rows
+from .dists import Distribution, _map_rows, _sample_chunks
 from .errors import ContractError, DivergenceError, FlatCriterionError, NumericError
 from .flows import FlowArchitecture, init_identity
 from .rng import derive_seed
@@ -138,20 +138,18 @@ def estimate_moments(
     """Sample moments of f under q plus the pathwise divergence estimate.
 
     Standard errors come from batch means over contiguous sample blocks.
-    The samples are evaluated in row chunks and only f and the log-ratio
-    are kept, so memory grows with n by a few floats per sample.
+    The base points are drawn and evaluated one row chunk at a time and only
+    f and the log-ratio are kept, so memory grows with n by two floats per
+    sample, plus the moment statistics' temporaries.
     """
     if n < 100:
         raise ContractError("moment estimation needs n >= 100")
-    # draw the base points first, so the sampler's temporaries are freed
-    # before f and the log-ratio are allocated
-    x_hat = q.base.sample(n, seed)
 
     def f_and_logratio(chunk):
         y, logratio = q._logratio(chunk, q.base)
         return f.value(y), logratio
 
-    f_vals, logratio = _map_rows(f_and_logratio, x_hat)
+    f_vals, logratio = _map_rows(f_and_logratio, n, _sample_chunks(q.base, n, seed))
     return MomentEstimates(
         mean_f=float(f_vals.mean()),
         var_f=float(f_vals.var(ddof=1)),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dists import Distribution, _map_rows
+from .dists import Distribution, _map_rows, _sample_chunks
 from .errors import ContractError, DivergenceError, NumericError
 from .flows import FlowModel
 from .rng import derive_seed
@@ -108,8 +108,9 @@ class TunedModel(Distribution):
     """Pushforward of a base distribution through a fitted flow.
 
     Sampling perturbs base draws: sample(n, seed) == flow.forward(base.sample
-    (n, seed)).  The log-density inverts the flow (change of variables); the
-    pathwise log-ratio against the base needs no inverse at all.
+    (n, seed)), with the base points drawn one row chunk at a time.  The
+    log-density inverts the flow (change of variables); the pathwise
+    log-ratio against the base needs no inverse at all.
     """
 
     kind = "flow-pushforward"
@@ -122,20 +123,25 @@ class TunedModel(Distribution):
         self.dim = base.dim
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        y, _ = self.flow.forward(self.base.sample(n, seed))
+        (y,) = _map_rows(
+            lambda chunk: self.flow._forward_cached(chunk, keep=False)[:1],
+            n, _sample_chunks(self.base, n, seed),
+        )
         return y
 
     def sample_with_logratio(self, n: int, seed: int):
         """Draw n samples y and the exact log q(y) - log p(y) per sample."""
-        x_hat = self.base.sample(n, seed)
-        return _map_rows(lambda chunk: self._logratio(chunk, self.base), x_hat)
+        return _map_rows(
+            lambda chunk: self._logratio(chunk, self.base), n, _sample_chunks(self.base, n, seed)
+        )
 
     def _logratio(self, x_hat: np.ndarray, other: Distribution):
         """(y, log q(y) - log other(y)) for a chunk of base points, y = g(x_hat).
 
         log q(y) = log p(x_hat) - logdet needs no flow inversion.  Callers
-        draw the base points whole, so the random stream does not depend on
-        the chunking, and map this over them with ``dists._map_rows``.
+        map this with ``dists._map_rows`` over the base sample's chunks as
+        ``dists._sample_chunks`` draws them; the chunked draw gives the bytes
+        of one whole draw, so the result does not depend on the chunking.
         """
         y, logdet = self.flow._forward_cached(x_hat, keep=False)[:2]
         return y, self.base.log_density(x_hat) - logdet - other.log_density(y)
@@ -230,7 +236,8 @@ def kl_between(model: TunedModel, other: Distribution, n: int, seed: int) -> tup
     """
     if n < 2:
         raise ContractError("the KL estimate needs at least 2 samples")
-    x_hat = model.base.sample(n, seed)
     # only the log-ratio is kept, not the (n, dim) samples
-    (values,) = _map_rows(lambda chunk: model._logratio(chunk, other)[1:], x_hat)
+    (values,) = _map_rows(
+        lambda chunk: model._logratio(chunk, other)[1:], n, _sample_chunks(model.base, n, seed)
+    )
     return _mean_and_se(values)

@@ -1,11 +1,11 @@
 """Evaluation passes run in row chunks and give what one whole batch gives.
 
-The base sample is drawn whole, then the flow, the densities and the
-criterion run over ``dists.EVAL_CHUNK_ROWS``-row chunks.  At n = 2 chunks + 17
-rows every entry point crosses two chunk boundaries and ends on a short chunk.
-The same row chunks run the criterion passes of ``diagnose`` and of the
-normalization, and the mixture sampler's per-row gathers, which give the
-bytes of one batch.
+The base sample is drawn one ``dists.EVAL_CHUNK_ROWS``-row chunk at a time,
+and the flow, the densities and the criterion run over each chunk as it is
+drawn.  At n = 2 chunks + 17 rows every entry point crosses two chunk
+boundaries and ends on a short chunk.  The same row chunks run the criterion
+passes of ``diagnose`` and of the normalization, and the built-ins' chunked
+draws, which give the bytes of one whole draw.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from tiltgen import (
     init_identity,
     normalize_affine,
 )
+from tiltgen.rng import make_generator
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel, kl_between
 
@@ -205,7 +206,7 @@ def counted_values(f):
 def test_criterion_passes_in_chunks_are_bit_identical_to_one_batch(n, dim):
     x = mixture(dim).sample(n, SEED)
     for f in diagnose_criteria(dim):
-        values = diagnostics._per_row(f, x, "value", f.value)
+        values = diagnostics._per_row(f, n, dists._chunks_of(x), "value", f.value)
         assert np.array_equal(values, f.value(x)), f.label
         norms = diagnostics._grad_norms(f, x)
         assert np.array_equal(norms, np.linalg.norm(f.grad(x), axis=1)), f.label
@@ -224,3 +225,96 @@ def test_mixture_sample_in_chunks_is_bit_identical_to_one_batch(n, dim, monkeypa
     chunked = mixture(dim).sample(n, SEED)
     monkeypatch.setattr(dists, "EVAL_CHUNK_ROWS", n)
     assert np.array_equal(chunked, mixture(dim).sample(n, SEED))
+
+
+# Streamed draws.  The built-ins draw a sample one row chunk at a time; the
+# references below are the whole-sample draws that ``sample`` made before
+# that, so a streamed pass sees the bytes of one whole draw.
+
+
+def reference_gaussian_sample(p, n, seed):
+    rng = make_generator(seed)
+    z = rng.standard_normal((n, p.dim))
+    z *= np.sqrt(p.variance)
+    z += p.mean
+    return z
+
+
+def reference_mixture_sample(p, n, seed):
+    rng = make_generator(seed)
+    idx = rng.choice(len(p.components), size=n, p=p.weights)
+    z = rng.standard_normal((n, p.dim))
+    std = np.sqrt(np.stack([c.variance for c in p.components]))
+    mean = np.stack([c.mean for c in p.components])
+    for rows in dists._row_chunks(n):
+        chunk = z[rows]
+        chunk *= std[idx[rows]]
+        chunk += mean[idx[rows]]
+    return z
+
+
+def streamed_distribution(kind, dim):
+    """(distribution, reference whole-sample draw) of each streamed kind."""
+    comps = [
+        DiagGaussian(np.full(dim, -2.0), np.full(dim, 0.5)),
+        DiagGaussian(np.linspace(1.0, 2.0, dim), np.linspace(0.5, 1.5, dim)),
+        DiagGaussian(np.full(dim, 4.0), np.full(dim, 2.0)),
+    ]
+    if kind == "gaussian":
+        return DiagGaussian(np.linspace(-1.0, 1.0, dim), np.linspace(0.2, 3.0, dim)), (
+            reference_gaussian_sample
+        )
+    weights = {
+        "mixture-1": [1.0],
+        "mixture-2-zero": [0.0, 1.0],
+        "mixture-3-zero": [0.3, 0.0, 0.7],
+        "mixture-3": [0.2, 0.5, 0.3],
+    }[kind]
+    return GaussianMixture(weights, comps[: len(weights)]), reference_mixture_sample
+
+
+STREAM_SIZES = [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 1, 100_003]
+
+
+@pytest.mark.parametrize("n", STREAM_SIZES)
+@pytest.mark.parametrize("dim", [1, 2, 16])
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "mixture-1", "mixture-2-zero", "mixture-3-zero", "mixture-3"]
+)
+def test_streamed_draw_is_the_whole_sample_stream(kind, dim, n):
+    p, reference = streamed_distribution(kind, dim)
+    want = reference(p, n, SEED)
+    chunks = list(dists._sample_chunks(p, n, SEED))
+    assert [c.shape[0] for c in chunks] == [r.stop - r.start for r in dists._row_chunks(n)]
+    assert np.array_equal(np.concatenate(chunks), want)
+    assert np.array_equal(p.sample(n, SEED), want)
+
+
+class OverriddenSample(DiagGaussian):
+    """A Gaussian whose ``sample`` override shifts the built-in draw; passes
+    must draw through the override."""
+
+    def __init__(self):
+        super().__init__([0.0, 0.0], [1.0, 1.0])
+        self.calls = []
+
+    def sample(self, n, seed):
+        self.calls.append(n)
+        return super().sample(n, seed) + 10.0
+
+
+def test_streamed_passes_draw_through_an_overridden_sample():
+    p = OverriddenSample()
+    f = LinearCriterion([1.0, 0.5])
+    n = 3 * CHUNK + 17  # importance curves need 10^4 draws
+    values = f.value(p.sample(n, SEED))
+    p.calls.clear()
+    curve = diagnostics.importance_curves(f, p, [0.0], n, SEED)
+    # the override moves f by 15, so the weighted mean tells the draws apart
+    assert curve.mean_f[0] == pytest.approx(values.mean(), rel=1e-12)
+    g = normalize_affine(f, p, n, SEED)
+    assert (g.shift, g.scale) == (values.mean(), values.std(ddof=1))
+    identity = init_identity(2, FlowArchitecture(blocks=1), seed=3)
+    moments = estimate_moments(TunedModel(p, identity, beta=1.0), f, n, SEED)
+    assert moments.mean_f == values.mean()
+    assert p.calls == [n, n, n]

@@ -12,7 +12,8 @@ Evaluation passes also run in row chunks of ``dists.EVAL_CHUNK_ROWS``, so
 those activations are a chunk's, not the whole sample's, and the memory of
 ``estimate_moments`` grows with n by a few floats per sample only.  The
 criterion passes of ``diagnose`` run in the same chunks, so there too a
-criterion's temporaries are a chunk's.
+criterion's temporaries are a chunk's.  The base sample of these passes is
+drawn chunk by chunk too, so none of them holds an (n, dim) sample.
 """
 
 import tracemalloc
@@ -118,3 +119,25 @@ def test_compare_criteria_memory_is_the_sample_and_its_norms():
     # whole-sample gradient passes peaked at 32.5 MiB
     peak = _peak_bytes(compare_criteria, CANDIDATES, MIXTURE, 200_000, 8)
     assert peak <= 15 * MIB, f"peaked at {peak / MIB:.1f} MiB"
+
+
+def test_moment_estimate_holds_no_base_sample():
+    n = 200_000
+    chunk_activation_bytes = EVAL_CHUNK_ROWS * ARCH.hidden_width * 8
+    # the base points are drawn one chunk at a time, so the peak is f, the
+    # log-ratio and two temporaries of the moment statistics: 4.0 n-length
+    # float arrays measured (tracemalloc), plus one chunk's hidden activation
+    # of margin; a whole (n, 2) base sample adds two more (6.0 measured)
+    bound = 4 * n * 8 + chunk_activation_bytes
+    peak = _peak_bytes(estimate_moments, _perturbed_model(), LinearCriterion([1.0, 0.0]), n, 6)
+    assert peak < bound, f"estimate_moments peaked at {peak / (n * 8):.1f} n-length arrays"
+
+
+@pytest.mark.parametrize("position", range(len(CANDIDATES)))
+def test_importance_curves_memory_is_the_values_and_a_chunk(position):
+    # the sample is drawn one chunk at a time: its 10^6 values (7.6 MiB), the
+    # reweighting block (1.3 MiB) and a chunk's temporaries; 9.4 MiB measured
+    # (tracemalloc), 23.8 MiB with the sample drawn whole
+    betas = np.linspace(0.0, 4.0, 41)
+    peak = _peak_bytes(importance_curves, CANDIDATES[position], MIXTURE, betas, 10**6, 7)
+    assert peak <= 12 * MIB, f"peaked at {peak / MIB:.1f} MiB"
