@@ -34,7 +34,6 @@ from .errors import ConfigError, TiltgenError
 from .manifest import (
     MOMENT_COLUMNS,
     build_manifest,
-    moments_dict,
     moments_row,
     write_csv,
     write_json_atomic,
@@ -97,7 +96,6 @@ def _chain_options(plan) -> dict:
         "arch": plan.flow_arch,
         "tune_cfg": plan.tune,
         "moments_n": plan.moments_samples,
-        "moments_batches": plan.moments_batches,
         "seed": plan.seeds["sampling"],
         "init_seed": plan.seeds["init"],
     }
@@ -164,7 +162,7 @@ def _iteration(record: dict) -> dict:
     """Manifest entry of one fit record: its scalar fields and the moments;
     the volatile ``seconds`` go to timings.json instead."""
     fields = {k: v for k, v in record.items() if k not in ("moments", "trace", "seconds")}
-    return {**fields, **moments_dict(record["moments"])}
+    return {**fields, **asdict(record["moments"])}
 
 
 _REQUIRES = {"tune": "target", "pareto": "sweep", "diagnose": "diagnostics"}
@@ -178,7 +176,7 @@ def _write_record(command, raw, plan, out, phases, outcome) -> None:
         final["failure"] = {"type": type(failure).__name__, "message": str(failure)}
     if outcome.records:
         last = outcome.records[-1]
-        final.update(beta=last["beta"], **moments_dict(last["moments"]))
+        final.update(beta=last["beta"], **asdict(last["moments"]))
     manifest = build_manifest(
         command, raw, plan.seeds, [_iteration(r) for r in outcome.records],
         final, outcome.artifacts, outcome.normalization,

@@ -42,12 +42,22 @@ _DISTRIBUTION_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "required": ["kind"],
+    # each kind's required keys, and the shape of its weights
+    "allOf": [
+        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+         "then": {"required": required, "properties": shapes}}
+        for kind, required, shapes in [
+            ("diag-gaussian", ["mean", "variance"], {}),
+            ("gaussian-mixture", ["weights", "components"], {"weights": _NUMBER_ARRAY}),
+            ("latent-decoder", ["weights", "noise_variance"], {"weights": _NUMBER_MATRIX}),
+        ]
+    ],
     "properties": {
         "kind": {"enum": ["diag-gaussian", "gaussian-mixture", "latent-decoder"]},
         "mean": _NUMBER_ARRAY,
         "variance": _NUMBER_ARRAY,
         # mixture weights (flat) or decoder weight matrix (nested)
-        "weights": {"oneOf": [_NUMBER_ARRAY, _NUMBER_MATRIX]},
+        "weights": {"type": "array"},
         "components": {
             "type": "array",
             "minItems": 1,
@@ -168,10 +178,7 @@ SCHEMA = {
         "moments": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "samples": {"type": "integer", "minimum": 100},
-                "batches": {"type": "integer", "minimum": 2},
-            },
+            "properties": {"samples": {"type": "integer", "minimum": 100}},
         },
         "diagnostics": {
             "type": "object",
@@ -295,7 +302,6 @@ class RunPlan:
     sweep_betas: list | None
     solver_options: dict
     moments_samples: int
-    moments_batches: int
     output_samples: int
     seeds: dict
 
@@ -427,7 +433,6 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
             target = Target(mode, float(target_spec["value"]))
 
     sweep_betas = config.get("sweep", {}).get("betas")
-    moments_spec = config.get("moments", {})
 
     if require == "target" and target is None and fixed_beta is None:
         raise ConfigError("this command requires a 'target' block")
@@ -455,8 +460,7 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         fixed_beta=fixed_beta,
         sweep_betas=sweep_betas,
         solver_options=dict(config.get("solver", {})),
-        moments_samples=moments_spec.get("samples", 20000),
-        moments_batches=moments_spec.get("batches", 32),
+        moments_samples=config.get("moments", {}).get("samples", 20000),
         output_samples=config.get("outputs", {}).get("samples", 1000),
         seeds=dict(seeds),
     )

@@ -260,8 +260,10 @@ class AdversarialCriterion(Criterion):
     def value(self, x):
         return self.p_data.log_density(x) - self.p_model.log_density(x)
 
-    def grad(self, x):
-        return self.p_data.score(x) - self.p_model.score(x)
+    def value_and_grad(self, x):
+        log_data, score_data = self.p_data.log_density_and_score(x)
+        log_model, score_model = self.p_model.log_density_and_score(x)
+        return log_data - log_model, score_data - score_model
 
 
 def _check_window(window, dim: int) -> tuple[int, int]:

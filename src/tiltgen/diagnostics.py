@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 ZERO_MASS_EPS = 1e-3  # a norm below eps * max counts as a dead-gradient point
+ESS_FLOOR = 50.0  # a curve point with a smaller effective sample size is unreliable
+UNDERSHOOT_MARGIN = 0.1  # audit_run's flags: see its docstring
+STAGNATION_RATIO = 0.2
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class TheoreticalCurve:
     log Z is the self-normalized log-mean weight, the expectation is the
     weighted mean of f, and the divergence is beta * E - log Z.  ``reliable``
     turns False from the first beta whose effective sample size drops below
-    the floor and stays False beyond it.
+    ``ESS_FLOOR`` and stays False beyond it.
     """
 
     betas: np.ndarray
@@ -166,7 +169,6 @@ def importance_curves(
     beta_grid,
     n: int,
     seed: int,
-    ess_floor: float = 50.0,
 ) -> TheoreticalCurve:
     """The theoretical curve of ``f`` over ``beta_grid`` from ``n`` draws of ``p``.
 
@@ -180,7 +182,7 @@ def importance_curves(
     betas = np.asarray(list(beta_grid), dtype=float)
     log_z, mean_f, ess = _self_normalized(values, betas)
     dkl = betas * mean_f - log_z
-    reliable = np.logical_and.accumulate(ess >= ess_floor)
+    reliable = np.logical_and.accumulate(ess >= ESS_FLOOR)
     return TheoreticalCurve(betas, log_z, mean_f, dkl, ess, reliable)
 
 
@@ -287,20 +289,16 @@ def _audit_point(point) -> tuple[float, float, float]:
         ) from None
 
 
-def audit_run(
-    sweep,
-    curve: TheoreticalCurve,
-    undershoot_margin: float = 0.1,
-    stagnation_ratio: float = 0.2,
-) -> AuditReport:
+def audit_run(sweep, curve: TheoreticalCurve) -> AuditReport:
     """Compare a sweep's measured points against the theoretical curve.
 
     ``sweep`` is a sequence of fit records, as ``solve`` and ``pareto_sweep``
     return them, on the same beta grid as ``curve``; any other point raises
     ``ContractError``.  An undershoot flag marks a point whose measured
-    expectation falls short of the prediction by more than the margin; a
-    stagnation flag marks a step where the measured divergence barely moves
-    while the predicted one grows.
+    expectation falls short of the prediction by more than
+    ``UNDERSHOOT_MARGIN`` of its scale; a stagnation flag marks a step where
+    the predicted divergence grows by more than 0.1 and the measured one by
+    less than ``STAGNATION_RATIO`` of that.
     """
     triples = [_audit_point(point) for point in sweep]
     betas = np.array([t[0] for t in triples])
@@ -317,12 +315,12 @@ def audit_run(
         scale_d = max(abs(theo_d), 1.0)
         mean_gap = (emp_e - theo_e) / scale_e
         dkl_gap = (emp_d - theo_d) / scale_d
-        undershoot = (theo_e - emp_e) > undershoot_margin * scale_e
+        undershoot = (theo_e - emp_e) > UNDERSHOOT_MARGIN * scale_e
         stagnation = False
         if prev_theo_dkl is not None:
             theo_inc = theo_d - prev_theo_dkl
             emp_inc = emp_d - prev_emp_dkl
-            stagnation = theo_inc > 0.1 and emp_inc < stagnation_ratio * theo_inc
+            stagnation = theo_inc > 0.1 and emp_inc < STAGNATION_RATIO * theo_inc
         prev_emp_dkl, prev_theo_dkl = emp_d, theo_d
         any_under = any_under or undershoot
         any_stag = any_stag or stagnation

@@ -195,6 +195,8 @@ class GaussianMixture(Distribution):
     def __init__(self, weights, components):
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float)).copy()
         self.components = tuple(components)
+        if self.weights.ndim != 1:
+            raise ContractError("mixture weights must be a 1-d array")
         if len(self.components) != self.weights.shape[0]:
             raise ContractError("one weight per component required")
         if np.any(self.weights < 0.0):

@@ -71,10 +71,6 @@ def moments_row(est: MomentEstimates) -> list[float]:
     return [getattr(est, name) for name in MOMENT_COLUMNS]
 
 
-def moments_dict(est: MomentEstimates) -> dict:
-    return {name: getattr(est, name) for name in MOMENT_COLUMNS + ["n"]}
-
-
 def build_manifest(
     command: str,
     config: dict,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import DiagGaussian, Distribution, LatentDecoder
+from .criteria import _per_row
+from .dists import DiagGaussian, Distribution, LatentDecoder, _sample_chunks
 from .errors import ContractError, NumericError, RareEventError
 from .rng import derive_seed
 
@@ -89,12 +90,13 @@ def _finite(what: str, compute):
 def top_quantile_threshold(
     p: Distribution, f, rho: float, n: int, seed: int
 ) -> float:
-    """Empirical (1 - rho)-quantile of f under p."""
+    """Empirical (1 - rho)-quantile of f on n draws of p, evaluated one row
+    chunk at a time as drawn; a non-finite value raises ``NumericError``."""
     if not 0.0 < rho < 1.0:
         raise ContractError("rho must lie in (0, 1)")
     if n * rho < 100:
         raise ContractError("need n * rho >= 100 for a stable quantile")
-    values = np.asarray(f.value(p.sample(n, seed)), dtype=float)
+    values = _per_row(f, n, _sample_chunks(p, n, seed), "value", f.value)
     return float(np.quantile(values, 1.0 - rho))
 
 

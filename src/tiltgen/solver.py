@@ -47,6 +47,10 @@ log = logging.getLogger(__name__)
 # what a fit, a moment estimate or a beta proposal raises when it fails
 CHAIN_FAILURES = (DivergenceError, NumericError, FlatCriterionError)
 
+# contiguous blocks of a moment sample whose means give its standard errors
+# (fewer when a block would hold under 4 values)
+SE_BLOCKS = 32
+
 
 @dataclass(frozen=True)
 class MomentEstimates:
@@ -123,18 +127,16 @@ def _third_central(values: np.ndarray) -> float:
     return m3 * n * n / ((n - 1) * (n - 2))
 
 
-def _batch_se(values: np.ndarray, stat, batches: int) -> float:
+def _batch_se(values: np.ndarray, stat) -> float:
     """Standard error of a statistic by the method of batch means."""
     n = values.shape[0]
-    b = max(2, min(batches, n // 4))
+    b = max(2, min(SE_BLOCKS, n // 4))
     size = n // b
     stats = np.array([stat(values[i * size : (i + 1) * size]) for i in range(b)])
     return float(stats.std(ddof=1) / np.sqrt(b))
 
 
-def estimate_moments(
-    q: TunedModel, f: Criterion, n: int, seed: int, batches: int = 32
-) -> MomentEstimates:
+def estimate_moments(q: TunedModel, f: Criterion, n: int, seed: int) -> MomentEstimates:
     """Sample moments of f under q plus the pathwise divergence estimate.
 
     Standard errors come from batch means over contiguous sample blocks.
@@ -156,10 +158,10 @@ def estimate_moments(
         third_central_f=_third_central(f_vals),
         dkl=float(logratio.mean()),
         n=n,
-        se_mean=_batch_se(f_vals, lambda v: v.mean(), batches),
-        se_var=_batch_se(f_vals, lambda v: v.var(ddof=1), batches),
-        se_third=_batch_se(f_vals, _third_central, batches),
-        se_dkl=_batch_se(logratio, lambda v: v.mean(), batches),
+        se_mean=_batch_se(f_vals, lambda v: v.mean()),
+        se_var=_batch_se(f_vals, lambda v: v.var(ddof=1)),
+        se_third=_batch_se(f_vals, _third_central),
+        se_dkl=_batch_se(logratio, lambda v: v.mean()),
     )
 
 
@@ -241,7 +243,6 @@ def fit_chain(
     arch: FlowArchitecture = FlowArchitecture(),
     tune_cfg: TuneConfig = TuneConfig(),
     moments_n: int = 20000,
-    moments_batches: int = 32,
     seed: int = 0,
     init_seed: int | None = None,
 ) -> tuple[TunedModel, list[dict]]:
@@ -261,9 +262,11 @@ def fit_chain(
 
     Fit 0 runs ``tune_cfg`` as given.  Fit i > 0 runs its ``warm_steps``
     budget on batches drawn from ``derive_seed(tune_cfg.seed, "fit", i)``.
-    Fit i measures on samples drawn from ``derive_seed(seed, "moments", i)``.
-    ``init_seed`` drives the flow initialization and defaults to a stream
-    derived from ``seed``.
+    Fit i measures on ``moments_n`` samples drawn from
+    ``derive_seed(seed, "moments", i)``.  ``init_seed`` drives the flow
+    initialization and defaults to a stream derived from ``seed``.
+    The parameters after ``propose`` are the chain settings, declared here
+    only: ``solve`` and ``pareto_sweep`` pass theirs on as keywords.
     """
     if init_seed is None:
         init_seed = derive_seed(seed, "init")
@@ -279,9 +282,7 @@ def fit_chain(
             model = fit_q(p, f, beta, flow, cfg)
             fitted = time.perf_counter()
             flow = model.flow
-            est = estimate_moments(
-                model, f, moments_n, derive_seed(seed, "moments", i), moments_batches
-            )
+            est = estimate_moments(model, f, moments_n, derive_seed(seed, "moments", i))
             seconds = {"fit_s": fitted - start, "moments_s": time.perf_counter() - fitted}
             log.info(
                 "fit %d at beta=%.6g: %d steps in %.3f s, moments in %.3f s",
@@ -312,21 +313,17 @@ def solve(
     p: Distribution,
     f: Criterion,
     target: Target,
-    arch: FlowArchitecture = FlowArchitecture(),
-    tune_cfg: TuneConfig = TuneConfig(),
-    moments_n: int = 20000,
-    moments_batches: int = 32,
-    seed: int = 0,
-    init_seed: int | None = None,
+    *,
     max_iterations: int = 20,
     relative_tolerance: float = 1e-2,
     beta_tolerance: float = 1e-3,
+    **chain,
 ) -> SolveResult:
     """Run the full search: fit, measure, update beta, repeat.
 
     ``f`` is used as given; call ``normalize_affine`` first to normalize it.
-    ``seed`` drives the moment sampling and ``init_seed`` the flow
-    initialization, as in ``fit_chain``.  Convergence means the measured
+    The chain settings are keywords passed on to ``fit_chain``, which
+    declares them and their defaults.  Convergence means the measured
     target quantity is within max(relative_tolerance * |target|, 3 se) of
     the target value.  A beta update smaller than beta_tolerance * max(1,
     beta) while the target is still missed reports non-convergence
@@ -357,9 +354,7 @@ def solve(
             return None
         return new_beta if len(records) < max_iterations else None
 
-    model, records = fit_chain(
-        p, f, 0.0, propose, arch, tune_cfg, moments_n, moments_batches, seed, init_seed
-    )
+    model, records = fit_chain(p, f, 0.0, propose, **chain)
     return SolveResult(model, records, converged, message)
 
 
@@ -367,18 +362,14 @@ def pareto_sweep(
     p: Distribution,
     f: Criterion,
     beta_grid,
-    arch: FlowArchitecture = FlowArchitecture(),
-    tune_cfg: TuneConfig = TuneConfig(),
-    moments_n: int = 20000,
-    moments_batches: int = 32,
-    seed: int = 0,
-    init_seed: int | None = None,
+    **chain,
 ) -> list[dict]:
     """Warm-started fits along an increasing beta grid starting at 0.
 
     Returns one record per grid value, in ``fit_chain``'s shape, suitable
     for plotting the divergence-vs-expectation trade-off curve.  Grid point
-    i draws the same fit and moment streams as iteration i of ``solve``.
+    i draws the same fit and moment streams as iteration i of ``solve``; the
+    chain settings are keywords passed on to ``fit_chain``, as there.
     """
     grid = [float(b) for b in beta_grid]
     if not grid or grid[0] != 0.0:
@@ -388,6 +379,6 @@ def pareto_sweep(
     _, records = fit_chain(
         p, f, grid[0],
         lambda records: grid[len(records)] if len(records) < len(grid) else None,
-        arch, tune_cfg, moments_n, moments_batches, seed, init_seed,
+        **chain,
     )
     return records

@@ -280,6 +280,48 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_moments_batches_is_an_unknown_key(tmp_path, capsys):
+    cfgp = write_config(tmp_path, small_tune_config(moments={"samples": 4000, "batches": 16}))
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config invalid at moments" in err and "'batches'" in err
+    assert not out.exists()
+
+
+GAUSSIAN_WITHOUT_MEAN = {"kind": "diag-gaussian", "variance": [1.0]}
+# distribution blocks the schema's per-kind keys reject: (where, config edits)
+MALFORMED_DISTRIBUTIONS = {
+    "gaussian-without-mean": ("distribution", {"distribution": GAUSSIAN_WITHOUT_MEAN}),
+    "decoder-without-noise-variance": (
+        "distribution", {"distribution": {"kind": "latent-decoder", "weights": [[1.0]]}},
+    ),
+    # one row of weights for one component: count and sum match the components
+    "mixture-with-nested-weights": (
+        "distribution/weights/0",
+        {"distribution": {"kind": "gaussian-mixture", "weights": [[0.5, 0.5]],
+                          "components": [{"mean": [0.0], "variance": [1.0]}]}},
+    ),
+    # the adversarial criterion's data block takes the same schema
+    "adversarial-data-without-mean": (
+        "criterion/data",
+        {"criterion": {"name": "adversarial", "data": GAUSSIAN_WITHOUT_MEAN}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DISTRIBUTIONS))
+def test_malformed_distribution_is_a_config_error(tmp_path, capsys, case):
+    where, edits = MALFORMED_DISTRIBUTIONS[case]
+    cfgp = write_config(tmp_path, small_tune_config(**edits))
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"tiltgen: config error: config invalid at {where}:")
+    assert not out.exists()
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

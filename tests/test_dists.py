@@ -148,6 +148,10 @@ def test_mixture_weight_validation():
         GaussianMixture([0.6, 0.5], comps)
     with pytest.raises(ContractError):
         GaussianMixture([1.2, -0.2], comps)
+    # one row of two weights for one component: the count and the sum match,
+    # so only the shape check stops it before sampling
+    with pytest.raises(ContractError, match="1-d"):
+        GaussianMixture([[0.5, 0.5]], comps[:1])
 
 
 def test_variance_must_be_positive():

@@ -35,6 +35,7 @@ from tiltgen import (
     normalize_affine,
 )
 from tiltgen.dists import EVAL_CHUNK_ROWS
+from tiltgen.oracles import top_quantile_threshold
 from tiltgen.solver import estimate_moments
 from tiltgen.tuner import TunedModel
 
@@ -141,3 +142,15 @@ def test_importance_curves_memory_is_the_values_and_a_chunk(position):
     betas = np.linspace(0.0, 4.0, 41)
     peak = _peak_bytes(importance_curves, CANDIDATES[position], MIXTURE, betas, 10**6, 7)
     assert peak <= 12 * MIB, f"peaked at {peak / MIB:.1f} MiB"
+
+
+def test_quantile_threshold_holds_the_values_not_the_sample():
+    n = 10**6
+    # the n values and the copy np.quantile sorts (2 n-floats, 15.3 MiB) plus
+    # a chunk's temporaries: 17.1 MiB measured (tracemalloc), 23.6 MiB with
+    # the (n, 2) sample drawn whole
+    peak = _peak_bytes(
+        top_quantile_threshold, DiagGaussian.standard(DIM), LinearCriterion([1.0, 0.5]),
+        1e-3, n, 5,
+    )
+    assert peak < 2.5 * n * 8, f"peaked at {peak / (n * 8):.2f} n-length arrays"

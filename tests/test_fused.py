@@ -2,6 +2,8 @@
 bit for bit what the separate calls return, for every built-in; and the
 protocol a user subclass or classifier must follow."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +222,27 @@ def test_subclass_with_separate_calls_fits_like_builtin():
     user = _fit(SeparateOnlyDistribution(MIX2), SeparateOnlyCriterion(f))
     assert user.trace_rows == builtin.trace_rows
     assert np.array_equal(user.flow.theta, builtin.flow.theta)
+
+
+def test_adversarial_value_and_grad_evaluates_each_density_once(monkeypatch):
+    # a Gaussian model against a two-component mixture: one fused call per
+    # distribution is 4 evaluations counting the components; value() plus
+    # grad() made 8
+    model = DiagGaussian([1.0, 0.0], [1.5, 1.0])
+    f = AdversarialCriterion(model, MIX2)
+    x = _points(2, 50, 11)
+    separate = (MIX2.log_density(x) - model.log_density(x), MIX2.score(x) - model.score(x))
+    calls = Counter()
+
+    def counting(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    for cls in (DiagGaussian, GaussianMixture):
+        for name in ("log_density", "log_density_and_score"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    fused = f.value_and_grad(x)
+    assert sum(calls.values()) == 4, calls
+    _assert_same(fused, separate)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -354,3 +356,25 @@ def test_fit_chain_failure_carries_the_finished_records(std_normal_1d, monkeypat
         )
     assert [r["iteration"] for r in err.value.records] == [0, 1]
     assert [r["beta"] for r in err.value.records] == [0.0, 1.0]
+
+
+# fit_chain's parameters after ``propose``: the settings of every fit chain
+CHAIN_SETTINGS = list(inspect.signature(fit_chain).parameters)[4:]
+
+
+@pytest.mark.parametrize("entry", [solve, pareto_sweep])
+def test_chain_settings_are_declared_by_fit_chain_only(entry):
+    assert CHAIN_SETTINGS == ["arch", "tune_cfg", "moments_n", "seed", "init_seed"]
+    assert not set(inspect.signature(entry).parameters) & set(CHAIN_SETTINGS)
+
+
+def test_misspelled_chain_keyword_raises_type_error(std_normal_1d, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran despite the misspelled keyword")
+
+    monkeypatch.setattr(solver, "fit_q", no_fit)
+    f = LinearCriterion([1.0])
+    with pytest.raises(TypeError, match="moment_n"):
+        solve(std_normal_1d, f, Target.divergence(1.0), moment_n=200)
+    with pytest.raises(TypeError, match="moment_n"):
+        pareto_sweep(std_normal_1d, f, [0.0, 1.0], moment_n=200)
