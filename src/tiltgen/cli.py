@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import build_plan, criterion_from_spec, load_config
+from .config import build_plan, given_keys, load_config
 from .criteria import normalize_affine
 from .diagnostics import compare_criteria, importance_curves
 from .dists import LatentDecoder
@@ -88,17 +88,6 @@ def _write_samples(out, plan, model):
     data = plan.decode_samples(points)
     header = [f"x{i}" for i in range(data.shape[1])]
     write_csv(out / "samples.csv", header, data)
-
-
-def _chain_options(plan) -> dict:
-    """The fit-chain settings that tune and pareto take from the plan."""
-    return {
-        "arch": plan.flow_arch,
-        "tune_cfg": plan.tune,
-        "moments_n": plan.moments_samples,
-        "seed": plan.seeds["sampling"],
-        "init_seed": plan.seeds["init"],
-    }
 
 
 def _moment_table(records, columns: list[str]):
@@ -230,14 +219,14 @@ def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
         if plan.fixed_beta is not None:
             model, records = fit_chain(
                 plan.base, f_used, plan.fixed_beta, lambda records: None,
-                **_chain_options(plan),
+                **plan.chain,
             )
             # a pinned beta has no target to miss: it reports the divergence it reached
             records[0].update(achieved=records[0]["moments"].dkl, residual=0.0)
             converged, message = True, "fixed tilt strength"
         else:
             res = solve(
-                plan.base, f_used, plan.target, **_chain_options(plan), **plan.solver_options
+                plan.base, f_used, plan.target, **plan.chain, **plan.solver_options
             )
             model, records = res.model, res.records
             converged, message = res.converged, res.message
@@ -264,7 +253,7 @@ def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
     )
     failure = None
     try:
-        records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **_chain_options(plan))
+        records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **plan.chain)
         message = f"swept {len(records)} grid points"
     except CHAIN_FAILURES as err:
         records, message, failure = err.records, str(err), err
@@ -294,10 +283,9 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     seeds = plan.seeds
     candidates = []
     normalization = []
-    for i, spec in enumerate(specs):
+    for i, (f, spec) in enumerate(zip(plan.candidates, specs)):
         f, info = _prepare_criterion(
-            criterion_from_spec(spec, plan.data_dist, plan.decoder, seeds), spec, eval_dist,
-            derive_seed(seeds["diagnostics"], "normalize", i),
+            f, spec, eval_dist, derive_seed(seeds["diagnostics"], "normalize", i)
         )
         candidates.append(f)
         normalization.append(info)
@@ -305,7 +293,7 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     n = diag.get("samples", 10000)
     report = compare_criteria(
         candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare"),
-        bins=diag.get("bins", 50), cap=diag.get("cap"),
+        **given_keys(diag, "bins", "cap"),
     )
     phases.end("compare")
     curves = []

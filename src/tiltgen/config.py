@@ -35,84 +35,84 @@ from .rng import derive_seed
 from .solver import Target
 from .tuner import TuneConfig
 
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}, "minItems": 1}
+_NUMBER = {"type": "number"}
+_NUMBER_ARRAY = {"type": "array", "items": _NUMBER, "minItems": 1}
 _NUMBER_MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
 
-_DISTRIBUTION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["kind"],
-    # each kind's required keys, and the shape of its weights
-    "allOf": [
-        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
-         "then": {"required": required, "properties": shapes}}
-        for kind, required, shapes in [
-            ("diag-gaussian", ["mean", "variance"], {}),
-            ("gaussian-mixture", ["weights", "components"], {"weights": _NUMBER_ARRAY}),
-            ("latent-decoder", ["weights", "noise_variance"], {"weights": _NUMBER_MATRIX}),
-        ]
-    ],
-    "properties": {
-        "kind": {"enum": ["diag-gaussian", "gaussian-mixture", "latent-decoder"]},
-        "mean": _NUMBER_ARRAY,
-        "variance": _NUMBER_ARRAY,
-        # mixture weights (flat) or decoder weight matrix (nested)
-        "weights": {"type": "array"},
-        "components": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["mean", "variance"],
-                "properties": {"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY},
-            },
-        },
-        "noise_variance": {"type": "number", "minimum": 0},
+
+def _keyed(key: str, rows: dict, shared: dict | None = None) -> dict:
+    """A block whose ``key`` picks its kind.  ``rows`` maps each kind to its
+    required keys and the shapes of the keys it takes; a block takes those
+    and ``shared`` only.  (``additionalProperties`` does not see into
+    ``allOf``, so each kind's ``then`` closes its own key set.)"""
+    return {
+        "type": "object",
+        "required": [key],
+        "properties": {key: {"enum": list(rows)}},
+        "allOf": [
+            {"if": {"required": [key], "properties": {key: {"const": kind}}},
+             "then": {"required": required, "additionalProperties": False,
+                      "properties": {key: True, **(shared or {}), **shapes}}}
+            for kind, (required, shapes) in rows.items()
+        ],
+    }
+
+
+_COMPONENTS = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["mean", "variance"],
+        "properties": {"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY},
     },
 }
+_DISTRIBUTION_SCHEMA = _keyed("kind", {
+    "diag-gaussian": (["mean", "variance"], {"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY}),
+    "gaussian-mixture": (
+        ["weights", "components"], {"weights": _NUMBER_ARRAY, "components": _COMPONENTS},
+    ),
+    "latent-decoder": (
+        ["weights", "noise_variance"],
+        {"weights": _NUMBER_MATRIX, "noise_variance": {"type": "number", "minimum": 0}},
+    ),
+})
 
-_CRITERION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name"],
-    "properties": {
-        "name": {
-            "enum": ["linear", "classifier", "adversarial", "peak", "window-mean"]
-        },
-        "normalize": {"type": "boolean"},
-        "normalize_samples": {"type": "integer", "minimum": 2},
-        "coefficients": _NUMBER_ARRAY,
+_WINDOW = {
+    "type": "array",
+    "items": {"type": "integer", "minimum": 0},
+    "minItems": 2,
+    "maxItems": 2,
+}
+_CRITERION_SCHEMA = _keyed("name", {
+    "linear": (["coefficients"], {"coefficients": _NUMBER_ARRAY}),
+    "classifier": (["model"], {
+        "model": _keyed("type", {
+            "logistic": (["weights"], {"weights": _NUMBER_ARRAY, "bias": _NUMBER}),
+            "bayes-mixture": ([], {}),
+        }),
         "form": {"enum": ["prob", "log-prob", "entropy"]},
-        "log_prob_floor": {"type": "number"},
+        "log_prob_floor": _NUMBER,
         "target_class": {"type": "integer", "minimum": 0},
-        "model": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": ["logistic", "bayes-mixture"]},
-                "weights": _NUMBER_ARRAY,
-                "bias": {"type": "number"},
-            },
-        },
-        "data": _DISTRIBUTION_SCHEMA,
-        "window": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
+    }),
+    "adversarial": (["data"], {"data": _DISTRIBUTION_SCHEMA}),
+    "peak": (["window"], {
+        "window": _WINDOW,
         "temperature": {
             "oneOf": [{"type": "number", "exclusiveMinimum": 0}, {"const": "auto"}]
         },
-        "lift": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"mc_samples": {"type": "integer", "minimum": 1}},
-        },
+    }),
+    "window-mean": (["window"], {"window": _WINDOW}),
+}, shared={
+    "normalize": {"type": "boolean"},
+    "normalize_samples": {"type": "integer", "minimum": 2},
+    "lift": {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {"mc_samples": {"type": "integer", "minimum": 1}},
     },
-}
+})
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -151,14 +151,19 @@ SCHEMA = {
             },
         },
         "target": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["mode"],
-            "properties": {
-                "mode": {"enum": ["expectation", "divergence", "fixed"]},
-                "value": {"type": "number"},
-                "rho": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            },
+            **_keyed("mode", {
+                "expectation": ([], {"value": _NUMBER}),
+                "divergence": ([], {
+                    "value": _NUMBER,
+                    "rho": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                }),
+                "fixed": ([], {"value": _NUMBER}),
+            }),
+            # every mode needs its value; a divergence budget may be given as
+            # rho (the budget -log rho) in its place, never beside it
+            "if": {"required": ["rho"]},
+            "then": {"not": {"required": ["value"]}},
+            "else": {"required": ["value"]},
         },
         "solver": {
             "type": "object",
@@ -279,6 +284,15 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
+def given_keys(spec: dict, *keys: str, **renamed: str) -> dict:
+    """The keyword arguments a config block sets: each of ``keys`` under its
+    own name, and each parameter of ``renamed`` from the key it names.  A key
+    the block leaves out is left to the callee, whose signature holds its
+    default."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {param: spec[key] for param, key in names.items() if key in spec}
+
+
 @dataclass
 class RunPlan:
     """A validated config materialized into live objects.
@@ -286,24 +300,38 @@ class RunPlan:
     ``base`` is the distribution the flow perturbs (the latent prior when the
     criterion is lifted); ``data_dist`` is the data-space model used for
     dumps and criterion construction; they coincide for non-lifted runs.
-    ``solver_options`` holds the config's ``solver`` keys, passed to ``solve``
-    as keyword arguments; its own defaults fill the rest.
+    ``candidates`` are the criteria of ``diagnostics.candidates``, before
+    their normalization.  ``solver_options`` holds the config's ``solver``
+    keys, passed to ``solve`` as keyword arguments; its own defaults fill
+    the rest.
     """
 
     config: dict
     base: Distribution
     data_dist: Distribution
     decoder: LatentDecoder | None
-    criterion: crit.Criterion
+    criterion: crit.Criterion | None
+    candidates: list | None
     flow_arch: FlowArchitecture
     tune: TuneConfig
     target: Target | None
     fixed_beta: float | None
     sweep_betas: list | None
     solver_options: dict
-    moments_samples: int
     output_samples: int
     seeds: dict
+
+    @property
+    def chain(self) -> dict:
+        """``fit_chain``'s keywords: the flow and tune settings, the two
+        seeds, and ``moments_n`` where the config sets ``moments.samples``."""
+        return {
+            "arch": self.flow_arch,
+            "tune_cfg": self.tune,
+            "seed": self.seeds["sampling"],
+            "init_seed": self.seeds["init"],
+            **given_keys(self.config.get("moments", {}), moments_n="samples"),
+        }
 
     def decode_samples(self, latent_points):
         """Map latent samples to data space; identity for non-lifted runs."""
@@ -315,21 +343,14 @@ class RunPlan:
 
 
 def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> crit.Criterion:
+    """The criterion a schema-valid ``spec`` names, on ``data_dist``."""
     name = spec["name"]
     if name == "linear":
-        if "coefficients" not in spec:
-            raise ConfigError("linear criterion needs 'coefficients'")
         f = crit.LinearCriterion(spec["coefficients"])
     elif name == "classifier":
-        model_spec = spec.get("model")
-        if model_spec is None:
-            raise ConfigError("classifier criterion needs a 'model'")
+        model_spec = spec["model"]
         if model_spec["type"] == "logistic":
-            if "weights" not in model_spec:
-                raise ConfigError("logistic model needs 'weights'")
-            model = crit.LogisticClassifier(
-                model_spec["weights"], model_spec.get("bias", 0.0)
-            )
+            model = crit.LogisticClassifier(**given_keys(model_spec, "weights", "bias"))
         else:
             if not isinstance(data_dist, GaussianMixture):
                 raise ConfigError(
@@ -337,30 +358,19 @@ def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> cri
                 )
             model = crit.BayesPosteriorClassifier(data_dist)
         f = crit.ClassifierCriterion(
-            model,
-            spec.get("target_class", 1),
-            spec.get("form", "log-prob"),
-            spec.get("log_prob_floor", crit.LOG_PROB_FLOOR),
+            model, **given_keys(spec, "target_class", "form", floor="log_prob_floor")
         )
     elif name == "adversarial":
-        if "data" not in spec:
-            raise ConfigError("adversarial criterion needs a 'data' distribution")
         f = crit.AdversarialCriterion(data_dist, distribution_from_spec(spec["data"]))
     elif name == "peak":
-        if "window" not in spec:
-            raise ConfigError("peak criterion needs a 'window'")
         temp = spec.get("temperature", "auto")
         if temp == "auto":
             temp = crit.default_peak_temperature(
                 data_dist, 10000, derive_seed(diag_seed, "peak-temperature")
             )
         f = crit.PeakCriterion(data_dist.dim, spec["window"], temp)
-    elif name == "window-mean":
-        if "window" not in spec:
-            raise ConfigError("window-mean criterion needs a 'window'")
+    else:
         f = crit.WindowMeanCriterion(data_dist.dim, spec["window"])
-    else:  # unreachable behind the schema
-        raise ConfigError(f"unknown criterion {name!r}")
     if f.dim != data_dist.dim:
         raise ConfigError(
             f"criterion dimension {f.dim} does not match distribution dimension "
@@ -409,6 +419,15 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
     lifted = crit_spec is not None and crit_spec.get("lift") is not None
     base = decoder.prior() if (decoder is not None and lifted) else data_dist
 
+    candidate_specs = config.get("diagnostics", {}).get("candidates")
+    candidates = None
+    if candidate_specs is not None:
+        if len({c.get("lift") is not None for c in candidate_specs}) > 1:
+            raise ConfigError("candidates must be all lifted or all unlifted to compare")
+        candidates = [
+            criterion_from_spec(spec, data_dist, decoder, seeds) for spec in candidate_specs
+        ]
+
     flow_arch = FlowArchitecture(**config.get("flow", {}))
 
     tune_spec = dict(config.get("tune", {}))
@@ -418,19 +437,12 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
     fixed_beta = None
     target_spec = config.get("target")
     if target_spec is not None:
-        mode = target_spec["mode"]
-        if mode != "divergence" and "rho" in target_spec:
-            raise ConfigError("the rho shorthand only applies to divergence targets")
-        if mode == "fixed":
-            if "value" not in target_spec:
-                raise ConfigError("fixed target needs a 'value' (the tilt strength)")
+        if target_spec["mode"] == "fixed":
             fixed_beta = float(target_spec["value"])
-        elif mode == "divergence" and "rho" in target_spec:
+        elif "rho" in target_spec:
             target = Target.from_quantile(target_spec["rho"])
         else:
-            if "value" not in target_spec:
-                raise ConfigError(f"{mode} target needs a 'value'")
-            target = Target(mode, float(target_spec["value"]))
+            target = Target(target_spec["mode"], float(target_spec["value"]))
 
     sweep_betas = config.get("sweep", {}).get("betas")
 
@@ -438,13 +450,8 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         raise ConfigError("this command requires a 'target' block")
     if require == "sweep" and sweep_betas is None:
         raise ConfigError("this command requires a 'sweep' block")
-    if require == "diagnostics":
-        candidates = config.get("diagnostics", {}).get("candidates")
-        if candidates is None:
-            raise ConfigError("this command requires 'diagnostics.candidates'")
-        lifted = {c.get("lift") is not None for c in candidates}
-        if len(lifted) > 1:
-            raise ConfigError("candidates must be all lifted or all unlifted to compare")
+    if require == "diagnostics" and candidates is None:
+        raise ConfigError("this command requires 'diagnostics.candidates'")
     if require in ("target", "sweep") and criterion is None:
         raise ConfigError("this command requires a 'criterion' block")
 
@@ -454,13 +461,13 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         data_dist=data_dist,
         decoder=decoder,
         criterion=criterion,
+        candidates=candidates,
         flow_arch=flow_arch,
         tune=tune,
         target=target,
         fixed_beta=fixed_beta,
         sweep_betas=sweep_betas,
         solver_options=dict(config.get("solver", {})),
-        moments_samples=config.get("moments", {}).get("samples", 20000),
         output_samples=config.get("outputs", {}).get("samples", 1000),
         seeds=dict(seeds),
     )

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from tiltgen import cli
+from tiltgen import cli, config
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, load_config, validate_config
 from tiltgen.criteria import Criterion
@@ -322,17 +322,88 @@ def test_malformed_distribution_is_a_config_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# blocks that carry a key of another kind, name, type or mode: (where, config edits)
+CROSS_KIND_KEYS = {
+    "gaussian-with-components": (
+        "distribution",
+        {"distribution": {"kind": "diag-gaussian", "mean": [0.0], "variance": [1.0],
+                          "components": [{"mean": [0.0], "variance": [1.0]}]}},
+    ),
+    "linear-with-window-and-temperature": (
+        "criterion",
+        {"criterion": {"name": "linear", "coefficients": [1.0], "window": [0, 1],
+                       "temperature": 0.5}},
+    ),
+    "adversarial-with-coefficients": (
+        "criterion",
+        {"criterion": {"name": "adversarial", "coefficients": [1.0],
+                       "data": {"kind": "diag-gaussian", "mean": [1.0], "variance": [1.0]}}},
+    ),
+    "bayes-mixture-with-weights": (
+        "criterion/model",
+        {"criterion": {"name": "classifier",
+                       "model": {"type": "bayes-mixture", "weights": [1.0]}}},
+    ),
+    "divergence-with-value-and-rho": (
+        "target", {"target": {"mode": "divergence", "value": 3.0, "rho": 0.5}},
+    ),
+    "fixed-with-rho": ("target", {"target": {"mode": "fixed", "value": 1.0, "rho": 0.5}}),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_KIND_KEYS))
+def test_cross_kind_key_is_a_config_error(tmp_path, capsys, case):
+    where, edits = CROSS_KIND_KEYS[case]
+    cfgp = write_config(tmp_path, small_tune_config(**edits))
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"tiltgen: config error: config invalid at {where}:")
+    assert not out.exists()
+
+
+def test_plan_passes_on_only_the_keys_a_config_sets():
+    classifier = {"name": "classifier", "model": {"type": "logistic", "weights": [2.0]}}
+    plan = build_plan(small_tune_config(criterion=classifier), require="target")
+    assert plan.chain["moments_n"] == 4000
+    assert plan.criterion.target_class == 1 and plan.criterion.form == "log-prob"
+    assert plan.criterion.classifier.bias == 0.0
+    cfg = small_tune_config()
+    del cfg["moments"]
+    assert set(build_plan(cfg, require="target").chain) == {
+        "arch", "tune_cfg", "seed", "init_seed"
+    }
+
+
 def test_invalid_json_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["tune", "--config", str(path), "--out", str(tmp_path / "r")]) == 1
 
 
-def test_missing_target_rejected(tmp_path):
-    cfg = small_tune_config()
-    del cfg["target"]
+# a command's config less the block it requires: (command, config, edit, named block)
+MISSING_BLOCKS = {
+    "tune-target": ("tune", small_tune_config, lambda c: c.pop("target"), "'target'"),
+    "pareto-sweep": ("pareto", pareto_config, lambda c: c.pop("sweep"), "'sweep'"),
+    "diagnose-candidates": (
+        "diagnose", curve_diagnose_config, lambda c: c["diagnostics"].pop("candidates"),
+        "'diagnostics.candidates'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_BLOCKS))
+def test_missing_command_block_rejected(tmp_path, capsys, case):
+    command, make_config, edit, block = MISSING_BLOCKS[case]
+    cfg = make_config()
+    edit(cfg)
     cfgp = write_config(tmp_path, cfg)
-    assert main(["tune", "--config", cfgp, "--out", str(tmp_path / "r")]) == 1
+    out = tmp_path / "run"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "this command requires" in err and block in err
+    assert not out.exists()
 
 
 def test_flow_and_solver_blocks_reach_the_plan():
@@ -389,6 +460,7 @@ INVALID_CONFIGS = {
     ),
     "two-errors": lambda c: (c["tune"].update(steps=0), c["seeds"].update(init=-1)),
     "two-depths": lambda c: (c["tune"].update(steps=0), c.update(momentum=0.9)),
+    "cross-kind": lambda c: c["criterion"].update(window=[0, 1]),
 }
 
 
@@ -532,11 +604,6 @@ def test_pareto_malformed_grid_exits_one(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
-def test_pareto_requires_sweep_block(tmp_path):
-    cfgp = write_config(tmp_path, small_tune_config())
-    assert main(["pareto", "--config", cfgp, "--out", str(tmp_path / "r")]) == 1
-
-
 # ---------------------------------------------------------------------------
 # diagnose
 
@@ -615,7 +682,7 @@ class InfAbove3(Criterion):
 
 
 def test_diagnose_non_finite_criterion_exits_one_naming_it(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "criterion_from_spec", lambda *args: InfAbove3())
+    monkeypatch.setattr(config, "criterion_from_spec", lambda *args: InfAbove3())
     cfgp = write_config(tmp_path, curve_diagnose_config())
     out = tmp_path / "run"
     assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
@@ -665,6 +732,34 @@ def test_diagnose_mixed_lift_fails_before_out_dir(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
     assert "all lifted or all unlifted" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# diagnose candidates that fail to build: (candidate, distribution, message)
+BAD_CANDIDATES = {
+    "bayes-mixture-on-a-gaussian": (
+        {"name": "classifier", "model": {"type": "bayes-mixture"}},
+        {"kind": "diag-gaussian", "mean": [0.0], "variance": [1.0]},
+        "bayes-mixture classifier requires a gaussian-mixture distribution",
+    ),
+    "linear-of-the-wrong-dimension": (
+        {"name": "linear", "coefficients": [1.0, 0.0, 0.0]},
+        {"kind": "diag-gaussian", "mean": [0.0, 0.0], "variance": [1.0, 1.0]},
+        "criterion dimension 3 does not match distribution dimension 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CANDIDATES))
+def test_diagnose_candidate_error_fails_before_out_dir(tmp_path, capsys, case):
+    candidate, distribution, message = BAD_CANDIDATES[case]
+    cfg = curve_diagnose_config()
+    cfg["distribution"] = distribution
+    cfg["diagnostics"]["candidates"] = [candidate, candidate]
+    cfgp = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"tiltgen: config error: {message}"]
     assert not out.exists()
 
 
