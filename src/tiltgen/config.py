@@ -93,7 +93,6 @@ _CRITERION_SCHEMA = _keyed("name", {
             "bayes-mixture": ([], {}),
         }),
         "form": {"enum": ["prob", "log-prob", "entropy"]},
-        "log_prob_floor": _NUMBER,
         "target_class": {"type": "integer", "minimum": 0},
     }),
     "adversarial": (["data"], {"data": _DISTRIBUTION_SCHEMA}),
@@ -128,9 +127,6 @@ SCHEMA = {
             "properties": {
                 "blocks": {"type": "integer", "minimum": 1},
                 "hidden_width": {"type": "integer", "minimum": 1},
-                "hidden_depth": {"type": "integer", "minimum": 1},
-                "scale_clamp": {"type": "number", "exclusiveMinimum": 0},
-                "permute": {"type": "boolean"},
             },
         },
         "tune": {
@@ -144,10 +140,7 @@ SCHEMA = {
                 "beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "lr_decay": {"enum": ["cosine", "none"]},
-                "window": {"type": "integer", "minimum": 1},
                 "improvement_tol": {"type": "number", "minimum": 0},
-                "improvement_patience": {"type": "integer", "minimum": 1},
             },
         },
         "target": {
@@ -168,11 +161,7 @@ SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "max_iterations": {"type": "integer", "minimum": 1},
-                "relative_tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "beta_tolerance": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {"max_iterations": {"type": "integer", "minimum": 1}},
         },
         "sweep": {
             "type": "object",
@@ -357,9 +346,7 @@ def _build_criterion(spec: dict, data_dist: Distribution, diag_seed: int) -> cri
                     "bayes-mixture classifier requires a gaussian-mixture distribution"
                 )
             model = crit.BayesPosteriorClassifier(data_dist)
-        f = crit.ClassifierCriterion(
-            model, **given_keys(spec, "target_class", "form", floor="log_prob_floor")
-        )
+        f = crit.ClassifierCriterion(model, **given_keys(spec, "target_class", "form"))
     elif name == "adversarial":
         f = crit.AdversarialCriterion(data_dist, distribution_from_spec(spec["data"]))
     elif name == "peak":

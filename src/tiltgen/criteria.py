@@ -184,10 +184,10 @@ class ClassifierCriterion(Criterion):
     """Criterion built from a probabilistic classifier.
 
     form "prob"      -- f = h(target | x)
-    form "log-prob"  -- f = log h(target | x), clamped at ``floor`` with zero
-                        gradient below it (keeps the objective finite when
-                        the classifier saturates, without adding spurious
-                        gradient)
+    form "log-prob"  -- f = log h(target | x), clamped at ``LOG_PROB_FLOOR``
+                        with zero gradient below it (keeps the objective
+                        finite when the classifier saturates, without adding
+                        spurious gradient)
     form "entropy"   -- f = entropy of the prediction (debugging aid)
 
     A classifier offers ``dim``, ``num_classes``, ``log_probabilities(batch)``
@@ -197,8 +197,7 @@ class ClassifierCriterion(Criterion):
 
     FORMS = ("prob", "log-prob", "entropy")
 
-    def __init__(self, classifier, target_class: int = 1, form: str = "log-prob",
-                 floor: float = LOG_PROB_FLOOR):
+    def __init__(self, classifier, target_class: int = 1, form: str = "log-prob"):
         if form not in self.FORMS:
             raise ContractError(f"unknown classifier criterion form {form!r}")
         if form != "entropy" and not 0 <= target_class < classifier.num_classes:
@@ -206,7 +205,6 @@ class ClassifierCriterion(Criterion):
         self.classifier = classifier
         self.target_class = int(target_class)
         self.form = form
-        self.floor = float(floor)
         self.dim = classifier.dim
         if form == "entropy":
             self.label = "classifier-entropy"
@@ -217,7 +215,7 @@ class ClassifierCriterion(Criterion):
         if self.form == "prob":
             return np.exp(log_p[:, self.target_class])
         if self.form == "log-prob":
-            return np.maximum(log_p[:, self.target_class], self.floor)
+            return np.maximum(log_p[:, self.target_class], LOG_PROB_FLOOR)
         return -np.sum(np.exp(log_p) * log_p, axis=1)
 
     def value(self, x):
@@ -238,7 +236,8 @@ class ClassifierCriterion(Criterion):
         elif self.form == "prob":
             grad = np.exp(log_p[:, self.target_class])[:, None] * grads[0]
         else:
-            grad = np.where((log_p[:, self.target_class] > self.floor)[:, None], grads[0], 0.0)
+            above = log_p[:, self.target_class] > LOG_PROB_FLOOR
+            grad = np.where(above[:, None], grads[0], 0.0)
         return value, grad
 
 

@@ -3,9 +3,9 @@
 A ``FlowModel`` is a stack of three layer types:
 
 * affine-diagonal -- per-dimension log-scale and shift (carries the
-  log-determinant; the log-scale is clamped to ``scale_clamp``),
-* additive-coupling -- shifts one half of the coordinates by a small tanh
-  MLP of the other half (volume preserving),
+  log-determinant; the log-scale is clamped to ``SCALE_CLAMP``),
+* additive-coupling -- shifts one half of the coordinates by a tanh MLP of
+  the other half with ``HIDDEN_DEPTH`` hidden layers (volume preserving),
 * permutation -- fixed coordinate reorder (volume preserving).
 
 All layers have exact analytic inverses.  Gradients of any scalar objective
@@ -30,6 +30,9 @@ import numpy as np
 from .dists import _as_batch, _chunks_of, _map_rows
 from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
+
+HIDDEN_DEPTH = 2  # hidden layers of each coupling conditioner
+SCALE_CLAMP = 5.0  # bound on each affine log-scale
 
 
 class Mlp:
@@ -98,7 +101,7 @@ class AffineDiagonalLayer:
 
     kind = "affine-diagonal"
 
-    def __init__(self, dim: int, log_scale=None, shift=None, scale_clamp: float = 5.0):
+    def __init__(self, dim: int, log_scale=None, shift=None, scale_clamp: float = SCALE_CLAMP):
         self.dim = dim
         self.scale_clamp = float(scale_clamp)
         self.log_scale = (
@@ -364,13 +367,17 @@ class FlowModel:
 class FlowArchitecture:
     """Stack shape: ``blocks`` repetitions of [affine-diagonal, coupling pair],
     seeded permutations between blocks (cancelled at the end), and a closing
-    affine-diagonal layer."""
+    affine-diagonal layer.  ``blocks=0`` is the affine-only flow; each
+    conditioner has ``HIDDEN_DEPTH`` hidden layers of ``hidden_width``."""
 
     blocks: int = 2
     hidden_width: int = 32
-    hidden_depth: int = 2
-    scale_clamp: float = 5.0
-    permute: bool = True
+
+    def __post_init__(self):
+        if self.blocks < 0:
+            raise ContractError(f"blocks must be >= 0, got {self.blocks!r}")
+        if self.hidden_width < 1:
+            raise ContractError(f"hidden_width must be >= 1, got {self.hidden_width!r}")
 
 
 def _alternating_masks(dim: int):
@@ -393,15 +400,14 @@ def init_identity(dim: int, arch: FlowArchitecture = FlowArchitecture(), seed: i
     layers: list = []
     net_perm = np.arange(dim)
     for b in range(arch.blocks):
-        layers.append(AffineDiagonalLayer(dim, scale_clamp=arch.scale_clamp))
+        layers.append(AffineDiagonalLayer(dim))
         if dim >= 2:
             for mask in (even, odd):
                 mlp = Mlp.build(
-                    int(mask.sum()), arch.hidden_width, arch.hidden_depth,
-                    int((~mask).sum()), rng,
+                    int(mask.sum()), arch.hidden_width, HIDDEN_DEPTH, int((~mask).sum()), rng
                 )
                 layers.append(AdditiveCouplingLayer(mask, mlp))
-            if arch.permute and b < arch.blocks - 1:
+            if b < arch.blocks - 1:
                 perm = rng.permutation(dim)
                 if np.array_equal(perm, np.arange(dim)):
                     perm = np.roll(perm, 1)
@@ -409,5 +415,5 @@ def init_identity(dim: int, arch: FlowArchitecture = FlowArchitecture(), seed: i
                 net_perm = net_perm[perm]
     if not np.array_equal(net_perm, np.arange(dim)):
         layers.append(PermutationLayer(np.argsort(net_perm)))
-    layers.append(AffineDiagonalLayer(dim, scale_clamp=arch.scale_clamp))
+    layers.append(AffineDiagonalLayer(dim))
     return FlowModel(dim, layers)

@@ -51,6 +51,10 @@ CHAIN_FAILURES = (DivergenceError, NumericError, FlatCriterionError)
 # (fewer when a block would hold under 4 values)
 SE_BLOCKS = 32
 
+# the convergence and stagnation thresholds of ``solve``
+RELATIVE_TOLERANCE = 1e-2
+BETA_TOLERANCE = 1e-3
+
 
 @dataclass(frozen=True)
 class MomentEstimates:
@@ -315,8 +319,6 @@ def solve(
     target: Target,
     *,
     max_iterations: int = 20,
-    relative_tolerance: float = 1e-2,
-    beta_tolerance: float = 1e-3,
     **chain,
 ) -> SolveResult:
     """Run the full search: fit, measure, update beta, repeat.
@@ -324,8 +326,8 @@ def solve(
     ``f`` is used as given; call ``normalize_affine`` first to normalize it.
     The chain settings are keywords passed on to ``fit_chain``, which
     declares them and their defaults.  Convergence means the measured
-    target quantity is within max(relative_tolerance * |target|, 3 se) of
-    the target value.  A beta update smaller than beta_tolerance * max(1,
+    target quantity is within max(RELATIVE_TOLERANCE * |target|, 3 se) of
+    the target value.  A beta update smaller than BETA_TOLERANCE * max(1,
     beta) while the target is still missed reports non-convergence
     (stagnation), as does exhausting ``max_iterations``.  Each record also
     carries ``achieved`` and ``residual``; the records always come back, so
@@ -344,12 +346,12 @@ def solve(
         achieved, se = target.achieved(est)
         residual = achieved - target.value
         record.update(achieved=achieved, residual=residual)
-        if abs(residual) <= max(relative_tolerance * abs(target.value), 3.0 * se):
+        if abs(residual) <= max(RELATIVE_TOLERANCE * abs(target.value), 3.0 * se):
             converged = True
             message = f"target reached at beta={beta:.6g}"
             return None
         new_beta = newton_step(records, target)
-        if abs(new_beta - beta) < beta_tolerance * max(1.0, abs(beta)):
+        if abs(new_beta - beta) < BETA_TOLERANCE * max(1.0, abs(beta)):
             message = "beta stagnated before reaching the target"
             return None
         return new_beta if len(records) < max_iterations else None

@@ -30,19 +30,25 @@ __all__ = [
     "kl_between",
 ]
 
+# the early stop's moving-average window (steps) and the number of flat
+# window boundaries in a row that end a fit (see ``TuneConfig``)
+PLATEAU_WINDOW = 50
+PLATEAU_PATIENCE = 3
+
 
 @dataclass(frozen=True)
 class TuneConfig:
     """Stochastic-optimization settings for one variational fit.
 
     ``steps`` applies to cold-started fits; ``warm_steps`` is the shorter
-    budget the solver uses once a previous solution seeds the flow.
+    budget the solver uses once a previous solution seeds the flow.  The
+    learning rate decays on a cosine schedule over ``steps``.
     ``improvement_tol`` stops a fit early when the trailing moving-average
-    objective (window ``window``) improves by less than that fraction of its
-    magnitude at ``improvement_patience`` consecutive window boundaries; the
-    batch noise of a single window comparison is far above the tolerance, so
-    a one-shot check would fire long before convergence.  Set the tolerance
-    to 0 to disable early stopping.
+    objective (window ``PLATEAU_WINDOW``) improves by less than that fraction
+    of its magnitude at ``PLATEAU_PATIENCE`` consecutive window boundaries;
+    the batch noise of a single window comparison is far above the
+    tolerance, so a one-shot check would fire long before convergence.  Set
+    the tolerance to 0 to disable early stopping.
     """
 
     batch_size: int = 256
@@ -52,10 +58,7 @@ class TuneConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    lr_decay: str = "cosine"  # "cosine" or "none"
-    window: int = 50
     improvement_tol: float = 1e-4
-    improvement_patience: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -64,14 +67,11 @@ class TuneConfig:
             "steps must be >= 1": self.steps >= 1,
             "warm_steps must be >= 1": self.warm_steps >= 1,
             "batch_size must be >= 2": self.batch_size >= 2,
-            "window must be >= 1": self.window >= 1,
-            "improvement_patience must be >= 1": self.improvement_patience >= 1,
             "improvement_tol must be >= 0": self.improvement_tol >= 0,
             "learning_rate must be > 0": self.learning_rate > 0,
             "beta1 must lie in [0, 1)": 0 <= self.beta1 < 1,
             "beta2 must lie in [0, 1)": 0 <= self.beta2 < 1,
             "epsilon must be > 0": self.epsilon > 0,
-            "lr_decay must be 'cosine' or 'none'": self.lr_decay in ("cosine", "none"),
         }
         for message, ok in bounds.items():
             if not ok:
@@ -179,9 +179,7 @@ def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np
 
 
 def _decayed_lr(cfg: TuneConfig, step: int) -> float:
-    if cfg.lr_decay == "cosine":
-        return cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
-    return cfg.learning_rate
+    return cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
 
 
 def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> TunedModel:
@@ -198,7 +196,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
     opt = Adam([flow.theta], cfg)
     objectives: list[float] = []
     trace_rows: list[tuple] = []
-    w = cfg.window
+    w = PLATEAU_WINDOW
     flat_checks = 0
     for step in range(cfg.steps):
         batch = p.sample(cfg.batch_size, derive_seed(cfg.seed, "batch", step))
@@ -216,7 +214,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
             previous = float(np.mean(objectives[-2 * w : -w]))
             if recent - previous < cfg.improvement_tol * max(1.0, abs(recent)):
                 flat_checks += 1
-                if flat_checks >= cfg.improvement_patience:
+                if flat_checks >= PLATEAU_PATIENCE:
                     break
             else:
                 flat_checks = 0

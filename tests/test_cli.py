@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import logging
 import warnings
@@ -10,14 +11,20 @@ import numpy as np
 import pytest
 from jsonschema.validators import validator_for
 
-from tiltgen import cli, config
+from tiltgen import cli, config, criteria, flows, solver, tuner
 from tiltgen.cli import main
 from tiltgen.config import SCHEMA, build_plan, load_config, validate_config
-from tiltgen.criteria import Criterion
+from tiltgen.criteria import (
+    ClassifierCriterion,
+    Criterion,
+    LinearCriterion,
+    LogisticClassifier,
+)
 from tiltgen.diagnostics import CriterionEntry, GradNormProfile, TheoreticalCurve
+from tiltgen.dists import DiagGaussian
 from tiltgen.errors import ConfigError, ContractError
 from tiltgen.flows import FlowArchitecture
-from tiltgen.solver import Target
+from tiltgen.solver import Target, solve
 from tiltgen.tuner import TuneConfig
 
 
@@ -407,15 +414,94 @@ def test_missing_command_block_rejected(tmp_path, capsys, case):
 
 
 def test_flow_and_solver_blocks_reach_the_plan():
-    flow = {"blocks": 3, "hidden_width": 8, "hidden_depth": 1, "scale_clamp": 2.5,
-            "permute": False}
-    solver = {"max_iterations": 4, "relative_tolerance": 0.05, "beta_tolerance": 0.01}
-    plan = build_plan(small_tune_config(flow=flow, solver=solver), require="target")
+    flow = {"blocks": 3, "hidden_width": 8}
+    solver_spec = {"max_iterations": 4}
+    plan = build_plan(small_tune_config(flow=flow, solver=solver_spec), require="target")
     assert plan.flow_arch == FlowArchitecture(**flow)
-    assert plan.solver_options == solver
+    assert plan.solver_options == solver_spec
     defaults = build_plan(small_tune_config(flow={}), require="target")
     assert defaults.flow_arch == FlowArchitecture()
     assert defaults.solver_options == {}
+
+
+def tune_config_with(block, **keys):
+    cfg = small_tune_config()
+    cfg[block] = {**cfg.get(block, {}), **keys}
+    return cfg
+
+
+def diagnose_config_with_classifier_candidate(**keys):
+    cfg = curve_diagnose_config()
+    cfg["diagnostics"]["candidates"][1].update(keys)
+    return cfg
+
+
+LOGISTIC = {"name": "classifier", "model": {"type": "logistic", "weights": [2.0]}}
+
+# settings that are module constants, each set to its constant's value:
+# (command, config, where the schema rejects it)
+REMOVED_SETTINGS = {
+    "lr_decay": ("tune", tune_config_with("tune", lr_decay="cosine"), "tune"),
+    "window": ("tune", tune_config_with("tune", window=50), "tune"),
+    "improvement_patience": ("tune", tune_config_with("tune", improvement_patience=3), "tune"),
+    "hidden_depth": ("tune", tune_config_with("flow", hidden_depth=2), "flow"),
+    "scale_clamp": ("tune", tune_config_with("flow", scale_clamp=5.0), "flow"),
+    "permute": ("tune", tune_config_with("flow", permute=True), "flow"),
+    "relative_tolerance": (
+        "tune", tune_config_with("solver", relative_tolerance=1e-2), "solver",
+    ),
+    "beta_tolerance": ("tune", tune_config_with("solver", beta_tolerance=1e-3), "solver"),
+    "log_prob_floor": (
+        "tune", small_tune_config(criterion={**LOGISTIC, "log_prob_floor": -30.0}),
+        "criterion",
+    ),
+    "candidate-log_prob_floor": (
+        "diagnose", diagnose_config_with_classifier_candidate(log_prob_floor=-30.0),
+        "diagnostics/candidates/1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REMOVED_SETTINGS))
+def test_removed_setting_is_a_config_error(tmp_path, capsys, case):
+    command, cfg, where = REMOVED_SETTINGS[case]
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"tiltgen: config error: config invalid at {where}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TuneConfig(window=50),
+    lambda: FlowArchitecture(permute=True),
+    lambda: solve(
+        DiagGaussian.standard(1), LinearCriterion([1.0]), Target.divergence(0.5),
+        relative_tolerance=1e-2, max_iterations=1, moments_n=100,
+        tune_cfg=TuneConfig(steps=2, batch_size=8),
+    ),
+    lambda: ClassifierCriterion(LogisticClassifier([1.0]), floor=-30.0),
+], ids=["TuneConfig-window", "FlowArchitecture-permute", "solve-relative_tolerance",
+        "ClassifierCriterion-floor"])
+def test_removed_setting_is_not_a_parameter(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_schema_blocks_take_the_callee_parameters_and_the_rest_are_constants():
+    blocks = {name: set(SCHEMA["properties"][name]["properties"])
+              for name in ("tune", "flow", "solver")}
+    assert field_names(TuneConfig) - {"seed"} == blocks["tune"]
+    assert field_names(FlowArchitecture) == blocks["flow"]
+    solve_keywords = {name for name, param in inspect.signature(solve).parameters.items()
+                      if param.kind is param.KEYWORD_ONLY}
+    assert solve_keywords == blocks["solver"]
+    # the settings no workload varies, at the values they had as defaults
+    assert (tuner.PLATEAU_WINDOW, tuner.PLATEAU_PATIENCE) == (50, 3)
+    assert (flows.HIDDEN_DEPTH, flows.SCALE_CLAMP) == (2, 5.0)
+    assert (solver.RELATIVE_TOLERANCE, solver.BETA_TOLERANCE) == (1e-2, 1e-3)
+    assert criteria.LOG_PROB_FLOOR == -30.0
 
 
 def test_schema_validates_nested_unknown_keys():
@@ -488,8 +574,7 @@ def test_non_finite_literal_rejected(tmp_path, capsys, literal):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("block, key", [("solver", "relative_tolerance"),
-                                        ("tune", "learning_rate")])
+@pytest.mark.parametrize("block, key", [("target", "value"), ("tune", "learning_rate")])
 def test_overflowing_float_literal_rejected(tmp_path, capsys, block, key):
     # 1e999 parses to inf without naming a constant, and inf passes the schema
     cfg = small_tune_config()
@@ -506,10 +591,10 @@ HUGE_INTEGER = "1" + "0" * 400  # exact as a JSON integer, too large for a float
 
 
 @pytest.mark.parametrize("path, where", [
-    (("solver", "relative_tolerance"), "solver/relative_tolerance"),
+    (("target", "value"), "target/value"),
     (("tune", "learning_rate"), "tune/learning_rate"),
     (("distribution", "mean"), "distribution/mean/0"),
-], ids=["relative_tolerance", "learning_rate", "mean"])
+], ids=["value", "learning_rate", "mean"])
 def test_number_key_too_large_for_a_float_rejected(tmp_path, capsys, path, where):
     cfg = small_tune_config()
     block, key = path
@@ -561,8 +646,6 @@ def test_target_rejects_non_finite_value(value):
     "field, value",
     [
         ("warm_steps", 0),
-        ("window", 0),
-        ("improvement_patience", 0),
         ("improvement_tol", -1e-6),
         ("learning_rate", 0.0),
         ("learning_rate", -1.0),

@@ -134,13 +134,6 @@ def test_log_prob_floor_clamps_value_and_gradient():
     assert np.all(f.grad(x)[0] == 0.0)
 
 
-def test_log_prob_floor_is_configurable():
-    h = LogisticClassifier([1.0])
-    f = ClassifierCriterion(h, target_class=1, form="log-prob", floor=-50.0)
-    assert f.value(np.array([[-100.0]]))[0] == -50.0
-    assert f.value(np.array([[-40.0]]))[0] == pytest.approx(-40.0, abs=1e-12)
-
-
 def test_bayes_posterior_tilt_recovers_component(mixture_pm2):
     # p(x) * h(right|x) is proportional to the right component density
     h = BayesPosteriorClassifier(mixture_pm2)

@@ -25,8 +25,6 @@ def flows(draw, max_width=5):
     arch = FlowArchitecture(
         blocks=draw(st.integers(1, 3)),
         hidden_width=draw(st.integers(1, max_width)),
-        hidden_depth=draw(st.integers(1, 2)),
-        permute=draw(st.booleans()),
     )
     seed = draw(st.integers(0, 2**16))
     g = init_identity(dim, arch, seed=seed)

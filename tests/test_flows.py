@@ -66,6 +66,15 @@ def test_identity_init_dim_one():
     assert np.all(logdet == 0.0)
 
 
+@pytest.mark.parametrize("shape", [{"hidden_width": 0}, {"blocks": -1}],
+                         ids=["no-hidden-units", "negative-blocks"])
+def test_architecture_out_of_range_is_rejected_but_zero_blocks_is_affine_only(shape):
+    with pytest.raises(ContractError, match=next(iter(shape))):
+        FlowArchitecture(**shape)
+    g = init_identity(2, FlowArchitecture(blocks=0), seed=0)
+    assert [layer.kind for layer in g.layers] == ["affine-diagonal"]
+
+
 # ---------------------------------------------------------------------------
 # forward / logdet
 

@@ -77,9 +77,10 @@ def _criteria():
     for name, clf in classifiers.items():
         for form in ClassifierCriterion.FORMS:
             out[f"{name}-{form}"] = ClassifierCriterion(clf, 1, form)
-    # a floor that clamps part of the batch
-    out["bayes-2-log-prob-floor"] = ClassifierCriterion(
-        classifiers["bayes-2"], 0, "log-prob", floor=-1.0
+    # a steep classifier whose log-probability is clamped at LOG_PROB_FLOOR on
+    # about a third of the test points
+    out["logistic-log-prob-floor"] = ClassifierCriterion(
+        LogisticClassifier([20.0, -5.0]), 1, "log-prob"
     )
     return out
 

@@ -168,8 +168,7 @@ def test_fit_reproducible_from_seed(std_normal_1d):
 def test_warm_start_dominance(std_normal_1d):
     # reaching the beta=2 optimal objective takes no more steps warm than cold
     f = LinearCriterion([1.0])
-    cfg = TuneConfig(steps=1500, learning_rate=5e-3, seed=20,
-                     improvement_tol=0, lr_decay="none")
+    cfg = TuneConfig(steps=1500, learning_rate=5e-3, seed=20, improvement_tol=0)
     m1 = fit_q(std_normal_1d, f, 1.0, init_identity(1, seed=21), cfg)
     warm = fit_q(std_normal_1d, f, 2.0, m1.flow, cfg)
     cold = fit_q(std_normal_1d, f, 2.0, init_identity(1, seed=21), cfg)
