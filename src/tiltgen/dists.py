@@ -128,13 +128,43 @@ class Distribution:
         raise NotImplementedError
 
 
+def _diag_gaussian_terms(batch, means, variances, log_norms, scores=None) -> np.ndarray:
+    """Log-densities, shape (k, n), at the (n, d) ``batch`` of the k diagonal
+    Gaussians whose means and variances are the rows of the (k, d) tables
+    ``means`` and ``variances``, with log-normalizers ``log_norms`` (k,).
+
+    ``scores``, a (d, k, n) array (a transposed view of the caller's
+    result), receives the scores if given.  The work runs over the d
+    coordinate rows of ``batch.T``, each on all k components at once, and
+    adds the d squared distances in order.  ``np.sum`` adds fewer than 8
+    terms in that order too, so for d < 8 these are the bytes of
+    ``-0.5 * np.sum(diff * diff / variance, axis=1) - log_norm``; from 8
+    terms on, ``np.sum`` of a C-ordered row adds pairwise and the last bits
+    may differ.
+    """
+    quad = None
+    for j, coord in enumerate(batch.T):
+        diff = coord - means[:, j, None]
+        if scores is not None:
+            np.divide(np.negative(diff), variances[:, j, None], out=scores[j])
+        diff *= diff
+        diff /= variances[:, j, None]
+        if quad is None:
+            quad = diff
+        else:
+            quad += diff
+    quad *= -0.5
+    quad -= log_norms[:, None]
+    return quad
+
+
 class DiagGaussian(Distribution):
     """Gaussian with diagonal covariance.
 
     Parameters
     ----------
-    mean : array of shape (dim,)
-    variance : array of shape (dim,), strictly positive
+    mean : array of shape (dim,), finite
+    variance : array of shape (dim,), finite and strictly positive
     """
 
     kind = "diag-gaussian"
@@ -142,15 +172,21 @@ class DiagGaussian(Distribution):
     def __init__(self, mean, variance):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
         self.variance = np.atleast_1d(np.asarray(variance, dtype=float)).copy()
-        if self.mean.shape != self.variance.shape or self.mean.ndim != 1:
-            raise ContractError("mean and variance must be 1-d arrays of equal length")
-        if np.any(self.variance <= 0.0):
-            raise ContractError("variances must be strictly positive")
+        if self.mean.shape != self.variance.shape or self.mean.ndim != 1 or self.mean.size == 0:
+            raise ContractError("mean and variance must be non-empty 1-d arrays of equal length")
+        if not np.all(np.isfinite(self.mean)):
+            raise ContractError("the mean must be finite")
+        # written so that NaN fails it too
+        if not np.all((self.variance > 0.0) & (self.variance < np.inf)):
+            raise ContractError("variances must be finite and strictly positive")
         self.dim = self.mean.shape[0]
-        self._log_norm = 0.5 * np.sum(_LOG_2PI + np.log(self.variance))
         self._std = np.sqrt(self.variance)
         self.mean.flags.writeable = False
         self.variance.flags.writeable = False
+        # the one-row tables of ``_diag_gaussian_terms``
+        self._means = self.mean[None]
+        self._variances = self.variance[None]
+        self._log_norms = np.array([0.5 * np.sum(_LOG_2PI + np.log(self.variance))])
 
     @classmethod
     def standard(cls, dim: int) -> "DiagGaussian":
@@ -158,14 +194,14 @@ class DiagGaussian(Distribution):
 
     def log_density(self, x):
         batch = _as_batch(x, self.dim)
-        diff = batch - self.mean
-        return -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
+        return _diag_gaussian_terms(batch, self._means, self._variances, self._log_norms)[0]
 
     def log_density_and_score(self, x):
         batch = _as_batch(x, self.dim)
-        diff = batch - self.mean
-        log_p = -0.5 * np.sum(diff * diff / self.variance, axis=1) - self._log_norm
-        score = -diff / self.variance
+        score = np.empty_like(batch)
+        log_p = _diag_gaussian_terms(
+            batch, self._means, self._variances, self._log_norms, score.T[:, None]
+        )[0]
         return log_p, score
 
     def _draw(self, n: int, seed: int):
@@ -187,7 +223,9 @@ class GaussianMixture(Distribution):
     """Finite mixture of diagonal Gaussians.
 
     Weights must be nonnegative and sum to 1 within 1e-12.  Sampling draws
-    an exact categorical component index, then the component.
+    an exact categorical component index, then the component.  Densities
+    and scores of all components come from one ``_diag_gaussian_terms``
+    pass over tables of their parameters stacked at construction.
     """
 
     kind = "gaussian-mixture"
@@ -199,9 +237,12 @@ class GaussianMixture(Distribution):
             raise ContractError("mixture weights must be a 1-d array")
         if len(self.components) != self.weights.shape[0]:
             raise ContractError("one weight per component required")
-        if np.any(self.weights < 0.0):
+        if not all(isinstance(c, DiagGaussian) for c in self.components):
+            raise ContractError("mixture components must be DiagGaussian")
+        # both written so that NaN fails them too
+        if not np.all(self.weights >= 0.0):
             raise ContractError("mixture weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ContractError("mixture weights must sum to 1 within 1e-12")
         dims = {c.dim for c in self.components}
         if len(dims) != 1:
@@ -210,48 +251,72 @@ class GaussianMixture(Distribution):
         # a zero weight gets log weight -inf, so its component carries no density
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
-        self._std = np.sqrt(np.stack([c.variance for c in self.components]))
-        self._mean = np.stack([c.mean for c in self.components])
+        self._means = np.concatenate([c._means for c in self.components])
+        self._variances = np.concatenate([c._variances for c in self.components])
+        self._log_norms = np.concatenate([c._log_norms for c in self.components])
+        self._std = np.sqrt(self._variances)
         self.weights.flags.writeable = False
 
-    def _shifted_weights(self, component_log_densities):
-        """exp(joint - m), its row sums and m, the row max of the joint
-        log-weights log w_k + log p_k(x)."""
-        joint = component_log_densities + self._log_weights
-        m = joint.max(axis=1, keepdims=True)
+    def _shifted_weights(self, batch, scores=None):
+        """exp(joint - m), its sums over the components and m, the max over
+        the components of the joint log-weights log w_k + log p_k(x), each
+        component a row of (k, n); ``scores`` as in ``_diag_gaussian_terms``.
+
+        The max and the sum run over the k rows with ``np.maximum`` and
+        ``+=``: the row max is exact in any order, and for k < 8 the sum
+        adds in the order ``sum(axis=1)`` of (n, k) does."""
+        joint = _diag_gaussian_terms(batch, self._means, self._variances, self._log_norms, scores)
+        joint += self._log_weights[:, None]
+        m = joint[0].copy()
+        for row in joint[1:]:
+            np.maximum(m, row, out=m)
         joint -= m
         w = np.exp(joint, out=joint)
-        return w, w.sum(axis=1, keepdims=True), m
+        total = w[0].copy()
+        for row in w[1:]:
+            total += row
+        return w, total, m
 
-    def _component_log_densities(self, batch) -> np.ndarray:
-        return np.stack(
-            [c.log_density(batch) for c in self.components], axis=1
-        )  # (n, k)
+    def _responsibilities_from(self, w, total) -> np.ndarray:
+        # w / total for the (k, n) ``w``, written as an (n, k) C-ordered array
+        resp = np.empty(w.shape[::-1])
+        np.divide(w, total, out=resp.T)
+        return resp
 
     def log_density(self, x):
         batch = _as_batch(x, self.dim)
-        _, total, m = self._shifted_weights(self._component_log_densities(batch))
-        return np.log(total[:, 0]) + m[:, 0]
+        _, total, m = self._shifted_weights(batch)
+        log_p = np.log(total, out=total)
+        log_p += m
+        return log_p
 
     def responsibilities(self, x) -> np.ndarray:
         """Posterior component probabilities p(component | x), shape (n, k)."""
         batch = _as_batch(x, self.dim)
-        w, total, _ = self._shifted_weights(self._component_log_densities(batch))
-        w /= total
-        return w
+        w, total, _ = self._shifted_weights(batch)
+        return self._responsibilities_from(w, total)
 
     def posterior_terms(self, x):
         """Log-density (n,), responsibilities (n, k), component scores
-        (n, k, d) and mixture score (n, d) of ``x``, from one
-        ``log_density_and_score`` call per component."""
+        (n, k, d) and mixture score (n, d) of ``x``, from one pass over all
+        components at once."""
         batch = _as_batch(x, self.dim)
-        parts = [c.log_density_and_score(batch) for c in self.components]
-        comp_scores = np.stack([score for _, score in parts], axis=1)
-        w, total, m = self._shifted_weights(np.stack([log_p for log_p, _ in parts], axis=1))
-        log_p = np.log(total[:, 0]) + m[:, 0]
-        w /= total
-        score = np.einsum("nk,nkd->nd", w, comp_scores)
-        return log_p, w, comp_scores, score
+        (n, d), k = batch.shape, len(self.components)
+        # the component scores are laid out as np.stack lays out per-component
+        # scores ``-(batch - mean) / variance``: C-ordered (n, k, d), or
+        # (d, n, k) when those are F-ordered.  The mixture score and a
+        # criterion gradient inherit that order, and a fit's bytes depend on
+        # it (see ``tuner._objective_parts``)
+        if np.empty_like(batch).flags.c_contiguous:
+            comp_scores = np.empty((n, k, d))
+        else:
+            comp_scores = np.empty((d, n, k)).transpose(1, 2, 0)
+        w, total, m = self._shifted_weights(batch, comp_scores.transpose(2, 1, 0))
+        resp = self._responsibilities_from(w, total)
+        log_p = np.log(total, out=total)
+        log_p += m
+        score = np.einsum("nk,nkd->nd", resp, comp_scores)
+        return log_p, resp, comp_scores, score
 
     def log_density_and_score(self, x):
         log_p, _, _, score = self.posterior_terms(x)
@@ -274,22 +339,26 @@ class GaussianMixture(Distribution):
             z = draw.standard_normal((m, self.dim))
             # in place; ``take`` gathers the same bytes as fancy indexing, faster
             z *= np.take(self._std, idx, axis=0)
-            z += np.take(self._mean, idx, axis=0)
+            z += np.take(self._means, idx, axis=0)
             yield z
 
 
 class LatentDecoder:
     """Linear-Gaussian decoder x = A z + sigma * eps with standard-normal prior.
 
-    ``noise_variance`` may be zero, in which case the decoder is deterministic
+    ``weights`` and ``noise_variance`` must be finite.  ``noise_variance``
+    may be zero, in which case the decoder is deterministic
     (x = A z); the marginal density then requires A A^T to be nonsingular.
     """
 
     def __init__(self, weights, noise_variance: float):
         self.weights = np.atleast_2d(np.asarray(weights, dtype=float)).copy()
         self.noise_variance = float(noise_variance)
-        if self.noise_variance < 0.0:
-            raise ContractError("observation noise variance must be >= 0")
+        if not np.all(np.isfinite(self.weights)):
+            raise ContractError("decoder weights must be finite")
+        # written so that NaN fails it too
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise ContractError("observation noise variance must be finite and >= 0")
         self.data_dim, self.latent_dim = self.weights.shape
         self.weights.flags.writeable = False
 

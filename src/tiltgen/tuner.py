@@ -168,6 +168,10 @@ def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np
     if not np.all(np.isfinite(log_p)):
         raise NumericError("base log-density term is non-finite")
     objective = float(np.mean(beta * f_vals + log_p + logdet))
+    # dy takes the memory order of y: F with two or more blocks (a
+    # permutation's x[:, perm]), C otherwise.  The backward pass's axis-0
+    # sums round differently for C and F arrays, so the fit's bytes depend
+    # on that order, and on every score and gradient keeping it
     dy = (beta * f_grad + score) / n
     dld = np.full(n, 1.0 / n)
     grads, _ = flow._backward_cached(caches, dy, dld)

@@ -197,3 +197,36 @@ def test_decoder_decode_paths():
     a = noisy.decode(z, seed=4)
     assert np.array_equal(a, noisy.decode(z, seed=4))
     assert not np.allclose(a, dec.decode(z, seed=4))
+
+
+@pytest.mark.parametrize(
+    "mean,variance",
+    [
+        ([0.0, np.nan], [1.0, np.inf]),
+        ([np.inf], [1.0]),
+        ([0.0], [np.nan]),
+        ([0.0], [np.inf]),
+        ([], []),
+    ],
+)
+def test_non_finite_or_empty_gaussian_parameters_are_rejected(mean, variance):
+    with pytest.raises(ContractError):
+        DiagGaussian(mean, variance)
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]])
+def test_non_finite_mixture_weights_are_rejected(weights):
+    comps = [DiagGaussian([0.0], [1.0]), DiagGaussian([1.0], [1.0])]
+    with pytest.raises(ContractError):
+        GaussianMixture(weights, comps)
+
+
+def test_mixture_components_must_be_gaussians():
+    with pytest.raises(ContractError, match="DiagGaussian"):
+        GaussianMixture([1.0], [LatentDecoder([[1.0]], 1.0).marginal()])
+
+
+@pytest.mark.parametrize("weights,noise", [([[1.0]], np.nan), ([[1.0]], np.inf), ([[np.nan]], 1.0)])
+def test_non_finite_decoder_parameters_are_rejected(weights, noise):
+    with pytest.raises(ContractError):
+        LatentDecoder(weights, noise)
