@@ -296,16 +296,13 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
         **given_keys(diag, "bins", "cap"),
     )
     phases.end("compare")
-    curves = []
+    curves = ()
     if "curve_betas" in diag:
-        m = diag.get("curve_samples", max(10000, n))
-        curves = [
-            importance_curves(
-                f, eval_dist, diag["curve_betas"], m,
-                derive_seed(seeds["diagnostics"], "curve", i),
-            )
-            for i, f in enumerate(candidates)
-        ]
+        curves = importance_curves(
+            candidates, eval_dist, diag["curve_betas"],
+            diag.get("curve_samples", max(10000, n)),
+            derive_seed(seeds["diagnostics"], "curve"),
+        )
     phases.end("curves")
 
     artifacts = {}

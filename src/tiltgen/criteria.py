@@ -101,6 +101,12 @@ def _per_row(f: Criterion, n: int, chunks, what: str, fn) -> np.ndarray:
     all (``dists._map_rows``), one ``what`` per row; a non-finite one raises
     ``NumericError`` naming ``f``."""
     (out,) = _map_rows(lambda rows: (fn(rows),), n, chunks)
+    return _finite(f, what, out)
+
+
+def _finite(f: Criterion, what: str, out: np.ndarray) -> np.ndarray:
+    """``out``, ``f``'s ``what`` at base-model points, once it is checked:
+    a non-finite entry raises ``NumericError`` naming ``f``."""
     if not np.isfinite(out).all():
         raise NumericError(
             f"criterion {f.label!r} has a non-finite {what} on a base-model sample"

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import Criterion, _per_row
+from .criteria import Criterion, _finite, _per_row
 from .dists import Distribution, _chunks_of, _row_chunks, _sample_chunks
-from .errors import ContractError
+from .errors import ContractError, NumericError
 
 __all__ = [
     "GradNormProfile",
@@ -130,60 +130,94 @@ class TheoreticalCurve:
     reliable: np.ndarray
 
 
-def _self_normalized(values: np.ndarray, betas: np.ndarray):
-    """Self-normalized importance weighting of ``values`` by ``exp(beta * values)``
-    for every beta at once.
+def _chunk_sums(betas, k: int, v: np.ndarray, block: np.ndarray, basis: np.ndarray, out):
+    """One row chunk's part of the self-normalized weighting of the values
+    ``v`` by ``exp(beta * v)``, for the ``betas`` whose first ``k`` are >= 0.
 
-    Returns arrays over ``betas`` of log Z, the weighted mean and the ESS,
-    where Z is the mean weight and the ESS is (sum w)^2 / sum w^2.  One pass
-    over ``values`` in row chunks: a chunk's weights for all betas fill one
-    (len(betas), chunk) block, whose rows give the chunk's part of sum w,
-    sum w*v and sum w^2.  The weights are scaled by exp(-max(beta * values));
-    that max is beta * max(values) for beta >= 0 and beta * min(values) for
-    beta < 0, exactly, since rounding is monotone.
-    """
-    shift = np.where(betas >= 0, betas * values.max(), betas * values.min())
-    chunks = list(_row_chunks(values.shape[0]))
-    # the chunks' parts are added pairwise at the end, as in one sum over the
-    # whole sample; adding them up chunk by chunk lost up to 3.5e-13 relative
-    # in log Z on 10^6 values
-    sums = np.empty((3, betas.shape[0], len(chunks)))
-    block = np.empty((betas.shape[0], max(rows.stop - rows.start for rows in chunks)))
-    for j, rows in enumerate(chunks):
-        v = values[rows]
-        w = block[:, : v.shape[0]]
-        np.multiply.outer(betas, v, out=w)
-        w -= shift[:, None]
-        np.exp(w, out=w)
-        sums[0, :, j] = w.sum(axis=1)
-        sums[1, :, j] = w @ v
-        sums[2, :, j] = np.einsum("ij,ij->i", w, w)
-    total, weighted, squares = sums.sum(axis=2)
-    log_z = shift + np.log(total) - np.log(values.shape[0])
-    return log_z, weighted / total, total * total / squares
+    Fills the (4, len(betas)) ``out`` with the chunk's shift s_c and its sums
+    of w, w*v and w^2, where w = exp(beta * v - s_c).  The shift is
+    beta * max(v) for beta >= 0 and beta * min(v) for beta < 0, so every w
+    is at most 1; it is folded into the outer product as
+    beta * (v - max(v)) (v - min(v) for beta < 0).  The weights of all betas
+    fill one (len(betas), chunk) view of ``block``, and one product with the
+    chunk's [1, v] rows of ``basis`` gives sum w and sum w*v."""
+    hi, lo = v.max(), v.min()
+    w = block[:, : v.shape[0]]
+    np.multiply.outer(betas[:k], v - hi, out=w[:k])
+    np.multiply.outer(betas[k:], v - lo, out=w[k:])
+    np.exp(w, out=w)
+    ones_v = basis[: v.shape[0]]
+    ones_v[:, 1] = v
+    np.multiply(betas[:k], hi, out=out[0, :k])
+    np.multiply(betas[k:], lo, out=out[0, k:])
+    out[1:3] = (w @ ones_v).T
+    np.einsum("ij,ij->i", w, w, out=out[3])
 
 
-def importance_curves(
-    f: Criterion,
-    p: Distribution,
-    beta_grid,
-    n: int,
-    seed: int,
-) -> TheoreticalCurve:
-    """The theoretical curve of ``f`` over ``beta_grid`` from ``n`` draws of ``p``.
+def _curve(f: Criterion, betas, n: int, sums: np.ndarray) -> TheoreticalCurve:
+    """``f``'s curve over ``betas`` from ``sums``, its ``_chunk_sums`` parts
+    along a last axis of row chunks of its ``n`` values; a non-finite curve
+    value raises ``NumericError`` naming ``f`` and the beta.
 
-    The sample is drawn and ``f`` evaluated one row chunk at a time, so only
-    the n values are held; a non-finite value raises ``NumericError`` naming
-    ``f``.
+    The shift of a beta is the max of its chunk shifts, which is
+    beta * max(f) (beta * min(f) for beta < 0) exactly, since rounding is
+    monotone.  Each chunk's sums are scaled by exp(s_c - shift) (its square
+    for the sum of w^2) and added pairwise across chunks, as in one sum over
+    the whole sample; adding them up chunk by chunk lost up to 3.5e-13
+    relative in log Z on 10^6 values."""
+    shifts, total, weighted, squares = sums
+    shift = shifts.max(axis=1)
+    scale = np.exp(shifts - shift[:, None])
+    total = (total * scale).sum(axis=1)
+    weighted = (weighted * scale).sum(axis=1)
+    squares = (squares * scale * scale).sum(axis=1)
+    log_z = shift + np.log(total) - np.log(n)
+    mean_f = weighted / total
+    dkl = betas * mean_f - log_z
+    ess = total * total / squares
+    finite = np.isfinite([log_z, mean_f, dkl, ess]).all(axis=0)
+    if not finite.all():
+        beta = float(betas[np.argmin(finite)])
+        raise NumericError(
+            f"criterion {f.label!r} has a non-finite importance curve at beta {beta!r}"
+        )
+    reliable = np.logical_and.accumulate(ess >= ESS_FLOOR)
+    return TheoreticalCurve(betas, log_z, mean_f, dkl, ess, reliable)
+
+
+def importance_curves(candidates, p: Distribution, beta_grid, n: int, seed: int) -> tuple:
+    """The theoretical curve of each of ``candidates`` over ``beta_grid``,
+    all from the same ``n`` draws of ``p``.
+
+    The sample is drawn one row chunk at a time, and every candidate's values
+    on a chunk are reduced to the chunk's weighted sums as soon as they are
+    evaluated, so no n-length array is held.  A non-finite criterion value
+    raises ``NumericError`` naming the candidate, and so does a non-finite
+    curve value (an overflowing beta), naming the beta too.
     """
     if n < 10**4:
         raise ContractError("importance curves need n >= 10^4")
-    values = _per_row(f, n, _sample_chunks(p, n, seed), "value", f.value)
     betas = np.asarray(list(beta_grid), dtype=float)
-    log_z, mean_f, ess = _self_normalized(values, betas)
-    dkl = betas * mean_f - log_z
-    reliable = np.logical_and.accumulate(ess >= ESS_FLOOR)
-    return TheoreticalCurve(betas, log_z, mean_f, dkl, ess, reliable)
+    # the chunks are weighted with the betas >= 0 first, then put back in order
+    order = np.argsort(betas < 0, kind="stable")
+    ordered = betas[order]
+    k = int(np.count_nonzero(ordered >= 0))
+    chunks = list(_row_chunks(n))
+    width = max(rows.stop - rows.start for rows in chunks)
+    block = np.empty((betas.shape[0], width))
+    basis = np.ones((width, 2))
+    sums = np.empty((len(candidates), 4, betas.shape[0], len(chunks)))
+    for j, x in enumerate(_sample_chunks(p, n, seed)):
+        for f, out in zip(candidates, sums):
+            values = _finite(f, "value", f.value(x))
+            with np.errstate(all="ignore"):
+                _chunk_sums(ordered, k, values, block, basis, out[:, :, j])
+    back = np.argsort(order)
+    curves = []
+    for f, out in zip(candidates, sums):
+        with np.errstate(all="ignore"):
+            curves.append(_curve(f, betas, n, out[:, back]))
+    return tuple(curves)
 
 
 @dataclass(frozen=True)

@@ -291,7 +291,7 @@ def test_criterion_07_importance_curves_two_point():
 
     p = TwoPoint()
     n = 40000
-    curve = importance_curves(f, p, [0.0, ref["beta"]], n=n, seed=71)
+    curve = importance_curves([f], p, [0.0, ref["beta"]], n=n, seed=71)[0]
     values = f.value(p.sample(n, seed=71))
     w = np.exp(ref["beta"] * values).reshape(20, -1)
     v = values.reshape(20, -1)

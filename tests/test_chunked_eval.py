@@ -309,7 +309,7 @@ def test_streamed_passes_draw_through_an_overridden_sample():
     n = 3 * CHUNK + 17  # importance curves need 10^4 draws
     values = f.value(p.sample(n, SEED))
     p.calls.clear()
-    curve = diagnostics.importance_curves(f, p, [0.0], n, SEED)
+    curve = diagnostics.importance_curves([f], p, [0.0], n, SEED)[0]
     # the override moves f by 15, so the weighted mean tells the draws apart
     assert curve.mean_f[0] == pytest.approx(values.mean(), rel=1e-12)
     g = normalize_affine(f, p, n, SEED)

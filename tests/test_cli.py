@@ -777,6 +777,28 @@ def test_diagnose_non_finite_criterion_exits_one_naming_it(tmp_path, capsys, mon
     assert "criterion 'inf-above-3' has a non-finite value" in final["failure"]["message"]
 
 
+def test_diagnose_overflowing_curve_beta_exits_one_with_one_error_line(tmp_path, capsys):
+    # the linear candidate's beta * max(f) overflows at beta 1e308
+    cfg = curve_diagnose_config()
+    cfg["distribution"] = {"kind": "diag-gaussian", "mean": [0.0, 0.0], "variance": [1.0, 1.0]}
+    cfg["diagnostics"]["candidates"] = [
+        {"name": "linear", "coefficients": [1.0, 0.0]},
+        {"name": "classifier", "form": "log-prob",
+         "model": {"type": "logistic", "weights": [4.0, 0.0]}},
+    ]
+    cfg["diagnostics"]["curve_betas"] = [0.0, 1.0, 1e308]
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["diagnose", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    message = "criterion 'linear (normalized)' has a non-finite importance curve at beta 1e+308"
+    assert capsys.readouterr().err == f"tiltgen: error: {message}\n"
+    final = json.loads((out / "manifest.json").read_text())["final"]
+    assert final["failure"] == {"type": "NumericError", "message": message}
+    assert not list(out.glob("curve_*.csv"))
+
+
 def test_diagnose_honours_normalize_and_records_the_normalization(tmp_path):
     cfg = curve_diagnose_config()
     linear = {"name": "linear", "normalize": False}

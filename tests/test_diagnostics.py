@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tiltgen import (
+    BayesPosteriorClassifier,
     ClassifierCriterion,
     ContractError,
     DiagGaussian,
+    GaussianMixture,
     LinearCriterion,
     LogisticClassifier,
     NumericError,
@@ -109,7 +112,7 @@ def test_profile_scales_linearly_with_tilt_strength(std_normal_1d):
 
 def test_curves_beta_zero_exact(std_normal_1d):
     f = LinearCriterion([1.0])
-    curve = importance_curves(f, std_normal_1d, [0.0, 0.5], n=10**4, seed=5)
+    curve = importance_curves([f], std_normal_1d, [0.0, 0.5], n=10**4, seed=5)[0]
     values = f.value(std_normal_1d.sample(10**4, seed=5))
     assert curve.log_z[0] == 0.0
     assert curve.dkl[0] == 0.0
@@ -122,7 +125,7 @@ def test_curves_two_point_matches_hand_values(oracle_values):
     p = TwoPointDistribution()
     f = LinearCriterion([1.0])
     n = 40000
-    curve = importance_curves(f, p, [0.0, ref["beta"]], n=n, seed=6)
+    curve = importance_curves([f], p, [0.0, ref["beta"]], n=n, seed=6)[0]
     # batch-means standard errors of the self-normalized estimates
     values = f.value(p.sample(n, seed=6))
     w = np.exp(ref["beta"] * values)
@@ -141,7 +144,7 @@ def test_curves_match_gaussian_tilt(std_normal_1d):
     f = LinearCriterion([1.0])
     betas = [0.0, 0.5, 1.0, 1.5]
     n = 50000
-    curve = importance_curves(f, std_normal_1d, betas, n=n, seed=7)
+    curve = importance_curves([f], std_normal_1d, betas, n=n, seed=7)[0]
     assert np.all(curve.ess >= 100)
     for i, beta in enumerate(betas):
         # se of the self-normalized mean is roughly sqrt(Var_q f / ESS)
@@ -152,7 +155,7 @@ def test_curves_match_gaussian_tilt(std_normal_1d):
 
 def test_curves_dkl_identity_exact(std_normal_1d):
     f = LinearCriterion([1.0])
-    curve = importance_curves(f, std_normal_1d, [0.0, 0.7, 1.3], n=10**4, seed=8)
+    curve = importance_curves([f], std_normal_1d, [0.0, 0.7, 1.3], n=10**4, seed=8)[0]
     assert np.allclose(
         curve.dkl, curve.betas * curve.mean_f - curve.log_z, atol=1e-12
     )
@@ -161,7 +164,7 @@ def test_curves_dkl_identity_exact(std_normal_1d):
 def test_curves_monotone_and_reliability_marking(std_normal_1d):
     f = LinearCriterion([1.0])
     betas = [0.0, 1.0, 2.0, 6.0, 8.0]
-    curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=9)
+    curve = importance_curves([f], std_normal_1d, betas, n=10**4, seed=9)[0]
     reliable_part = curve.reliable
     assert reliable_part[0] and reliable_part[1]
     assert not curve.reliable[-1]  # ESS collapses at beta=8
@@ -175,7 +178,7 @@ def test_curves_monotone_and_reliability_marking(std_normal_1d):
 
 def test_curves_require_enough_samples(std_normal_1d):
     with pytest.raises(ContractError):
-        importance_curves(LinearCriterion([1.0]), std_normal_1d, [0.0], n=100, seed=0)
+        importance_curves([LinearCriterion([1.0])], std_normal_1d, [0.0], n=100, seed=0)
 
 
 @pytest.mark.parametrize("chunk_rows", [dists.EVAL_CHUNK_ROWS, 1000, 3 * 4096 + 1],
@@ -190,7 +193,7 @@ def test_curves_match_an_exactly_rounded_sum(monkeypatch, chunk_rows):
     betas = [-1.5, -0.2, 0.0, 0.3, 2.0]
     n = 3 * 4096 + 1
     monkeypatch.setattr(dists, "EVAL_CHUNK_ROWS", chunk_rows)
-    curve = importance_curves(f, p, betas, n=n, seed=27)
+    curve = importance_curves([f], p, betas, n=n, seed=27)[0]
     values = [float(v) for v in f.value(p.sample(n, seed=27))]
     for i, beta in enumerate(betas):
         log_w = [beta * v for v in values]
@@ -203,6 +206,87 @@ def test_curves_match_an_exactly_rounded_sum(monkeypatch, chunk_rows):
         assert curve.log_z[i] == pytest.approx(log_z, rel=1e-13, abs=0.0), beta
         assert curve.mean_f[i] == pytest.approx(mean_f, rel=1e-13, abs=0.0), beta
         assert curve.ess[i] == pytest.approx(ess, rel=1e-13, abs=0.0), beta
+
+
+def _mixture_candidates():
+    p = GaussianMixture(
+        [0.5, 0.5], [DiagGaussian([-2.0, 0.0], [1.0, 1.0]), DiagGaussian([2.0, 0.0], [1.0, 1.0])]
+    )
+    candidates = [
+        normalize_affine(f, p, 5000, seed=30 + i)
+        for i, f in enumerate([
+            ClassifierCriterion(BayesPosteriorClassifier(p), 1, "log-prob"),
+            ClassifierCriterion(BayesPosteriorClassifier(p), 1, "prob"),
+            ClassifierCriterion(LogisticClassifier([4.0, 0.0], 0.0), 1, "log-prob"),
+            LinearCriterion([1.0, 0.0]),
+        ])
+    ]
+    return p, candidates
+
+
+def _bits(curve):
+    return [getattr(curve, name).view(np.int64)
+            for name in ("betas", "log_z", "mean_f", "dkl", "ess")] + [curve.reliable]
+
+
+def test_curves_of_all_candidates_are_each_candidates_own_curve():
+    # one shared sample: a candidate's curve is the same bytes whether it is
+    # weighted alone or with the others, in any order
+    p, candidates = _mixture_candidates()
+    betas = [2.0, -0.5, 0.0, 3.5, -1.0, 0.7]
+    n = 10**4 + 1
+    together = importance_curves(candidates, p, betas, n, seed=29)
+    assert len(together) == len(candidates)
+    for f, curve in zip(candidates, together):
+        (alone,) = importance_curves([f], p, betas, n, seed=29)
+        for a, b in zip(_bits(curve), _bits(alone)):
+            assert np.array_equal(a, b), f.label
+    reordered = importance_curves(candidates[::-1], p, betas, n, seed=29)
+    for curve, again in zip(together, reordered[::-1]):
+        for a, b in zip(_bits(curve), _bits(again)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [10**4 + 1, 3 * 4096 + 1])
+def test_every_candidates_curve_matches_an_exactly_rounded_sum(n):
+    # values away from 0 keep every mean, and log Z off beta = 0, away from
+    # 0, so a relative bound is meaningful; the grid is unsorted and mixes
+    # signs, since the betas >= 0 and < 0 are shifted by the chunk max and min
+    p = DiagGaussian([5.0], [1.0])
+    candidates = [
+        LinearCriterion([1.0]),
+        LinearCriterion([-2.0]),
+        ClassifierCriterion(LogisticClassifier([1.0], -5.0), 1, "prob"),
+    ]
+    betas = [2.0, -0.2, 0.0, -1.5, 0.3]
+    curves = importance_curves(candidates, p, betas, n=n, seed=31)
+    x = p.sample(n, seed=31)
+    for f, curve in zip(candidates, curves):
+        values = [float(v) for v in f.value(x)]
+        for i, beta in enumerate(betas):
+            log_w = [beta * v for v in values]
+            shift = max(log_w)
+            w = [math.exp(lw - shift) for lw in log_w]
+            total = math.fsum(w)
+            log_z = shift + math.log(total) - math.log(n)
+            mean_f = math.fsum(wi * v for wi, v in zip(w, values)) / total
+            ess = total * total / math.fsum(wi * wi for wi in w)
+            assert curve.log_z[i] == pytest.approx(log_z, rel=1e-13, abs=0.0), (f.label, beta)
+            assert curve.mean_f[i] == pytest.approx(mean_f, rel=1e-13, abs=0.0), (f.label, beta)
+            assert curve.ess[i] == pytest.approx(ess, rel=1e-13, abs=0.0), (f.label, beta)
+
+
+def test_curves_name_the_criterion_and_beta_of_an_overflowing_curve(std_normal_1d):
+    # beta * max(f) overflows: a typed error, and no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            NumericError,
+            match=r"criterion 'linear' has a non-finite importance curve at beta 1e\+308",
+        ):
+            importance_curves(
+                [LinearCriterion([1.0])], std_normal_1d, [0.0, 1.0, 1e308], n=10**4, seed=32
+            )
 
 
 class InfAbove(Criterion):
@@ -222,7 +306,7 @@ class InfAbove(Criterion):
 
 def test_curves_name_a_criterion_with_a_non_finite_value(std_normal_1d):
     with pytest.raises(NumericError, match="'inf-above-3' has a non-finite value"):
-        importance_curves(InfAbove(), std_normal_1d, [0.0, 1.0], n=10**4, seed=28)
+        importance_curves([InfAbove()], std_normal_1d, [0.0, 1.0], n=10**4, seed=28)
 
 
 def test_profiles_name_a_criterion_with_a_non_finite_gradient(std_normal_1d):
@@ -319,7 +403,7 @@ def test_compare_needs_two_candidates(std_normal_1d):
 def test_audit_converged_benchmark_has_small_gaps(std_normal_1d):
     f = LinearCriterion([1.0])
     betas = [0.0, 0.5, 1.0, 1.5]
-    curve = importance_curves(f, std_normal_1d, betas, n=10**5, seed=20)
+    curve = importance_curves([f], std_normal_1d, betas, n=10**5, seed=20)[0]
     # a converged run's sweep: exact tilt values plus realistic MC noise
     sweep = [_record(b, b + 0.005, b**2 / 2 + 0.005) for b in betas]
     report = audit_run(sweep, curve)
@@ -338,7 +422,7 @@ def test_audit_flags_undertrained_run(std_normal_1d):
                      improvement_tol=0)
     records = pareto_sweep(std_normal_1d, f, betas, tune_cfg=cfg,
                            moments_n=5000, seed=22)
-    curve = importance_curves(f, std_normal_1d, betas, n=10**4, seed=23)
+    curve = importance_curves([f], std_normal_1d, betas, n=10**4, seed=23)[0]
     report = audit_run(records, curve)
     assert report.undershoot
     assert report.stagnation
@@ -346,7 +430,7 @@ def test_audit_flags_undertrained_run(std_normal_1d):
 
 def test_audit_requires_matching_grids(std_normal_1d):
     f = LinearCriterion([1.0])
-    curve = importance_curves(f, std_normal_1d, [0.0, 1.0], n=10**4, seed=24)
+    curve = importance_curves([f], std_normal_1d, [0.0, 1.0], n=10**4, seed=24)[0]
     with pytest.raises(ContractError, match="share a beta grid"):
         audit_run([_record(0.0, 0.0, 0.0)], curve)
 
@@ -372,7 +456,7 @@ def _record(beta, mean_f, dkl):
          "non-numeric", "none"],
 )
 def test_audit_rejects_malformed_point(std_normal_1d, point):
-    curve = importance_curves(LinearCriterion([1.0]), std_normal_1d, [0.0, 1.0], n=10**4,
-                              seed=26)
+    curve = importance_curves([LinearCriterion([1.0])], std_normal_1d, [0.0, 1.0],
+                              n=10**4, seed=26)[0]
     with pytest.raises(ContractError, match="audit point"):
         audit_run([_record(0.0, 0.0, 0.0), point], curve)

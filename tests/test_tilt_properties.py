@@ -66,7 +66,7 @@ def test_importance_curves_are_the_exact_tilt_of_the_sample(
     p = DiagGaussian(mean, variance)
     f = LinearCriterion(coefficients)
     n = 10**4
-    curve = importance_curves(f, p, grid, n, seed)
+    curve = importance_curves([f], p, grid, n, seed)[0]
     sample = p.sample(n, seed)
     for i, beta in enumerate(grid):
         exact = discrete_qbeta(sample, np.full(n, 1.0 / n), f, beta)
