@@ -153,10 +153,17 @@ class LogisticClassifier:
 
     def log_probabilities(self, batch) -> np.ndarray:
         z = self._logit(batch)
-        # log sigma(z) = -softplus(-z); stable on both tails
-        log_p1 = -np.logaddexp(0.0, -z)
-        log_p0 = -np.logaddexp(0.0, z)
-        return np.stack([log_p0, log_p1], axis=1)
+        # log sigma(+-z) = -softplus(-+z) = min(+-z, 0) - log1p(exp(-|z|)):
+        # one softplus tail serves both classes, stable on both tails
+        tail = np.abs(z)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        out = np.empty((z.shape[0], 2))
+        np.minimum(-z, 0.0, out=out[:, 0])
+        np.minimum(z, 0.0, out=out[:, 1])
+        out -= tail[:, None]
+        return out
 
     def log_probabilities_and_grads(self, batch, labels):
         sig = 1.0 / (1.0 + np.exp(-self._logit(batch)))

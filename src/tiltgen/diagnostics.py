@@ -96,14 +96,16 @@ def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNo
     counts, edges = np.histogram(
         np.minimum(norms, hi), bins=bins, range=(0.0, hi if hi > 0 else 1.0)
     )
+    # one partition for the three quantiles
+    median, p90, p99 = np.quantile(norms, [0.5, 0.9, 0.99])
     return GradNormProfile(
         label=label,
         sample_count=norms.shape[0],
         bin_edges=edges,
         counts=counts,
-        median=float(np.quantile(norms, 0.5)),
-        p90=float(np.quantile(norms, 0.9)),
-        p99=float(np.quantile(norms, 0.99)),
+        median=float(median),
+        p90=float(p90),
+        p99=float(p99),
         max=top,
         zero_mass_fraction=float(np.mean(norms < ZERO_MASS_EPS * max(top, 1e-300))),
         truncated=truncated,
@@ -151,7 +153,9 @@ def _chunk_sums(betas, k: int, v: np.ndarray, block: np.ndarray, basis: np.ndarr
     np.multiply(betas[:k], hi, out=out[0, :k])
     np.multiply(betas[k:], lo, out=out[0, k:])
     out[1:3] = (w @ ones_v).T
-    np.einsum("ij,ij->i", w, w, out=out[3])
+    # sum w^2 of each beta as a stack of (1, m) x (m, 1) products, which
+    # numpy hands to BLAS's dot
+    np.matmul(w[:, None, :], w[:, :, None], out=out[3][:, None, None])
 
 
 def _curve(f: Criterion, betas, n: int, sums: np.ndarray) -> TheoreticalCurve:
@@ -270,8 +274,8 @@ def compare_criteria(
         norms = _grad_norms(f, x)
         profile = _profile_from_norms(f.label, norms, bins, cap)
         nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
-        med = float(np.quantile(nonzero, 0.5)) if nonzero.size else 0.0
-        score = float(np.quantile(nonzero, 0.99)) / med if med > 0 else float("inf")
+        med, p99 = np.quantile(nonzero, [0.5, 0.99]) if nonzero.size else (0.0, 0.0)
+        score = float(p99) / float(med) if med > 0 else float("inf")
         entries.append(
             CriterionEntry(
                 position=i,

@@ -255,6 +255,9 @@ class GaussianMixture(Distribution):
         self._variances = np.concatenate([c._variances for c in self.components])
         self._log_norms = np.concatenate([c._log_norms for c in self.components])
         self._std = np.sqrt(self._variances)
+        # the cumulative weights ``Generator.choice`` picks components by
+        self._cdf = self.weights.cumsum()
+        self._cdf /= self._cdf[-1]
         self.weights.flags.writeable = False
 
     def _shifted_weights(self, batch, scores=None):
@@ -326,16 +329,25 @@ class GaussianMixture(Distribution):
         # The stream of one whole draw is n uniforms for the component
         # indices (``choice`` with ``p`` takes one per row), then the normals.
         # Two generators on the same seed walk it in chunks: ``pick`` through
-        # the uniforms, ``draw`` past them (discarded) and on through the
-        # normals.
+        # the uniforms, ``draw`` past them and on through the normals.  Philox
+        # makes four 64-bit words per counter step and ``random`` takes one
+        # word per double, so ``draw`` skips the n uniforms by advancing its
+        # counter n // 4 steps and drawing the n % 4 left over.
         pick, draw = make_generator(seed), make_generator(seed)
-        discard = np.empty(min(n, EVAL_CHUNK_ROWS + 1))
-        for rows in _row_chunks(n):
-            draw.random(out=discard[: rows.stop - rows.start])
-        k = len(self.components)
+        draw.bit_generator.advance(n // 4)
+        draw.random(n % 4)
+        uniforms = np.empty(min(n, EVAL_CHUNK_ROWS + 1))
+        picks = np.empty(uniforms.shape, dtype=np.intp)
         for rows in _row_chunks(n):
             m = rows.stop - rows.start
-            idx = pick.choice(k, size=m, p=self.weights)
+            u, idx = uniforms[:m], picks[:m]
+            pick.random(out=u)
+            # ``choice``'s pick, ``cdf.searchsorted(u, side="right")``: the
+            # count of the cumulative weights at or below u, of which the
+            # last (1.0) never is
+            idx.fill(0)
+            for edge in self._cdf[:-1]:
+                idx += u >= edge
             z = draw.standard_normal((m, self.dim))
             # in place; ``take`` gathers the same bytes as fancy indexing, faster
             z *= np.take(self._std, idx, axis=0)

@@ -174,8 +174,9 @@ class DiscreteTilt:
 def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
     """Exhaustively tilt a finite-support distribution by exp(beta * f).
 
-    ``f`` is a criterion, evaluated on the support rows.  All moments and the
-    divergence are exact sums.
+    ``f`` is a criterion, evaluated on the support rows.  The moments are
+    exact sums, and the divergence is beta * E f - log Z, finite even where
+    a tilted probability underflows to 0.
     """
     support = np.asarray(support, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -195,7 +196,9 @@ def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
     centered = f_values - mean_f
     var_f = float(q @ centered**2)
     third = float(q @ centered**3)
-    dkl = float(np.sum(q[live] * (np.log(q[live]) - np.log(probs[live]))))
+    # KL(q || p) = sum q (beta f - log Z) = beta E_q f - log Z, which takes no
+    # log q: summing q (log q - log p) gives nan once a live q underflows to 0
+    dkl = float(beta * mean_f - log_z)
     return DiscreteTilt(
         support=support,
         base_probs=probs,

@@ -10,6 +10,8 @@ draws, which give the bytes of one whole draw.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tiltgen import (
     BayesPosteriorClassifier,
@@ -288,6 +290,38 @@ def test_streamed_draw_is_the_whole_sample_stream(kind, dim, n):
     assert [c.shape[0] for c in chunks] == [r.stop - r.start for r in dists._row_chunks(n)]
     assert np.array_equal(np.concatenate(chunks), want)
     assert np.array_equal(p.sample(n, SEED), want)
+
+
+def normalized(raw):
+    """``raw`` nonnegative numbers, not all 0, scaled to mixture weights."""
+    raw = np.asarray(raw, dtype=float)
+    return raw / raw.sum()
+
+
+mixture_weights = (
+    st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=1, max_size=6)
+    .filter(lambda raw: sum(raw) > 0)
+    .map(normalized)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=mixture_weights,
+    n=st.sampled_from([1, 2, 3, 5, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3]),
+    seed=st.integers(0, 2**64 - 1),
+)
+# weights whose cumulative sums round: ``choice`` rescales them by the last one
+@example(weights=np.full(10, 0.1), n=2 * CHUNK + 3, seed=SEED)
+@example(weights=np.full(3, 1 / 3), n=CHUNK + 1, seed=SEED)
+@example(weights=np.array([0.7, 0.2, 0.1]), n=CHUNK - 1, seed=SEED)
+def test_mixture_draw_is_the_choice_stream(weights, n, seed):
+    comps = [
+        DiagGaussian([float(c), -0.5 * c], [1.0 + c, 0.25 + c])
+        for c in range(weights.shape[0])
+    ]
+    p = GaussianMixture(weights, comps)
+    assert np.array_equal(p.sample(n, seed), reference_mixture_sample(p, n, seed))
 
 
 class OverriddenSample(DiagGaussian):

@@ -120,6 +120,22 @@ def test_logistic_logprob_gradient_closed_form():
     assert np.allclose(f.grad(x[:1])[0], fd, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+def test_logistic_log_probabilities_match_the_softplus_form(scale):
+    # both signs of zero, of the smallest scale and of both tails, then
+    # random logits
+    edges = np.array([0.0, 1e-300, 1.0, 40.0, 745.0, 1e300])
+    rng = np.random.default_rng(12)
+    z = np.concatenate([edges, -edges, scale * rng.standard_normal(10_000)])
+    got = LogisticClassifier([1.0]).log_probabilities(z[:, None])
+    # log sigma(-+z) = -softplus(+-z)
+    want = np.stack([-np.logaddexp(0.0, z), -np.logaddexp(0.0, -z)], axis=1)
+    assert got.shape == want.shape
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+    assert np.all(np.abs(np.exp(got).sum(axis=1) - 1.0) <= 1e-15)
+
+
 def test_prob_form_saturates_to_zero_gradient():
     h = LogisticClassifier([1.0])
     f = ClassifierCriterion(h, target_class=1, form="prob")

@@ -189,6 +189,27 @@ def test_discrete_derivative_identity_by_finite_differences():
         )
 
 
+def test_discrete_dkl_is_finite_once_a_tilted_probability_underflows():
+    support = np.array([[0.0], [1.0], [2.0]])
+    probs = np.array([0.2, 0.3, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = discrete_qbeta(support, probs, LinearCriterion([1.0]), beta=800.0)
+    # q_beta(0) underflows to 0 and q_beta(2) is 1 to the last bit, so the
+    # divergence is -log p(2)
+    assert table.probs[0] == 0.0
+    assert table.dkl == pytest.approx(-np.log(0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [-2.0, 0.7, 3.0])
+def test_discrete_dkl_is_the_sum_over_the_support(beta):
+    support = np.array([[0.0], [1.0], [2.0]])
+    probs = np.array([0.2, 0.3, 0.5])
+    table = discrete_qbeta(support, probs, LinearCriterion([1.0]), beta=beta)
+    q = table.probs
+    assert table.dkl == pytest.approx(np.sum(q * (np.log(q) - np.log(probs))), abs=1e-14)
+
+
 def test_discrete_rejects_bad_inputs():
     with pytest.raises(ContractError):
         discrete_qbeta(np.zeros((3, 1)), np.array([0.5, 0.5]), LinearCriterion([1.0]), 0.0)
