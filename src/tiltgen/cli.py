@@ -293,7 +293,7 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     n = diag.get("samples", 10000)
     report = compare_criteria(
         candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare"),
-        **given_keys(diag, "bins", "cap"),
+        **given_keys(diag, "bins"),
     )
     phases.end("compare")
     curves = ()

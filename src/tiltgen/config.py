@@ -185,7 +185,6 @@ SCHEMA = {
                 },
                 "samples": {"type": "integer", "minimum": 1000},
                 "bins": {"type": "integer", "minimum": 1},
-                "cap": {"type": ["number", "null"], "exclusiveMinimum": 0},
                 "curve_betas": _NUMBER_ARRAY,
                 "curve_samples": {"type": "integer", "minimum": 10000},
             },
@@ -417,8 +416,7 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
 
     flow_arch = FlowArchitecture(**config.get("flow", {}))
 
-    tune_spec = dict(config.get("tune", {}))
-    tune = TuneConfig(seed=derive_seed(seeds["sampling"], "tune"), **tune_spec)
+    tune = TuneConfig(**config.get("tune", {}))
 
     target = None
     fixed_beta = None

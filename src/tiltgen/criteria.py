@@ -166,7 +166,9 @@ class LogisticClassifier:
         return out
 
     def log_probabilities_and_grads(self, batch, labels):
-        sig = 1.0 / (1.0 + np.exp(-self._logit(batch)))
+        # exp overflows to inf below a logit of about -709: sigma is then 0
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-self._logit(batch)))
         grads = [((1.0 - sig) if label == 1 else -sig)[:, None] * self.weights
                  for label in labels]
         return self.log_probabilities(batch), grads

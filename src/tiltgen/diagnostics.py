@@ -50,8 +50,6 @@ class GradNormProfile:
     p99: float
     max: float
     zero_mass_fraction: float
-    truncated: bool
-    cap: float | None
 
 
 def grad_norm_profile(
@@ -60,25 +58,17 @@ def grad_norm_profile(
     n: int,
     bins: int,
     seed: int,
-    cap: float | None = None,
 ) -> GradNormProfile:
-    """Histogram of ||grad f|| over ``n`` base-model samples.
-
-    With ``cap`` set, norms above it are folded into the top bin and the
-    profile is flagged as truncated, so counts always sum to ``n``.  A cap
-    must be positive.
-    """
-    x = _profile_sample(p, n, seed, cap)
-    return _profile_from_norms(f.label, _grad_norms(f, x), bins, cap)
+    """Histogram of ||grad f|| over ``n`` base-model samples, with ``bins``
+    equal bins from 0 to the largest norm."""
+    x = _profile_sample(p, n, seed)
+    return _profile_from_norms(f.label, _grad_norms(f, x), bins)
 
 
-def _profile_sample(p: Distribution, n: int, seed: int, cap) -> np.ndarray:
-    """The profile's ``n`` draws from ``p``, once ``n`` and ``cap`` are checked."""
+def _profile_sample(p: Distribution, n: int, seed: int) -> np.ndarray:
+    """The profile's ``n`` draws from ``p``, once ``n`` is checked."""
     if n < 1000:
         raise ContractError("gradient profiling needs n >= 1000")
-    # a cap at or below 0 folds every norm onto or below the lower edge
-    if cap is not None and not cap > 0:
-        raise ContractError(f"gradient-norm cap must be > 0, got {cap!r}")
     return p.sample(n, seed)
 
 
@@ -89,13 +79,9 @@ def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
     return _per_row(f, x.shape[0], _chunks_of(x), "gradient norm", norms)
 
 
-def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNormProfile:
+def _profile_from_norms(label: str, norms: np.ndarray, bins: int) -> GradNormProfile:
     top = float(norms.max())
-    truncated = cap is not None and top > cap
-    hi = min(top, cap) if cap is not None else top
-    counts, edges = np.histogram(
-        np.minimum(norms, hi), bins=bins, range=(0.0, hi if hi > 0 else 1.0)
-    )
+    counts, edges = np.histogram(norms, bins=bins, range=(0.0, top or 1.0))
     # one partition for the three quantiles
     median, p90, p99 = np.quantile(norms, [0.5, 0.9, 0.99])
     return GradNormProfile(
@@ -108,8 +94,6 @@ def _profile_from_norms(label: str, norms: np.ndarray, bins: int, cap) -> GradNo
         p99=float(p99),
         max=top,
         zero_mass_fraction=float(np.mean(norms < ZERO_MASS_EPS * max(top, 1e-300))),
-        truncated=truncated,
-        cap=cap,
     )
 
 
@@ -254,7 +238,6 @@ def compare_criteria(
     n: int,
     seed: int,
     bins: int = 50,
-    cap: float | None = None,
 ) -> ComparisonReport:
     """Profile each candidate and rank them by regularity score.
 
@@ -268,11 +251,11 @@ def compare_criteria(
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")
-    x = _profile_sample(p, n, seed, cap)
+    x = _profile_sample(p, n, seed)
     entries = []
     for i, f in enumerate(candidates):
         norms = _grad_norms(f, x)
-        profile = _profile_from_norms(f.label, norms, bins, cap)
+        profile = _profile_from_norms(f.label, norms, bins)
         nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
         med, p99 = np.quantile(nonzero, [0.5, 0.99]) if nonzero.size else (0.0, 0.0)
         score = float(p99) / float(med) if med > 0 else float("inf")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -264,9 +264,10 @@ def fit_chain(
     ``propose`` is re-raised with the records finished so far attached as
     its ``records`` attribute.
 
-    Fit 0 runs ``tune_cfg`` as given.  Fit i > 0 runs its ``warm_steps``
-    budget on batches drawn from ``derive_seed(tune_cfg.seed, "fit", i)``.
-    Fit i measures on ``moments_n`` samples drawn from
+    Fit 0 runs ``tune_cfg`` as given, on batches drawn from the tune seed
+    ``t = derive_seed(seed, "tune")``.  Fit i > 0 runs its ``warm_steps``
+    budget on batches drawn from ``derive_seed(t, "fit", i)``.  Fit i
+    measures on ``moments_n`` samples drawn from
     ``derive_seed(seed, "moments", i)``.  ``init_seed`` drives the flow
     initialization and defaults to a stream derived from ``seed``.
     The parameters after ``propose`` are the chain settings, declared here
@@ -276,14 +277,16 @@ def fit_chain(
         init_seed = derive_seed(seed, "init")
     flow = init_identity(p.dim, arch, seed=init_seed)
     cfg = tune_cfg
+    fit_seed = tune_seed = derive_seed(seed, "tune")
     records: list[dict] = []
     try:
         while beta is not None:
             i = len(records)
             if i > 0:
-                cfg = tune_cfg.for_warm_start(derive_seed(tune_cfg.seed, "fit", i))
+                cfg = replace(tune_cfg, steps=tune_cfg.warm_steps)
+                fit_seed = derive_seed(tune_seed, "fit", i)
             start = time.perf_counter()
-            model = fit_q(p, f, beta, flow, cfg)
+            model = fit_q(p, f, beta, flow, cfg, fit_seed)
             fitted = time.perf_counter()
             flow = model.flow
             est = estimate_moments(model, f, moments_n, derive_seed(seed, "moments", i))
@@ -329,7 +332,9 @@ def solve(
     target quantity is within max(RELATIVE_TOLERANCE * |target|, 3 se) of
     the target value.  A beta update smaller than BETA_TOLERANCE * max(1,
     beta) while the target is still missed reports non-convergence
-    (stagnation), as does exhausting ``max_iterations``.  Each record also
+    (stagnation), as does exhausting ``max_iterations``; the message of a
+    stagnation at beta 0 with a positive residual names the target and the
+    value there, since beta never goes below 0.  Each record also
     carries ``achieved`` and ``residual``; the records always come back, so
     a non-converged run can still be audited (after a failure, attached to
     the error as in ``fit_chain``).
@@ -353,6 +358,11 @@ def solve(
         new_beta = newton_step(records, target)
         if abs(new_beta - beta) < BETA_TOLERANCE * max(1.0, abs(beta)):
             message = "beta stagnated before reaching the target"
+            if new_beta == 0.0 and residual > 0.0:
+                message = (
+                    f"target {target.mode} {target.value:.6g} lies below its value "
+                    f"{achieved:.6g} at beta={beta:.6g}, and the search only raises beta"
+                )
             return None
         return new_beta if len(records) < max_iterations else None
 

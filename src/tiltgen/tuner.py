@@ -13,7 +13,7 @@ the flow inverse and the change-of-variables identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class TuneConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     improvement_tol: float = 1e-4
-    seed: int = 0
 
     def __post_init__(self):
         # the config schema's bounds; written so that NaN fails them too
@@ -76,9 +75,6 @@ class TuneConfig:
         for message, ok in bounds.items():
             if not ok:
                 raise ContractError(message)
-
-    def for_warm_start(self, seed: int) -> "TuneConfig":
-        return replace(self, steps=self.warm_steps, seed=seed)
 
 
 class Adam:
@@ -186,8 +182,13 @@ def _decayed_lr(cfg: TuneConfig, step: int) -> float:
     return cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
 
 
-def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> TunedModel:
+def fit_q(
+    p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig, seed: int
+) -> TunedModel:
     """Fit the tilted model at fixed ``beta`` by stochastic ascent.
+
+    Step s trains on ``cfg.batch_size`` draws from ``p`` with seed
+    ``derive_seed(seed, "batch", s)``.
 
     The initial flow is copied, never mutated, so warm-start chains can keep
     their history.  A non-finite ``beta`` raises ``ContractError`` before the
@@ -203,7 +204,7 @@ def fit_q(p: Distribution, f, beta: float, init: FlowModel, cfg: TuneConfig) -> 
     w = PLATEAU_WINDOW
     flat_checks = 0
     for step in range(cfg.steps):
-        batch = p.sample(cfg.batch_size, derive_seed(cfg.seed, "batch", step))
+        batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
         try:
             obj, grads, mean_f, batch_kl = _objective_parts(p, f, beta, flow, batch)
         except NumericError as err:

@@ -92,7 +92,7 @@ def test_criterion_01_gaussian_tilt_end_to_end():
     res = solve(
         p, f, Target.divergence(4.61),
         tune_cfg=TuneConfig(steps=2000, warm_steps=800, learning_rate=5e-3,
-                            batch_size=256, seed=42),
+                            batch_size=256),
         moments_n=50000, seed=101,
     )
     elapsed = time.perf_counter() - t0
@@ -189,8 +189,7 @@ def test_criterion_03_conditional_modeling():
     flow0 = init_identity(1, seed=31)
     model = fit_q(
         mixture, f, 1.0, flow0,
-        TuneConfig(steps=6000, learning_rate=3e-3, batch_size=512, seed=32,
-                   improvement_tol=0),
+        TuneConfig(steps=6000, learning_rate=3e-3, batch_size=512, improvement_tol=0), 32,
     )
     n = 10000
     samples = model.sample(n, seed=33)
@@ -215,7 +214,7 @@ def test_criterion_04_adversarial_refinement():
     f = AdversarialCriterion(p_model, p_data)
     model = fit_q(
         p_model, f, 0.5, init_identity(1, seed=41),
-        TuneConfig(steps=2500, learning_rate=3e-3, seed=42, improvement_tol=0),
+        TuneConfig(steps=2500, learning_rate=3e-3, improvement_tol=0), 42,
     )
     mean = float(model.sample(20000, seed=43).mean())
     checks = {"fitted mean = 0.5 +/- 0.03": abs(mean - 0.5) <= 0.03}
@@ -333,7 +332,7 @@ def test_criterion_08_rejection_sampling_motivation():
     t0 = time.perf_counter()
     model = fit_q(
         p, f, beta, init_identity(1, seed=83),
-        TuneConfig(steps=2500, learning_rate=5e-3, seed=84, improvement_tol=0),
+        TuneConfig(steps=2500, learning_rate=5e-3, improvement_tol=0), 84,
     )
     tilted = model.sample(10000, seed=85)
     tilt_s = time.perf_counter() - t0
@@ -365,7 +364,7 @@ def test_criterion_09_pareto_monotonicity():
     grid = [0.0, 0.5, 1.0, 1.5, 2.0]
     records = pareto_sweep(
         p, f, grid,
-        tune_cfg=TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3, seed=91),
+        tune_cfg=TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3),
         moments_n=20000, seed=92,
     )
     points = [(r["beta"], r["moments"]) for r in records]

@@ -20,7 +20,13 @@ from tiltgen.criteria import (
     LinearCriterion,
     LogisticClassifier,
 )
-from tiltgen.diagnostics import CriterionEntry, GradNormProfile, TheoreticalCurve
+from tiltgen.diagnostics import (
+    CriterionEntry,
+    GradNormProfile,
+    TheoreticalCurve,
+    compare_criteria,
+    grad_norm_profile,
+)
 from tiltgen.dists import DiagGaussian
 from tiltgen.errors import ConfigError, ContractError
 from tiltgen.flows import FlowArchitecture
@@ -197,6 +203,22 @@ def test_tune_iteration_cap_exits_two_with_manifest(tmp_path):
     assert rc == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert not manifest["final"]["converged"]
+
+
+def test_tune_to_an_expectation_below_the_base_value_names_the_cause(tmp_path, capsys):
+    cfg = small_tune_config(
+        criterion={"name": "linear", "coefficients": [1.0], "normalize": False},
+        target={"mode": "expectation", "value": -1.0},
+        tune={"steps": 60, "warm_steps": 30},
+        moments={"samples": 2000},
+    )
+    out = tmp_path / "run"
+    assert main(["tune", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "target expectation -1 lies below its value" in err
+    assert "the search only raises beta" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [it["beta"] for it in manifest["iterations"]] == [0.0]
 
 
 class NanAfter(Criterion):
@@ -436,6 +458,12 @@ def diagnose_config_with_classifier_candidate(**keys):
     return cfg
 
 
+def diagnose_config_with(**keys):
+    cfg = curve_diagnose_config()
+    cfg["diagnostics"].update(keys)
+    return cfg
+
+
 LOGISTIC = {"name": "classifier", "model": {"type": "logistic", "weights": [2.0]}}
 
 # settings that are module constants, each set to its constant's value:
@@ -459,6 +487,7 @@ REMOVED_SETTINGS = {
         "diagnose", diagnose_config_with_classifier_candidate(log_prob_floor=-30.0),
         "diagnostics/candidates/1",
     ),
+    "cap": ("diagnose", diagnose_config_with(cap=5.0), "diagnostics"),
 }
 
 
@@ -482,8 +511,17 @@ def test_removed_setting_is_a_config_error(tmp_path, capsys, case):
         tune_cfg=TuneConfig(steps=2, batch_size=8),
     ),
     lambda: ClassifierCriterion(LogisticClassifier([1.0]), floor=-30.0),
+    lambda: TuneConfig(seed=7),
+    lambda: compare_criteria(
+        [LinearCriterion([1.0]), LinearCriterion([2.0])], DiagGaussian.standard(1),
+        n=1000, seed=1, cap=5.0,
+    ),
+    lambda: grad_norm_profile(
+        LinearCriterion([1.0]), DiagGaussian.standard(1), n=1000, bins=10, seed=1, cap=5.0,
+    ),
 ], ids=["TuneConfig-window", "FlowArchitecture-permute", "solve-relative_tolerance",
-        "ClassifierCriterion-floor"])
+        "ClassifierCriterion-floor", "TuneConfig-seed", "compare_criteria-cap",
+        "grad_norm_profile-cap"])
 def test_removed_setting_is_not_a_parameter(build):
     with pytest.raises(TypeError):
         build()
@@ -492,7 +530,7 @@ def test_removed_setting_is_not_a_parameter(build):
 def test_schema_blocks_take_the_callee_parameters_and_the_rest_are_constants():
     blocks = {name: set(SCHEMA["properties"][name]["properties"])
               for name in ("tune", "flow", "solver")}
-    assert field_names(TuneConfig) - {"seed"} == blocks["tune"]
+    assert field_names(TuneConfig) == blocks["tune"]
     assert field_names(FlowArchitecture) == blocks["flow"]
     solve_keywords = {name for name, param in inspect.signature(solve).parameters.items()
                       if param.kind is param.KEYWORD_ONLY}
@@ -616,22 +654,6 @@ def test_seeds_too_large_for_a_float_are_accepted(tmp_path):
     config.write_text(json.dumps(cfg).replace('"HUGE"', HUGE_INTEGER))
     seeds = build_plan(load_config(config), require="target").seeds
     assert seeds["init"] == int(HUGE_INTEGER)  # reduced mod 2^64 where it is used
-
-
-@pytest.mark.parametrize("cap", [-1.0, 0.0])
-def test_diagnose_rejects_a_cap_that_is_not_positive(tmp_path, capsys, cap):
-    cfg = curve_diagnose_config()
-    cfg["diagnostics"]["cap"] = cap
-    out = tmp_path / "run"
-    assert main(["diagnose", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    assert "config invalid at diagnostics/cap" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_diagnose_accepts_a_null_cap(tmp_path):
-    cfg = curve_diagnose_config()
-    cfg["diagnostics"]["cap"] = None
-    validate_config(cfg)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

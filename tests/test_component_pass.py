@@ -173,13 +173,13 @@ def test_two_block_bayes_fit_is_bit_identical_to_per_component_mixture():
         return cls([0.5, 0.5], [comp([-2.0, 0.0], [1.0, 1.0]), comp([2.0, 0.0], [1.0, 1.0])])
 
     init = init_identity(2, FlowArchitecture(blocks=2, hidden_width=16), seed=11)
-    cfg = TuneConfig(steps=120, batch_size=64, learning_rate=5e-3, seed=12, improvement_tol=0)
+    cfg = TuneConfig(steps=120, batch_size=64, learning_rate=5e-3, improvement_tol=0)
     y = init._forward_cached(np.zeros((4, 2)))[0]
     assert y.flags.f_contiguous and not y.flags.c_contiguous
     fits = []
     for p in (mixture(GaussianMixture, DiagGaussian), mixture(PerComponentMixture, PerComponentGaussian)):
         f = ClassifierCriterion(BayesPosteriorClassifier(p), 1, "log-prob")
-        fits.append(fit_q(p, f, 1.0, init, cfg))
+        fits.append(fit_q(p, f, 1.0, init, cfg, 12))
     model, ref = fits
     assert model.trace_rows == ref.trace_rows
     assert np.array_equal(model.flow.theta.view(np.int64), ref.flow.theta.view(np.int64))

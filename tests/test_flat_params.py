@@ -114,12 +114,12 @@ def test_parameterless_flow_has_empty_theta():
 # fit_q against a reference loop: separate evaluation calls and per-array Adam
 
 
-def reference_fit(p, f, beta, init, cfg):
+def reference_fit(p, f, beta, init, cfg, seed):
     flow = init.copy()
     opt = Adam(flow.parameters(), cfg)
     rows = []
     for step in range(cfg.steps):
-        batch = p.sample(cfg.batch_size, derive_seed(cfg.seed, "batch", step))
+        batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
         n = batch.shape[0]
         y, logdet, caches = flow._forward_cached(batch)
         f_vals = np.asarray(f.value(y), dtype=float)
@@ -147,10 +147,10 @@ SETUPS = {
 def test_fit_q_bit_identical_to_reference_loop(name):
     p, f, beta = SETUPS[name]
     init = init_identity(2, FlowArchitecture(blocks=2, hidden_width=16), seed=11)
-    cfg = TuneConfig(steps=150, batch_size=64, learning_rate=5e-3, seed=12, improvement_tol=0)
+    cfg = TuneConfig(steps=150, batch_size=64, learning_rate=5e-3, improvement_tol=0)
     before = init.theta.copy()
-    model = fit_q(p, f, beta, init, cfg)
-    rows, theta = reference_fit(p, f, beta, init, cfg)
+    model = fit_q(p, f, beta, init, cfg, 12)
+    rows, theta = reference_fit(p, f, beta, init, cfg, 12)
     assert model.trace_rows == rows
     assert np.array_equal(model.flow.theta, theta)
     assert np.array_equal(init.theta, before)  # fit_q never mutates its init

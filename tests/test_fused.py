@@ -212,9 +212,9 @@ class SeparateOnlyDistribution(Distribution):
 
 
 def _fit(p, f):
-    cfg = TuneConfig(steps=60, batch_size=64, learning_rate=5e-3, seed=5, improvement_tol=0)
+    cfg = TuneConfig(steps=60, batch_size=64, learning_rate=5e-3, improvement_tol=0)
     return fit_q(p, f, 1.0, init_identity(2, FlowArchitecture(blocks=1, hidden_width=8), seed=4),
-                 cfg)
+                 cfg, 5)
 
 
 def test_subclass_with_separate_calls_fits_like_builtin():

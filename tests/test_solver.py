@@ -17,6 +17,7 @@ from tiltgen import (
     solve,
 )
 from tiltgen.oracles import GaussianTiltOracle
+from tiltgen.rng import derive_seed
 from tiltgen import solver
 from tiltgen.solver import MomentEstimates, _bracket, _quadratic_root, fit_chain
 from tiltgen.tuner import TuneConfig
@@ -174,7 +175,7 @@ def test_bracket_bookkeeping():
 
 
 def test_solve_target_already_met(std_normal_1d):
-    cfg = TuneConfig(steps=400, learning_rate=2e-3, seed=4)
+    cfg = TuneConfig(steps=400, learning_rate=2e-3)
     res = solve(
         std_normal_1d, LinearCriterion([1.0]), Target.expectation(0.0),
         tune_cfg=cfg, moments_n=5000, seed=5,
@@ -187,7 +188,7 @@ def test_solve_target_already_met(std_normal_1d):
 
 
 def test_solve_divergence_benchmark(std_normal_1d):
-    cfg = TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3, seed=7)
+    cfg = TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3)
     res = solve(
         std_normal_1d, LinearCriterion([1.0]), Target.divergence(2.0),
         tune_cfg=cfg, moments_n=20000, seed=8,
@@ -199,7 +200,7 @@ def test_solve_divergence_benchmark(std_normal_1d):
 
 
 def test_solve_same_beta_from_different_initializations(std_normal_1d):
-    cfg = TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3, seed=9)
+    cfg = TuneConfig(steps=1200, warm_steps=600, learning_rate=5e-3)
     betas = []
     for init_seed in (100, 200):
         res = solve(
@@ -212,7 +213,7 @@ def test_solve_same_beta_from_different_initializations(std_normal_1d):
 
 
 def test_solve_iteration_cap_reports_non_convergence(std_normal_1d):
-    cfg = TuneConfig(steps=200, learning_rate=2e-3, seed=11)
+    cfg = TuneConfig(steps=200, learning_rate=2e-3)
     res = solve(
         std_normal_1d, LinearCriterion([1.0]), Target.divergence(8.0),
         tune_cfg=cfg, moments_n=2000, seed=12, max_iterations=1,
@@ -222,12 +223,53 @@ def test_solve_iteration_cap_reports_non_convergence(std_normal_1d):
     assert len(res.records) == 1
 
 
+def test_solve_names_a_target_below_the_base_value(std_normal_1d):
+    # beta never goes below 0, so the search stops at once on an expectation
+    # below the base model's; the message says so instead of "stagnated"
+    res = solve(
+        std_normal_1d, LinearCriterion([1.0]), Target.expectation(-1.0),
+        tune_cfg=TuneConfig(steps=60, warm_steps=30), moments_n=2000, seed=3,
+    )
+    assert not res.converged
+    assert [r["beta"] for r in res.records] == [0.0]
+    assert res.records[0]["residual"] > 0.0
+    achieved = res.records[0]["achieved"]
+    assert res.message == (
+        f"target expectation -1 lies below its value {achieved:.6g} at beta=0, "
+        "and the search only raises beta"
+    )
+
+
+def quickstart_solve(seed):
+    """The README quickstart's problem on a small budget, one fit."""
+    return solve(
+        DiagGaussian.standard(2), LinearCriterion([1.0, 0.0]), Target.from_quantile(0.01),
+        tune_cfg=TuneConfig(steps=60, warm_steps=30, learning_rate=5e-3),
+        moments_n=2000, seed=seed, max_iterations=1,
+    )
+
+
+def test_solve_seed_drives_the_fit_batches():
+    first_mean_f = [quickstart_solve(seed).records[0]["trace"][0][2] for seed in (7, 8)]
+    assert first_mean_f[0] != first_mean_f[1]
+
+
+def test_first_fit_draws_its_batches_from_the_tune_stream():
+    # the stream the CLI has always used: batch s of fit 0 has the seed
+    # derive_seed(derive_seed(seed, "tune"), "batch", s)
+    batch = DiagGaussian.standard(2).sample(
+        TuneConfig().batch_size, derive_seed(derive_seed(7, "tune"), "batch", 0)
+    )
+    # the flow starts at the identity, so step 0 evaluates f on the batch itself
+    assert quickstart_solve(7).records[0]["trace"][0][2] == float(batch[:, 0].mean())
+
+
 # ---------------------------------------------------------------------------
 # pareto sweep
 
 
 def test_pareto_single_point_grid(std_normal_1d):
-    cfg = TuneConfig(steps=300, learning_rate=2e-3, seed=13)
+    cfg = TuneConfig(steps=300, learning_rate=2e-3)
     records = pareto_sweep(
         std_normal_1d, LinearCriterion([1.0]), [0.0], tune_cfg=cfg,
         moments_n=5000, seed=14,
@@ -262,7 +304,7 @@ def test_pareto_over_solves_betas_reproduces_its_records(std_normal_1d):
     # one warm-start loop: grid point i draws the streams of solve's iteration i
     f = LinearCriterion([1.0])
     run = dict(
-        tune_cfg=TuneConfig(steps=300, warm_steps=150, learning_rate=5e-3, seed=4),
+        tune_cfg=TuneConfig(steps=300, warm_steps=150, learning_rate=5e-3),
         moments_n=2000, seed=14,
     )
     res = solve(std_normal_1d, f, Target.divergence(2.0), max_iterations=4, **run)
@@ -276,7 +318,7 @@ def test_pareto_over_solves_betas_reproduces_its_records(std_normal_1d):
 
 
 def test_pareto_matches_tilt_curve_and_is_monotone(std_normal_1d):
-    cfg = TuneConfig(steps=1000, warm_steps=500, learning_rate=5e-3, seed=15)
+    cfg = TuneConfig(steps=1000, warm_steps=500, learning_rate=5e-3)
     grid = [0.0, 1.0, 2.0]
     records = pareto_sweep(
         std_normal_1d, LinearCriterion([1.0]), grid, tune_cfg=cfg,

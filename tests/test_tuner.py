@@ -91,7 +91,7 @@ def test_fit_beta_zero_keeps_identity(std_normal_1d):
     g = init_identity(1, seed=7)
     model = fit_q(
         std_normal_1d, LinearCriterion([1.0]), 0.0, g,
-        TuneConfig(steps=2000, learning_rate=5e-3, seed=8),
+        TuneConfig(steps=2000, learning_rate=5e-3), 8,
     )
     x = std_normal_1d.sample(5000, seed=9)
     y, _ = model.flow.forward(x)
@@ -102,7 +102,7 @@ def test_fit_gaussian_tilt_matches_closed_form(std_normal_1d):
     g = init_identity(1, seed=10)
     model = fit_q(
         std_normal_1d, LinearCriterion([1.0]), 2.0, g,
-        TuneConfig(steps=2000, learning_rate=1e-3, seed=11),
+        TuneConfig(steps=2000, learning_rate=1e-3), 11,
     )
     s = model.sample(20000, seed=12)
     assert abs(s.mean() - 2.0) < 0.05
@@ -113,7 +113,7 @@ def test_fit_gaussian_tilt_matches_closed_form(std_normal_1d):
 def test_fit_objective_trace_non_decreasing_moving_average(std_normal_1d):
     model = fit_q(
         std_normal_1d, LinearCriterion([1.0]), 2.0, init_identity(1, seed=14),
-        TuneConfig(steps=1200, learning_rate=5e-3, seed=15, improvement_tol=0),
+        TuneConfig(steps=1200, learning_rate=5e-3, improvement_tol=0), 15,
     )
     obj = np.array([row[1] for row in model.trace_rows])
     window = 50
@@ -143,7 +143,7 @@ def test_fit_divergence_aborts_with_trace(std_normal_1d):
     with pytest.raises(DivergenceError) as err:
         fit_q(
             std_normal_1d, DomainLimitedCriterion(), 50.0, g,
-            TuneConfig(steps=5000, learning_rate=0.05, seed=17, improvement_tol=0),
+            TuneConfig(steps=5000, learning_rate=0.05, improvement_tol=0), 17,
         )
     assert len(err.value.trace) > 0
 
@@ -153,14 +153,14 @@ def test_fit_rejects_non_finite_beta(std_normal_1d, beta):
     # refused before the first step, so no NaN reaches the flow
     with pytest.raises(ContractError, match="beta must be finite"):
         fit_q(std_normal_1d, LinearCriterion([1.0]), beta, init_identity(1, seed=0),
-              TuneConfig(steps=5))
+              TuneConfig(steps=5), 0)
 
 
 def test_fit_reproducible_from_seed(std_normal_1d):
-    cfg = TuneConfig(steps=120, seed=18)
+    cfg = TuneConfig(steps=120)
     g = init_identity(1, seed=19)
-    m1 = fit_q(std_normal_1d, LinearCriterion([1.0]), 1.0, g, cfg)
-    m2 = fit_q(std_normal_1d, LinearCriterion([1.0]), 1.0, g, cfg)
+    m1 = fit_q(std_normal_1d, LinearCriterion([1.0]), 1.0, g, cfg, 18)
+    m2 = fit_q(std_normal_1d, LinearCriterion([1.0]), 1.0, g, cfg, 18)
     for p1, p2 in zip(m1.flow.parameters(), m2.flow.parameters()):
         assert np.array_equal(p1, p2)
 
@@ -168,10 +168,10 @@ def test_fit_reproducible_from_seed(std_normal_1d):
 def test_warm_start_dominance(std_normal_1d):
     # reaching the beta=2 optimal objective takes no more steps warm than cold
     f = LinearCriterion([1.0])
-    cfg = TuneConfig(steps=1500, learning_rate=5e-3, seed=20, improvement_tol=0)
-    m1 = fit_q(std_normal_1d, f, 1.0, init_identity(1, seed=21), cfg)
-    warm = fit_q(std_normal_1d, f, 2.0, m1.flow, cfg)
-    cold = fit_q(std_normal_1d, f, 2.0, init_identity(1, seed=21), cfg)
+    cfg = TuneConfig(steps=1500, learning_rate=5e-3, improvement_tol=0)
+    m1 = fit_q(std_normal_1d, f, 1.0, init_identity(1, seed=21), cfg, 20)
+    warm = fit_q(std_normal_1d, f, 2.0, m1.flow, cfg, 20)
+    cold = fit_q(std_normal_1d, f, 2.0, init_identity(1, seed=21), cfg, 20)
     optimum = std_normal_1d.entropy() * -1 + 2.0  # -H + beta^2/2
     threshold = optimum - 0.05
 
