@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .config import build_plan, given_keys, load_config
+from .config import build_plan, load_config
 from .criteria import normalize_affine
 from .diagnostics import compare_criteria, importance_curves
 from .dists import LatentDecoder
@@ -292,8 +292,7 @@ def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
 
     n = diag.get("samples", 10000)
     report = compare_criteria(
-        candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare"),
-        **given_keys(diag, "bins"),
+        candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare")
     )
     phases.end("compare")
     curves = ()

@@ -137,9 +137,6 @@ SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "warm_steps": {"type": "integer", "minimum": 1},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "beta1": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "beta2": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "improvement_tol": {"type": "number", "minimum": 0},
             },
         },
@@ -184,7 +181,6 @@ SCHEMA = {
                     "items": _CRITERION_SCHEMA,
                 },
                 "samples": {"type": "integer", "minimum": 1000},
-                "bins": {"type": "integer", "minimum": 1},
                 "curve_betas": _NUMBER_ARRAY,
                 "curve_samples": {"type": "integer", "minimum": 10000},
             },

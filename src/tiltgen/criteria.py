@@ -80,8 +80,8 @@ class AffineNormalizedCriterion(Criterion):
     """(f - shift) / scale; the gradient is rescaled by 1/scale."""
 
     def __init__(self, base: Criterion, shift: float, scale: float):
-        if scale <= 0.0:
-            raise ContractError("normalization scale must be positive")
+        if not (np.isfinite(shift) and 0.0 < scale < np.inf):
+            raise ContractError("normalization needs a finite shift and a positive, finite scale")
         self.base = base
         self.shift = float(shift)
         self.scale = float(scale)
@@ -296,8 +296,8 @@ class PeakCriterion(Criterion):
     """
 
     def __init__(self, dim: int, window, temperature: float):
-        if temperature <= 0.0:
-            raise ContractError("temperature must be positive")
+        if not 0.0 < temperature < np.inf:
+            raise ContractError("temperature must be positive and finite")
         self.dim = int(dim)
         self.window = _check_window(window, self.dim)
         self.temperature = float(temperature)

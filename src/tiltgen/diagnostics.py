@@ -31,6 +31,7 @@ __all__ = [
     "audit_run",
 ]
 
+PROFILE_BINS = 50  # compare_criteria's histogram bins, from 0 to the largest norm
 ZERO_MASS_EPS = 1e-3  # a norm below eps * max counts as a dead-gradient point
 ESS_FLOOR = 50.0  # a curve point with a smaller effective sample size is unreliable
 UNDERSHOOT_MARGIN = 0.1  # audit_run's flags: see its docstring
@@ -237,7 +238,6 @@ def compare_criteria(
     p: Distribution,
     n: int,
     seed: int,
-    bins: int = 50,
 ) -> ComparisonReport:
     """Profile each candidate and rank them by regularity score.
 
@@ -245,9 +245,9 @@ def compare_criteria(
     the raw histograms are only comparable on a common scale).  Ties go to
     the smaller zero-mass fraction, then to input order.  Every candidate is
     profiled on the same ``n`` draws from ``p``; its gradient norms are
-    computed once, one row chunk at a time, and feed both its profile and
-    score.  A non-finite gradient norm raises ``NumericError`` naming the
-    candidate.
+    computed once, one row chunk at a time, and feed both its profile (a
+    histogram of ``PROFILE_BINS`` bins) and score.  A non-finite gradient
+    norm raises ``NumericError`` naming the candidate.
     """
     if len(candidates) < 2:
         raise ContractError("need at least two candidate criteria to compare")
@@ -255,7 +255,7 @@ def compare_criteria(
     entries = []
     for i, f in enumerate(candidates):
         norms = _grad_norms(f, x)
-        profile = _profile_from_norms(f.label, norms, bins)
+        profile = _profile_from_norms(f.label, norms, PROFILE_BINS)
         nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
         med, p99 = np.quantile(nonzero, [0.5, 0.99]) if nonzero.size else (0.0, 0.0)
         score = float(p99) / float(med) if med > 0 else float("inf")

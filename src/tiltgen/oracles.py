@@ -49,8 +49,11 @@ class GaussianTiltOracle:
         self.coeff = np.atleast_1d(np.asarray(coeff, dtype=float))
         if not (self.mean.shape == self.variance.shape == self.coeff.shape):
             raise ContractError("mean, variance and coeff must share shape")
-        if np.any(self.variance <= 0):
-            raise ContractError("variances must be strictly positive")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.coeff).all()):
+            raise ContractError("mean and coeff must be finite")
+        # written so that NaN fails too
+        if not np.all((self.variance > 0) & (self.variance < np.inf)):
+            raise ContractError("variances must be positive and finite")
         self._asa = _finite("a.S.a", lambda: float(self.coeff @ (self.variance * self.coeff)))
 
     def tilted_mean(self, beta: float) -> np.ndarray:
@@ -176,7 +179,10 @@ def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
 
     ``f`` is a criterion, evaluated on the support rows.  The moments are
     exact sums, and the divergence is beta * E f - log Z, finite even where
-    a tilted probability underflows to 0.
+    a tilted probability underflows to 0.  A ``probs`` that is not a
+    distribution or a non-finite ``beta`` raises ``ContractError``, and a
+    beta * f on the support that is not finite (a non-finite f value, or
+    an overflow) raises ``NumericError``.
     """
     support = np.asarray(support, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -184,11 +190,18 @@ def discrete_qbeta(support, probs, f, beta: float) -> DiscreteTilt:
         raise ContractError("one probability per support point required")
     if support.shape[0] > 10**6:
         raise ContractError("support size exceeds 10^6")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+    # written so that NaN and inf fail too
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
         raise ContractError("probabilities must be a distribution")
+    if not np.isfinite(beta):
+        raise ContractError("beta must be finite")
     f_values = np.asarray(f.value(support), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt = beta * f_values
+    if not np.isfinite(tilt).all():
+        raise NumericError(f"beta * f is not finite on the support (criterion {f.label!r})")
     live = probs > 0
-    log_w = np.where(live, np.log(np.where(live, probs, 1.0)) + beta * f_values, -np.inf)
+    log_w = np.where(live, np.log(np.where(live, probs, 1.0)) + tilt, -np.inf)
     m = log_w[live].max()
     log_z = m + np.log(np.exp(log_w - m).sum())
     q = np.where(live, np.exp(log_w - log_z), 0.0)

@@ -18,7 +18,7 @@ from tiltgen import (
     WindowMeanCriterion,
     normalize_affine,
 )
-from tiltgen.criteria import LOG_PROB_FLOOR, Criterion
+from tiltgen.criteria import LOG_PROB_FLOOR, AffineNormalizedCriterion, Criterion
 from tiltgen.solver import pareto_sweep
 from tiltgen.tuner import TuneConfig
 from tests.conftest import finite_diff_grad
@@ -259,6 +259,20 @@ def test_empty_or_out_of_range_window():
         PeakCriterion(5, (3, 3), temperature=0.1)
     with pytest.raises(ContractError):
         WindowMeanCriterion(5, (2, 9))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AffineNormalizedCriterion(LinearCriterion([1.0]), 0.0, np.nan),
+    lambda: AffineNormalizedCriterion(LinearCriterion([1.0]), 0.0, np.inf),
+    lambda: AffineNormalizedCriterion(LinearCriterion([1.0]), np.nan, 1.0),
+    lambda: AffineNormalizedCriterion(LinearCriterion([1.0]), -np.inf, 1.0),
+    lambda: PeakCriterion(3, (0, 2), np.nan),
+    lambda: PeakCriterion(3, (0, 2), np.inf),
+], ids=["scale-nan", "scale-inf", "shift-nan", "shift-inf", "temperature-nan",
+        "temperature-inf"])
+def test_criterion_constructors_reject_non_finite_settings(build):
+    with pytest.raises(ContractError):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,19 @@ def test_tilt_overflow_raises_numeric_error_without_warnings(coeff, what):
             oracle.dkl(1e200)
 
 
+@pytest.mark.parametrize("mean, variance, coeff", [
+    ([0.0], [np.nan], [1.0]),
+    ([0.0], [np.inf], [1.0]),
+    ([np.nan], [1.0], [1.0]),
+    ([np.inf], [1.0], [1.0]),
+    ([0.0], [1.0], [np.nan]),
+    ([0.0], [1.0], [-np.inf]),
+], ids=["variance-nan", "variance-inf", "mean-nan", "mean-inf", "coeff-nan", "coeff-inf"])
+def test_tilt_rejects_non_finite_parameters(mean, variance, coeff):
+    with pytest.raises(ContractError):
+        GaussianTiltOracle(mean, variance, coeff)
+
+
 def test_tilt_vs_discrete_table_on_fine_grid():
     support, probs = fine_gaussian_grid()
     f = LinearCriterion([1.0])
@@ -215,6 +228,27 @@ def test_discrete_rejects_bad_inputs():
         discrete_qbeta(np.zeros((3, 1)), np.array([0.5, 0.5]), LinearCriterion([1.0]), 0.0)
     with pytest.raises(ContractError):
         discrete_qbeta(np.zeros((2, 1)), np.array([0.7, 0.7]), LinearCriterion([1.0]), 0.0)
+    # both probs < 0 and |sum - 1| > tol are false for a NaN
+    with pytest.raises(ContractError, match="distribution"):
+        discrete_qbeta([[0.0], [1.0], [2.0]], [0.5, np.nan, 0.5], LinearCriterion([1.0]), 1.0)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_discrete_rejects_a_non_finite_beta(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="beta"):
+            discrete_qbeta([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5], LinearCriterion([1.0]), beta)
+
+
+@pytest.mark.parametrize("point, beta", [
+    (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (np.inf, 0.0), (1e300, 1e10),
+], ids=["nan", "inf", "-inf", "inf-at-beta-0", "overflow"])
+def test_discrete_rejects_a_tilt_that_is_not_finite_on_the_support(point, beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite on the support"):
+            discrete_qbeta([[0.0], [point], [2.0]], [0.2, 0.3, 0.5], LinearCriterion([1.0]), beta)
 
 
 # ---------------------------------------------------------------------------
