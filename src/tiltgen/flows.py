@@ -44,7 +44,9 @@ class Mlp:
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
     bypasses BLAS for a loop about 4x slower at batch 256.  The two give
-    the same bytes on these 2-d float64 operands.
+    the same bytes on these 2-d float64 operands.  The backward pass's
+    column sums are BLAS products too, ``np.dot(ones, a)``, about 4x
+    cheaper than ``a.sum(axis=0)`` on a (256, 32) array.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -76,10 +78,12 @@ class Mlp:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, dout: np.ndarray):
-        """Returns (d input, gradients): all biases, then all weights."""
+    def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads: list[np.ndarray]):
+        """Writes the gradients into ``grads`` (all biases, then all
+        weights) and returns d input; ``ones`` is a ones vector of the
+        batch length, for the bias gradients' column sums."""
         last = len(self.weights) - 1
-        dbiases, dweights = [None] * (last + 1), [None] * (last + 1)
+        dbiases, dweights = grads[: last + 1], grads[last + 1 :]
         dh = dout
         for i in range(last, -1, -1):
             if i < last:  # through tanh: dh * (1 - a**2), in one temporary
@@ -87,10 +91,10 @@ class Mlp:
                 np.subtract(1.0, t, out=t)
                 t *= dh
                 dh = t
-            dweights[i] = np.dot(acts[i].T, dh)
-            dbiases[i] = dh.sum(axis=0)
+            np.dot(acts[i].T, dh, out=dweights[i])
+            np.dot(ones, dh, out=dbiases[i])
             dh = np.dot(dh, self.weights[i].T)
-        return dh, dbiases + dweights
+        return dh
 
 
 class AffineDiagonalLayer:
@@ -130,12 +134,16 @@ class AffineDiagonalLayer:
         s = self._effective()
         return (y - self.shift) * np.exp(-s)
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float):
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
         x, scale = cache
+        ds, dshift = grads
+        np.dot(ones, dy * x, out=ds)
+        ds *= scale
+        ds += dlogdet_sum
         active = np.abs(self.log_scale) < self.scale_clamp
-        ds = (dy * x).sum(axis=0) * scale + dlogdet_sum
-        dx = dy * scale
-        return dx, [np.where(active, ds, 0.0), dy.sum(axis=0)]
+        ds[~active] = 0.0
+        np.dot(ones, dy, out=dshift)
+        return dy * scale
 
 
 class AdditiveCouplingLayer:
@@ -155,6 +163,11 @@ class AdditiveCouplingLayer:
             raise ContractError("coupling mask must leave both sides nonempty")
         self.dim = self.mask.shape[0]
         self.mlp = mlp
+        # the backward pass's column selections: views, not copies, for an
+        # alternating mask.  The forward keeps its copies, whose products
+        # round differently from a strided view's in three or more dims
+        self.cond_cols = _every_other(self.cond_idx, self.dim)
+        self.shift_cols = _every_other(self.shift_idx, self.dim)
 
     def params(self) -> list[np.ndarray]:
         return self.mlp.biases + self.mlp.weights
@@ -175,12 +188,20 @@ class AdditiveCouplingLayer:
         x[:, self.shift_idx] -= shift
         return x
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float):
-        acts = cache
-        du, grads = self.mlp.backward(acts, dy[:, self.shift_idx])
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
+        du = self.mlp.backward(cache, dy[:, self.shift_cols], ones, grads)
         dx = dy.copy()
-        dx[:, self.cond_idx] += du
-        return dx, grads
+        dx[:, self.cond_cols] += du
+        return dx
+
+
+def _every_other(idx: np.ndarray, dim: int):
+    """``idx`` as the slice ``::2`` or ``1::2`` when it is every other one of
+    ``dim`` columns, else ``idx`` itself."""
+    for start in (0, 1):
+        if np.array_equal(idx, np.arange(start, dim, 2)):
+            return slice(start, None, 2)
+    return idx
 
 
 class PermutationLayer:
@@ -205,35 +226,20 @@ class PermutationLayer:
     def inverse(self, y: np.ndarray):
         return y[:, self.inv]
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float):
-        return dy[:, self.inv], []
-
-
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    """A fresh float vector holding ``arrays`` raveled, one after another."""
-    return np.concatenate([np.ravel(a) for a in arrays]) if arrays else np.zeros(0)
-
-
-def _views(vector: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
-    """Consecutive slices of ``vector`` reshaped to ``shapes``; inverts ``_concat``."""
-    views, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(vector[offset : offset + size].reshape(shape))
-        offset += size
-    return views
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
+        return dy[:, self.inv]
 
 
 class FlowGradients:
     """Parameter gradients in one vector, laid out like ``FlowModel.theta``."""
 
-    def __init__(self, vector: np.ndarray, shapes: list[tuple]):
+    def __init__(self, vector: np.ndarray, layer_views: list[list[np.ndarray]]):
         self.vector = vector
-        self._shapes = shapes
+        self._layer_views = layer_views
 
     def flat(self) -> list[np.ndarray]:
         """Views of ``vector`` shaped and ordered like ``FlowModel.parameters()``."""
-        return _views(self.vector, self._shapes)
+        return [g for views in self._layer_views for g in views]
 
 
 class FlowModel:
@@ -258,14 +264,23 @@ class FlowModel:
         self._bind_theta()
 
     def _bind_theta(self):
-        """Copy the layers' parameters into a fresh ``theta`` and rebind
-        every layer's arrays as views of it."""
+        """Copy the layers' parameters into a fresh ``theta``, record each
+        array's slice of it and rebind every layer's arrays as views of it."""
         params = self.parameters()
-        self._shapes = [p.shape for p in params]
-        self.theta = _concat(params)
-        views = iter(_views(self.theta, self._shapes))
+        self.theta = np.concatenate([p.ravel() for p in params]) if params else np.zeros(0)
+        self._layout, offset = [], 0
         for layer in self.layers:
-            layer.set_params([next(views) for _ in layer.params()])
+            spans = []
+            for p in layer.params():
+                spans.append((slice(offset, offset + p.size), p.shape))
+                offset += p.size
+            self._layout.append(spans)
+        for layer, views in zip(self.layers, self._layer_views(self.theta)):
+            layer.set_params(views)
+
+    def _layer_views(self, vector: np.ndarray) -> list[list[np.ndarray]]:
+        """Per layer, the views of ``vector`` laid out like its parameters."""
+        return [[vector[k].reshape(shape) for k, shape in spans] for spans in self._layout]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -338,16 +353,21 @@ class FlowModel:
     # -- gradients ----------------------------------------------------------
 
     def _backward_cached(self, caches, dy: np.ndarray, dlogdet: np.ndarray):
-        grads = []
-        dh = dy
+        """Returns (gradients, d input).  Each layer's ``backward(cache, dy,
+        dlogdet_sum, ones, grads)`` writes its gradients into ``grads``, its
+        views of one fresh vector, and returns d input."""
+        vector = np.empty(self.theta.size)
+        # column sums and products round by memory order, so take dy in C
+        # order whatever the caller's: then its layout cannot change a fit
+        dh = np.ascontiguousarray(dy)
+        ones = np.ones(dh.shape[0])
         # a layer's logdet is the same for every sample, so its parameters
         # see only the sum of dlogdet
         dlogdet_sum = dlogdet.sum()
-        for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            dh, g = layer.backward(cache, dh, dlogdet_sum)
-            grads.append(g)
-        vector = _concat([g for layer_grads in reversed(grads) for g in layer_grads])
-        return FlowGradients(vector, self._shapes), dh
+        layer_views = self._layer_views(vector)
+        for layer, cache, grads in reversed(list(zip(self.layers, caches, layer_views))):
+            dh = layer.backward(cache, dh, dlogdet_sum, ones, grads)
+        return FlowGradients(vector, layer_views), dh
 
     # -- parameters ---------------------------------------------------------
 

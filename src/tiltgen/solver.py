@@ -208,6 +208,19 @@ def _bracket(records: list[dict]) -> tuple[float | None, float | None]:
     return max(below, default=None), min(above, default=None)
 
 
+def _stagnation_message(records: list[dict]) -> str:
+    """Why a search stopped short of its target: the bracket ``_bracket``
+    puts on the root and the last two betas with their residuals, so a
+    search stuck in a bracket that a biased residual misplaced says so."""
+    lo, hi = _bracket(records)
+    ends = ", ".join("none" if b is None else f"{b:.6g}" for b in (lo, hi))
+    last = "; ".join(f"{r['beta']:.6g} (residual {r['residual']:+.4g})" for r in records[-2:])
+    return (
+        f"beta stagnated before reaching the target: residual bracket [{ends}], "
+        f"last betas {last}"
+    )
+
+
 def newton_step(records: list[dict], target: Target) -> float:
     """Propose the next beta from the records of the fits so far.
 
@@ -357,7 +370,7 @@ def solve(
             return None
         new_beta = newton_step(records, target)
         if abs(new_beta - beta) < BETA_TOLERANCE * max(1.0, abs(beta)):
-            message = "beta stagnated before reaching the target"
+            message = _stagnation_message(records)
             if new_beta == 0.0 and residual > 0.0:
                 message = (
                     f"target {target.mode} {target.value:.6g} lies below its value "

@@ -83,6 +83,8 @@ class Adam:
         self.cfg = cfg
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        # two scratch arrays per parameter array, reused by every step
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray], lr: float):
@@ -90,12 +92,23 @@ class Adam:
         c = self.cfg
         bc1 = 1.0 - c.beta1**self.t
         bc2 = 1.0 - c.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, g, m, v, (a, b) in zip(self.params, grads, self.m, self.v, self._scratch):
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
             m *= c.beta1
-            m += (1.0 - c.beta1) * g
+            np.multiply(1.0 - c.beta1, g, out=a)
+            m += a
             v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            p += lr * (m / bc1) / (np.sqrt(v / bc2) + c.epsilon)
+            np.multiply(1.0 - c.beta2, g, out=a)
+            a *= g
+            v += a
+            # p += lr (m / bc1) / (sqrt(v / bc2) + epsilon), operation by operation
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += c.epsilon
+            a /= b
+            p += a
 
 
 class TunedModel(Distribution):
@@ -162,10 +175,6 @@ def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np
     if not np.all(np.isfinite(log_p)):
         raise NumericError("base log-density term is non-finite")
     objective = float(np.mean(beta * f_vals + log_p + logdet))
-    # dy takes the memory order of y: F with two or more blocks (a
-    # permutation's x[:, perm]), C otherwise.  The backward pass's axis-0
-    # sums round differently for C and F arrays, so the fit's bytes depend
-    # on that order, and on every score and gradient keeping it
     dy = (beta * f_grad + score) / n
     dld = np.full(n, 1.0 / n)
     grads, _ = flow._backward_cached(caches, dy, dld)

@@ -112,8 +112,22 @@ def test_parameters_and_gradients_share_one_layout(case):
 
 
 # ---------------------------------------------------------------------------
-# the flow passes against an out-of-place reference: matmul with ``@``,
-# ``exp(s)`` recomputed at every use, one logdet array per layer
+# the flow passes against an out-of-place reference: ``exp(s)`` recomputed
+# at every use, one logdet array per layer, and the gradients concatenated
+# at the end.  The forward and inverse products are matmuls with ``@``; the
+# backward's are ``np.dot``, as in the flow, because on a strided column
+# view the two round differently.  The backward reference takes its column
+# sums as an argument: ``ones_sums`` is the flow's arithmetic, and
+# ``pairwise_sums`` the ``sum(axis=0)`` the flow used before, which rounds
+# differently in the last bits.
+
+
+def ones_sums(a):
+    return np.dot(np.ones(a.shape[0]), a)
+
+
+def pairwise_sums(a):
+    return a.sum(axis=0)
 
 
 def ref_mlp_forward(mlp, u):
@@ -126,14 +140,14 @@ def ref_mlp_forward(mlp, u):
     return h, acts
 
 
-def ref_mlp_backward(mlp, acts, dout):
+def ref_mlp_backward(mlp, acts, dout, sums):
     dbiases, dweights, dh = [], [], dout
     for i in range(len(mlp.weights) - 1, -1, -1):
         if i < len(mlp.weights) - 1:
             dh = dh * (1.0 - acts[i + 1] * acts[i + 1])
-        dweights.insert(0, acts[i].T @ dh)
-        dbiases.insert(0, dh.sum(axis=0))
-        dh = dh @ mlp.weights[i].T
+        dweights.insert(0, np.dot(acts[i].T, dh))
+        dbiases.insert(0, sums(dh))
+        dh = np.dot(dh, mlp.weights[i].T)
     return dh, dbiases + dweights
 
 
@@ -163,20 +177,20 @@ def ref_forward(g, x):
     return h, logdet, caches
 
 
-def ref_backward(g, caches, dy, dlogdet):
-    grads, dh = [], dy
+def ref_backward(g, caches, dy, dlogdet, sums=ones_sums):
+    grads, dh = [], np.ascontiguousarray(dy)
     for layer, cache in zip(reversed(g.layers), reversed(caches)):
         if isinstance(layer, AffineDiagonalLayer):
             s = ref_scale(layer)
-            ds = (dh * cache).sum(axis=0) * np.exp(s) + dlogdet.sum()
+            ds = sums(dh * cache) * np.exp(s) + dlogdet.sum()
             active = np.abs(layer.log_scale) < layer.scale_clamp
-            grads.insert(0, [np.where(active, ds, 0.0), dh.sum(axis=0)])
+            grads.insert(0, [np.where(active, ds, 0.0), sums(dh)])
             dh = dh * np.exp(s)
         elif isinstance(layer, AdditiveCouplingLayer):
-            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shift_idx])
+            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shift_cols], sums)
             grads.insert(0, g_layer)
             dx = dh.copy()
-            dx[:, layer.cond_idx] = dh[:, layer.cond_idx] + du
+            dx[:, layer.cond_cols] = dh[:, layer.cond_cols] + du
             dh = dx
         else:
             grads.insert(0, [])
@@ -248,6 +262,42 @@ def test_passes_are_bit_identical_to_the_reference(case, n, clamp):
     xi, logdet_inv = g.inverse(y)
     ref_xi, ref_logdet_inv = ref_inverse(g, y)
     assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)
+
+
+@PROPERTY
+@given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]))
+def test_gradients_agree_with_the_pairwise_column_sums(case, n, clamp):
+    g, seed = case
+    for layer in g.layers:
+        if isinstance(layer, AffineDiagonalLayer):
+            layer.scale_clamp = clamp
+    rng = np.random.default_rng(seed + 7)
+    x = rng.standard_normal((n, g.dim))
+    dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
+    _, _, caches = g._forward_cached(x)
+    grads, dx = g._backward_cached(caches, dy, dld)
+    _, _, ref_caches = ref_forward(g, x)
+    old_vector, old_dx = ref_backward(g, ref_caches, dy, dld, pairwise_sums)
+    tol = 1e-13 * np.max(np.abs(old_vector))
+    assert np.max(np.abs(grads.vector - old_vector)) <= tol
+    assert np.max(np.abs(dx - old_dx)) <= 1e-13 * np.max(np.abs(old_dx))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [7, 64, 256, 513])
+def test_backward_bytes_do_not_depend_on_the_memory_order_of_dy(n, dim):
+    # a fit's dy takes the memory order of its scores and criterion
+    # gradient; with two blocks the flow's output is F-ordered
+    g = init_identity(dim, FlowArchitecture(blocks=2, hidden_width=32), seed=n)
+    rng = np.random.default_rng(n)
+    g.theta += 0.2 * rng.standard_normal(g.theta.shape)
+    x = rng.standard_normal((n, dim))
+    dy, dld = rng.standard_normal((n, dim)), np.full(n, 1.0 / n)
+    _, _, caches = g._forward_cached(x)
+    c_grads, c_dx = g._backward_cached(caches, np.ascontiguousarray(dy), dld)
+    f_grads, f_dx = g._backward_cached(caches, np.asfortranarray(dy), dld)
+    assert np.array_equal(c_grads.vector, f_grads.vector)
+    assert np.array_equal(c_dx, f_dx)
 
 
 @PROPERTY

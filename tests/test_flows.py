@@ -179,11 +179,29 @@ def test_logdet_objective_gradient_is_one_per_dim():
 
 
 def test_backward_matches_finite_differences():
+    assert_gradients_match_finite_differences(perturbed_flow(2, seed=15), seed=16)
+
+
+def test_backward_with_a_contiguous_coupling_mask_matches_finite_differences():
+    # init_identity builds alternating masks, whose halves the backward pass
+    # takes as the views ::2 and 1::2; any other mask takes its index arrays
+    rng = np.random.default_rng(18)
+    mask = np.array([True, True, False])
+    g = FlowModel(3, [
+        AffineDiagonalLayer(3),
+        AdditiveCouplingLayer(mask, Mlp.build(2, 5, 2, 1, rng)),
+        AdditiveCouplingLayer(~mask, Mlp.build(1, 5, 2, 2, rng)),
+    ])
+    g.theta += 0.1 * rng.standard_normal(g.theta.shape)
+    assert not any(isinstance(layer.cond_cols, slice) for layer in g.layers[1:])
+    assert_gradients_match_finite_differences(g, seed=19)
+
+
+def assert_gradients_match_finite_differences(g, seed):
     # scalar objective sum_i (v . y_i + c * logdet_i)
-    g = perturbed_flow(2, seed=15)
-    rng = np.random.default_rng(16)
-    x = rng.standard_normal((6, 2))
-    v = rng.standard_normal((6, 2))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, g.dim))
+    v = rng.standard_normal((6, g.dim))
     c = rng.standard_normal(6)
 
     def objective():
@@ -219,7 +237,8 @@ def test_mlp_passes_work_in_place_on_their_own_buffers_only():
     dout_before = dout.copy()
 
     _, later_acts = mlp.forward(u)
-    du, grads = mlp.backward(acts, dout)
+    grads = [np.empty_like(a) for a in mlp.biases + mlp.weights]
+    du = mlp.backward(acts, dout, np.ones(5), grads)
 
     assert np.array_equal(u, u_before)
     assert np.array_equal(dout, dout_before)
@@ -239,7 +258,7 @@ def test_mlp_passes_work_in_place_on_their_own_buffers_only():
         if i < last:
             dh = dh * (1.0 - ref[i + 1] ** 2)
         dweights.insert(0, ref[i].T @ dh)
-        dbiases.insert(0, dh.sum(axis=0))
+        dbiases.insert(0, np.ones(5) @ dh)
         dh = dh @ mlp.weights[i].T
     assert all(np.array_equal(a, r) for a, r in zip(acts, ref))
     assert np.array_equal(du, dh)

@@ -19,7 +19,13 @@ from tiltgen import (
 from tiltgen.oracles import GaussianTiltOracle
 from tiltgen.rng import derive_seed
 from tiltgen import solver
-from tiltgen.solver import MomentEstimates, _bracket, _quadratic_root, fit_chain
+from tiltgen.solver import (
+    MomentEstimates,
+    _bracket,
+    _quadratic_root,
+    _stagnation_message,
+    fit_chain,
+)
 from tiltgen.tuner import TuneConfig
 from tests.conftest import exact_shift_model
 
@@ -168,6 +174,27 @@ def test_bracket_bookkeeping():
     assert _bracket(records) == (1.0, 3.0)
     records.append(record(2.0, est, 0.0))  # a zero residual closes the bracket from above
     assert _bracket(records) == (1.0, 2.0)
+
+
+def test_stagnation_message_names_the_bracket_and_the_last_betas():
+    # seed 105 of tune-gauss-rare (beta* = 4.2919 for KL target 9.2103): a
+    # warm fit at beta 4.319 that had not reached its tilt read a residual
+    # of -0.105 where the exact one is +0.117, so the bracket excludes beta*
+    est = MomentEstimates(0.0, 1.0, 0.0, 0.0, 100, 0.1, 0.1, 0.1, 0.1)
+    residuals = {0.0: -9.2103, 1.0: -8.7103, 2.0: -7.2103, 4.0: -1.2103,
+                 4.319: -0.105, 4.3434: 0.2223}
+    records = [record(beta, est, r) for beta, r in residuals.items()]
+    lo, hi = _bracket(records)
+    assert not lo <= 4.2919 <= hi
+    assert _stagnation_message(records) == (
+        "beta stagnated before reaching the target: residual bracket [4.319, 4.3434], "
+        "last betas 4.319 (residual -0.105); 4.3434 (residual +0.2223)"
+    )
+    # before a sign change the open end reads "none"; one fit names one beta
+    assert _stagnation_message(records[:1]) == (
+        "beta stagnated before reaching the target: residual bracket [0, none], "
+        "last betas 0 (residual -9.21)"
+    )
 
 
 # ---------------------------------------------------------------------------
