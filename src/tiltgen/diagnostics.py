@@ -31,7 +31,7 @@ __all__ = [
     "audit_run",
 ]
 
-PROFILE_BINS = 50  # compare_criteria's histogram bins, from 0 to the largest norm
+PROFILE_BINS = 50  # the gradient-norm histogram's bins, from 0 to the largest norm
 ZERO_MASS_EPS = 1e-3  # a norm below eps * max counts as a dead-gradient point
 ESS_FLOOR = 50.0  # a curve point with a smaller effective sample size is unreliable
 UNDERSHOOT_MARGIN = 0.1  # audit_run's flags: see its docstring
@@ -57,13 +57,12 @@ def grad_norm_profile(
     f: Criterion,
     p: Distribution,
     n: int,
-    bins: int,
     seed: int,
 ) -> GradNormProfile:
-    """Histogram of ||grad f|| over ``n`` base-model samples, with ``bins``
-    equal bins from 0 to the largest norm."""
+    """Histogram of ||grad f|| over ``n`` base-model samples, with
+    ``PROFILE_BINS`` equal bins from 0 to the largest norm."""
     x = _profile_sample(p, n, seed)
-    return _profile_from_norms(f.label, _grad_norms(f, x), bins)
+    return _profile_from_norms(f.label, _grad_norms(f, x))
 
 
 def _profile_sample(p: Distribution, n: int, seed: int) -> np.ndarray:
@@ -80,9 +79,9 @@ def _grad_norms(f: Criterion, x: np.ndarray) -> np.ndarray:
     return _per_row(f, x.shape[0], _chunks_of(x), "gradient norm", norms)
 
 
-def _profile_from_norms(label: str, norms: np.ndarray, bins: int) -> GradNormProfile:
+def _profile_from_norms(label: str, norms: np.ndarray) -> GradNormProfile:
     top = float(norms.max())
-    counts, edges = np.histogram(norms, bins=bins, range=(0.0, top or 1.0))
+    counts, edges = np.histogram(norms, bins=PROFILE_BINS, range=(0.0, top or 1.0))
     # one partition for the three quantiles
     median, p90, p99 = np.quantile(norms, [0.5, 0.9, 0.99])
     return GradNormProfile(
@@ -255,7 +254,7 @@ def compare_criteria(
     entries = []
     for i, f in enumerate(candidates):
         norms = _grad_norms(f, x)
-        profile = _profile_from_norms(f.label, norms, PROFILE_BINS)
+        profile = _profile_from_norms(f.label, norms)
         nonzero = norms[norms >= ZERO_MASS_EPS * max(profile.max, 1e-300)]
         med, p99 = np.quantile(nonzero, [0.5, 0.99]) if nonzero.size else (0.0, 0.0)
         score = float(p99) / float(med) if med > 0 else float("inf")

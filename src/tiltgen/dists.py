@@ -307,9 +307,9 @@ class GaussianMixture(Distribution):
         (n, d), k = batch.shape, len(self.components)
         # the component scores are laid out as np.stack lays out per-component
         # scores ``-(batch - mean) / variance``: C-ordered (n, k, d), or
-        # (d, n, k) when those are F-ordered.  The mixture score and a
-        # criterion gradient inherit that order, and a fit's bytes depend on
-        # it (see ``tuner._objective_parts``)
+        # (d, n, k) when those are F-ordered.  The einsum's sum over three or
+        # more components rounds by that layout (two give the same bytes in
+        # either), so the layout keeps the per-component formulas' bytes
         if np.empty_like(batch).flags.c_contiguous:
             comp_scores = np.empty((n, k, d))
         else:

@@ -54,10 +54,10 @@ class Mlp:
         self.biases = biases
 
     @classmethod
-    def build(cls, in_dim: int, hidden_width: int, hidden_depth: int, out_dim: int, rng):
+    def build(cls, in_dim: int, hidden_width: int, out_dim: int, rng):
         weights, biases = [], []
         fan_in = in_dim
-        for _ in range(hidden_depth):
+        for _ in range(HIDDEN_DEPTH):
             weights.append(rng.standard_normal((fan_in, hidden_width)) / np.sqrt(fan_in))
             biases.append(np.zeros(hidden_width))
             fan_in = hidden_width
@@ -98,16 +98,16 @@ class Mlp:
 
 
 class AffineDiagonalLayer:
-    """y = x * exp(s) + t elementwise, with s clipped to [-clamp, clamp].
+    """y = x * exp(s) + t elementwise, with s clipped to +-``SCALE_CLAMP``.
 
     logdet = sum(s) per sample.  Clipped coordinates get zero gradient for s.
     """
 
     kind = "affine-diagonal"
 
-    def __init__(self, dim: int, log_scale=None, shift=None, scale_clamp: float = SCALE_CLAMP):
+    def __init__(self, dim: int, log_scale=None, shift=None):
         self.dim = dim
-        self.scale_clamp = float(scale_clamp)
+        self.scale_clamp = SCALE_CLAMP
         self.log_scale = (
             np.zeros(dim) if log_scale is None else np.asarray(log_scale, dtype=float).copy()
         )
@@ -147,27 +147,26 @@ class AffineDiagonalLayer:
 
 
 class AdditiveCouplingLayer:
-    """Shift the unmasked coordinates by a conditioner of the masked ones.
+    """Shift one half of the coordinates by a conditioner of the other half.
 
-    mask[i] True marks a conditioning (passthrough) coordinate.  The map is
-    volume preserving: logdet = 0.
+    The conditioning (passthrough) half is columns ``parity::2``, the shifted
+    half the others.  The conditioner reads an F-ordered copy of its half,
+    the layout ``x[:, idx]`` gives: in three or more dimensions a strided
+    view's products round differently.  The map is volume preserving:
+    logdet = 0.
     """
 
     kind = "additive-coupling"
 
-    def __init__(self, mask: np.ndarray, mlp: Mlp):
-        self.mask = np.asarray(mask, dtype=bool).copy()
-        self.cond_idx = np.flatnonzero(self.mask)
-        self.shift_idx = np.flatnonzero(~self.mask)
-        if self.cond_idx.size == 0 or self.shift_idx.size == 0:
-            raise ContractError("coupling mask must leave both sides nonempty")
-        self.dim = self.mask.shape[0]
+    def __init__(self, dim: int, parity: int, mlp: Mlp):
+        if dim < 2 or parity not in (0, 1):
+            raise ContractError(
+                f"a coupling needs dim >= 2 and parity 0 or 1, got dim {dim!r}, parity {parity!r}"
+            )
+        self.dim = dim
+        self.cond = slice(parity, None, 2)
+        self.shifted = slice(1 - parity, None, 2)
         self.mlp = mlp
-        # the backward pass's column selections: views, not copies, for an
-        # alternating mask.  The forward keeps its copies, whose products
-        # round differently from a strided view's in three or more dims
-        self.cond_cols = _every_other(self.cond_idx, self.dim)
-        self.shift_cols = _every_other(self.shift_idx, self.dim)
 
     def params(self) -> list[np.ndarray]:
         return self.mlp.biases + self.mlp.weights
@@ -177,31 +176,22 @@ class AdditiveCouplingLayer:
         self.mlp.biases, self.mlp.weights = params[:n], params[n:]
 
     def forward(self, x: np.ndarray):
-        shift, acts = self.mlp.forward(x[:, self.cond_idx])
+        shift, acts = self.mlp.forward(np.asfortranarray(x[:, self.cond]))
         y = x.copy()
-        y[:, self.shift_idx] += shift
+        y[:, self.shifted] += shift
         return y, 0.0, acts
 
     def inverse(self, y: np.ndarray):
-        shift, _ = self.mlp.forward(y[:, self.cond_idx])
+        shift, _ = self.mlp.forward(np.asfortranarray(y[:, self.cond]))
         x = y.copy()
-        x[:, self.shift_idx] -= shift
+        x[:, self.shifted] -= shift
         return x
 
     def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
-        du = self.mlp.backward(cache, dy[:, self.shift_cols], ones, grads)
+        du = self.mlp.backward(cache, dy[:, self.shifted], ones, grads)
         dx = dy.copy()
-        dx[:, self.cond_cols] += du
+        dx[:, self.cond] += du
         return dx
-
-
-def _every_other(idx: np.ndarray, dim: int):
-    """``idx`` as the slice ``::2`` or ``1::2`` when it is every other one of
-    ``dim`` columns, else ``idx`` itself."""
-    for start in (0, 1):
-        if np.array_equal(idx, np.arange(start, dim, 2)):
-            return slice(start, None, 2)
-    return idx
 
 
 class PermutationLayer:
@@ -400,12 +390,6 @@ class FlowArchitecture:
             raise ContractError(f"hidden_width must be >= 1, got {self.hidden_width!r}")
 
 
-def _alternating_masks(dim: int):
-    even = np.zeros(dim, dtype=bool)
-    even[::2] = True
-    return even, ~even
-
-
 def init_identity(dim: int, arch: FlowArchitecture = FlowArchitecture(), seed: int = 0) -> FlowModel:
     """Build a flow whose forward map is exactly the identity.
 
@@ -416,17 +400,15 @@ def init_identity(dim: int, arch: FlowArchitecture = FlowArchitecture(), seed: i
     if dim < 1:
         raise ContractError("dimension must be >= 1")
     rng = make_generator(derive_seed(seed, "flow-init"))
-    even, odd = _alternating_masks(dim) if dim >= 2 else (None, None)
     layers: list = []
     net_perm = np.arange(dim)
     for b in range(arch.blocks):
         layers.append(AffineDiagonalLayer(dim))
         if dim >= 2:
-            for mask in (even, odd):
-                mlp = Mlp.build(
-                    int(mask.sum()), arch.hidden_width, HIDDEN_DEPTH, int((~mask).sum()), rng
-                )
-                layers.append(AdditiveCouplingLayer(mask, mlp))
+            for parity in (0, 1):
+                cond = len(range(parity, dim, 2))
+                mlp = Mlp.build(cond, arch.hidden_width, dim - cond, rng)
+                layers.append(AdditiveCouplingLayer(dim, parity, mlp))
             if b < arch.blocks - 1:
                 perm = rng.permutation(dim)
                 if np.array_equal(perm, np.arange(dim)):

@@ -29,7 +29,7 @@ from tiltgen.diagnostics import (
 )
 from tiltgen.dists import DiagGaussian
 from tiltgen.errors import ConfigError, ContractError
-from tiltgen.flows import FlowArchitecture
+from tiltgen.flows import AffineDiagonalLayer, FlowArchitecture, Mlp
 from tiltgen.solver import Target, solve
 from tiltgen.tuner import TuneConfig
 
@@ -521,7 +521,7 @@ def test_removed_setting_is_a_config_error(tmp_path, capsys, case):
         n=1000, seed=1, cap=5.0,
     ),
     lambda: grad_norm_profile(
-        LinearCriterion([1.0]), DiagGaussian.standard(1), n=1000, bins=10, seed=1, cap=5.0,
+        LinearCriterion([1.0]), DiagGaussian.standard(1), n=1000, seed=1, cap=5.0,
     ),
     lambda: TuneConfig(beta1=0.9),
     lambda: TuneConfig(beta2=0.999),
@@ -530,10 +530,17 @@ def test_removed_setting_is_a_config_error(tmp_path, capsys, case):
         [LinearCriterion([1.0]), LinearCriterion([2.0])], DiagGaussian.standard(1),
         n=1000, seed=1, bins=50,
     ),
+    lambda: grad_norm_profile(
+        LinearCriterion([1.0]), DiagGaussian.standard(1), n=1000, bins=50, seed=1,
+    ),
+    lambda: Mlp.build(in_dim=1, hidden_width=4, hidden_depth=2, out_dim=1,
+                      rng=np.random.default_rng(0)),
+    lambda: AffineDiagonalLayer(1, scale_clamp=5.0),
 ], ids=["TuneConfig-window", "FlowArchitecture-permute", "solve-relative_tolerance",
         "ClassifierCriterion-floor", "TuneConfig-seed", "compare_criteria-cap",
         "grad_norm_profile-cap", "TuneConfig-beta1", "TuneConfig-beta2",
-        "TuneConfig-epsilon", "compare_criteria-bins"])
+        "TuneConfig-epsilon", "compare_criteria-bins", "grad_norm_profile-bins",
+        "Mlp.build-hidden_depth", "AffineDiagonalLayer-scale_clamp"])
 def test_removed_setting_is_not_a_parameter(build):
     with pytest.raises(TypeError):
         build()

@@ -2,8 +2,9 @@
 of component parameters (``dists._diag_gaussian_terms``).  They must keep the
 bytes and the memory order of the per-component formulas below, which
 evaluate one component at a time, stack the results to (n, k) and reduce
-along the component axis: a fit's bytes depend on both (see
-``tuner._objective_parts``)."""
+along the component axis.  The order matters for bytes too: the mixture
+score's sum over three or more components rounds by the layout of the
+component scores, so the tests pin the strides ``np.stack`` gives."""
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_eight_or_more_terms_agree_to_rounding(kind, k, d, order):
 def test_two_block_bayes_fit_is_bit_identical_to_per_component_mixture():
     # with two blocks the flow's output is F-ordered (the permutation's
     # x[:, perm]), and so are the scores and the criterion gradient that
-    # feed the flow's backward pass, whose axis-0 sums round by memory order
+    # feed the flow's backward pass
     def mixture(cls, comp):
         return cls([0.5, 0.5], [comp([-2.0, 0.0], [1.0, 1.0]), comp([2.0, 0.0], [1.0, 1.0])])
 

@@ -59,7 +59,7 @@ class ScaledCriterion(Criterion):
 
 def test_profile_linear_criterion_single_bin(std_normal_2d):
     f = LinearCriterion([3.0, 4.0])
-    profile = grad_norm_profile(f, std_normal_2d, n=2000, bins=20, seed=1)
+    profile = grad_norm_profile(f, std_normal_2d, n=2000, seed=1)
     assert profile.median == pytest.approx(5.0)
     assert profile.p99 == pytest.approx(5.0)
     assert profile.max == pytest.approx(5.0)
@@ -70,15 +70,15 @@ def test_profile_linear_criterion_single_bin(std_normal_2d):
 
 def test_profile_deterministic(std_normal_1d):
     f = LinearCriterion([1.0])
-    p1 = grad_norm_profile(f, std_normal_1d, n=1500, bins=8, seed=3)
-    p2 = grad_norm_profile(f, std_normal_1d, n=1500, bins=8, seed=3)
+    p1 = grad_norm_profile(f, std_normal_1d, n=1500, seed=3)
+    p2 = grad_norm_profile(f, std_normal_1d, n=1500, seed=3)
     assert np.array_equal(p1.counts, p2.counts)
     assert np.array_equal(p1.bin_edges, p2.bin_edges)
 
 
 def test_profile_requires_enough_samples(std_normal_1d):
     with pytest.raises(ContractError):
-        grad_norm_profile(LinearCriterion([1.0]), std_normal_1d, 100, 10, seed=0)
+        grad_norm_profile(LinearCriterion([1.0]), std_normal_1d, 100, seed=0)
 
 
 def test_profile_scales_linearly_with_tilt_strength(std_normal_1d):
@@ -86,10 +86,8 @@ def test_profile_scales_linearly_with_tilt_strength(std_normal_1d):
     # so its norm profile is the criterion's profile with scaled bin edges
     f = ClassifierCriterion(LogisticClassifier([4.0]), 1, "log-prob")
     beta = 2.5
-    base = grad_norm_profile(f, std_normal_1d, n=3000, bins=25, seed=4)
-    scaled = grad_norm_profile(
-        ScaledCriterion(f, beta), std_normal_1d, n=3000, bins=25, seed=4
-    )
+    base = grad_norm_profile(f, std_normal_1d, n=3000, seed=4)
+    scaled = grad_norm_profile(ScaledCriterion(f, beta), std_normal_1d, n=3000, seed=4)
     assert np.allclose(scaled.bin_edges, beta * base.bin_edges)
     assert np.array_equal(scaled.counts, base.counts)
     assert scaled.median == pytest.approx(beta * base.median)
@@ -304,7 +302,7 @@ def test_profiles_name_a_criterion_with_a_non_finite_gradient(std_normal_1d):
     with pytest.raises(NumericError, match="'inf-above-3' has a non-finite gradient norm"):
         compare_criteria(candidates, std_normal_1d, n=10**4, seed=29)
     with pytest.raises(NumericError, match="'inf-above-3' has a non-finite gradient norm"):
-        grad_norm_profile(InfAbove(), std_normal_1d, n=10**4, bins=10, seed=29)
+        grad_norm_profile(InfAbove(), std_normal_1d, n=10**4, seed=29)
 
 
 def test_normalization_names_a_criterion_with_a_non_finite_value(std_normal_1d):

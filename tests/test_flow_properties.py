@@ -21,7 +21,7 @@ PROPERTY = settings(max_examples=40, deadline=None)
 @st.composite
 def flows(draw, max_width=5):
     """A perturbed flow over a random small architecture, and a seed."""
-    dim = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 6))
     arch = FlowArchitecture(
         blocks=draw(st.integers(1, 3)),
         hidden_width=draw(st.integers(1, max_width)),
@@ -113,13 +113,15 @@ def test_parameters_and_gradients_share_one_layout(case):
 
 # ---------------------------------------------------------------------------
 # the flow passes against an out-of-place reference: ``exp(s)`` recomputed
-# at every use, one logdet array per layer, and the gradients concatenated
-# at the end.  The forward and inverse products are matmuls with ``@``; the
-# backward's are ``np.dot``, as in the flow, because on a strided column
-# view the two round differently.  The backward reference takes its column
-# sums as an argument: ``ones_sums`` is the flow's arithmetic, and
-# ``pairwise_sums`` the ``sum(axis=0)`` the flow used before, which rounds
-# differently in the last bits.
+# at every use, one logdet array per layer, the gradients concatenated at
+# the end, and a coupling's conditioner input selected by an index array,
+# ``x[:, idx]``, whose copy is F-ordered.  The forward and inverse products
+# are matmuls with ``@``; the backward's are ``np.dot`` on the strided view
+# of the shifted half, as in the flow, because on such a view the two round
+# differently.  The backward reference takes its column sums as an
+# argument: ``ones_sums`` is the flow's arithmetic, and ``pairwise_sums`` the
+# ``sum(axis=0)`` the flow used before, which rounds differently in the last
+# bits.
 
 
 def ones_sums(a):
@@ -155,6 +157,14 @@ def ref_scale(layer):
     return np.clip(layer.log_scale, -layer.scale_clamp, layer.scale_clamp)
 
 
+def cond_idx(layer):
+    return np.arange(layer.dim)[layer.cond]
+
+
+def shifted_idx(layer):
+    return np.arange(layer.dim)[layer.shifted]
+
+
 def ref_forward(g, x):
     h, logdet, caches = x, np.zeros(x.shape[0]), []
     for layer in g.layers:
@@ -164,10 +174,10 @@ def ref_forward(g, x):
             h = h * np.exp(s) + layer.shift
             logdet = logdet + np.full(x.shape[0], s.sum())
         elif isinstance(layer, AdditiveCouplingLayer):
-            shift, acts = ref_mlp_forward(layer.mlp, h[:, layer.cond_idx])
+            shift, acts = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)])
             caches.append(acts)
             y = h.copy()
-            y[:, layer.shift_idx] = h[:, layer.shift_idx] + shift
+            y[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] + shift
             h = y
             logdet = logdet + np.zeros(x.shape[0])
         else:
@@ -187,10 +197,10 @@ def ref_backward(g, caches, dy, dlogdet, sums=ones_sums):
             grads.insert(0, [np.where(active, ds, 0.0), sums(dh)])
             dh = dh * np.exp(s)
         elif isinstance(layer, AdditiveCouplingLayer):
-            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shift_cols], sums)
+            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shifted], sums)
             grads.insert(0, g_layer)
             dx = dh.copy()
-            dx[:, layer.cond_cols] = dh[:, layer.cond_cols] + du
+            dx[:, cond_idx(layer)] = dh[:, cond_idx(layer)] + du
             dh = dx
         else:
             grads.insert(0, [])
@@ -205,9 +215,9 @@ def ref_inverse(g, y):
         if isinstance(layer, AffineDiagonalLayer):
             h = (h - layer.shift) * np.exp(-ref_scale(layer))
         elif isinstance(layer, AdditiveCouplingLayer):
-            shift, _ = ref_mlp_forward(layer.mlp, h[:, layer.cond_idx])
+            shift, _ = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)])
             x = h.copy()
-            x[:, layer.shift_idx] = h[:, layer.shift_idx] - shift
+            x[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] - shift
             h = x
         else:
             h = h[:, layer.inv]
@@ -219,14 +229,16 @@ def ref_inverse(g, y):
 
 
 @PROPERTY
-@given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]))
-def test_passes_are_bit_identical_to_the_reference(case, n, clamp):
+@given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]),
+       st.sampled_from("CF"))
+def test_passes_are_bit_identical_to_the_reference(case, n, clamp, order):
     g, seed = case
     for layer in g.layers:  # a small clamp clips some log-scales
         if isinstance(layer, AffineDiagonalLayer):
             layer.scale_clamp = clamp
     rng = np.random.default_rng(seed + 5)
-    x = rng.standard_normal((n, g.dim))
+    # x's memory order reaches the couplings through the affine layers
+    x = np.asarray(rng.standard_normal((n, g.dim)), order=order)
     dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
 
     y, logdet, caches = g._forward_cached(x)
