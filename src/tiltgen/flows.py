@@ -6,12 +6,17 @@ A ``FlowModel`` is a stack of three layer types:
   log-determinant; the log-scale is clamped to ``SCALE_CLAMP``),
 * additive-coupling -- shifts one half of the coordinates by a tanh MLP of
   the other half with ``HIDDEN_DEPTH`` hidden layers (volume preserving),
+  computed in ``CONDITIONER_DTYPE`` (float32),
 * permutation -- fixed coordinate reorder (volume preserving).
 
-All layers have exact analytic inverses.  Gradients of any scalar objective
-of (output, logdet) with respect to the layer parameters are computed by a
-hand-written reverse-mode pass; no autodiff framework is involved, which
-keeps runs bit-reproducible.
+All layers have exact analytic inverses.  Only the conditioners run in
+float32: the parameters (``theta``), the affine layers, the coupling's own
+add and subtract, and every log-determinant stay float64.  An additive
+coupling is volume preserving whatever its conditioner computes, so the
+density of the map the flow computes, ``log q(y) = log p(x) - logdet``, is
+exact.  Gradients of any scalar objective of (output, logdet) with respect
+to the layer parameters are computed by a hand-written reverse-mode pass;
+no autodiff framework is involved, which keeps runs bit-reproducible.
 
 ``init_identity`` builds a model whose forward map is exactly the identity:
 log-scales and shifts start at zero, conditioner output layers are
@@ -32,21 +37,40 @@ from .errors import ContractError, NumericError
 from .rng import derive_seed, make_generator
 
 HIDDEN_DEPTH = 2  # hidden layers of each coupling conditioner
+CONDITIONER_DTYPE = np.float32  # the dtype of every conditioner's arithmetic
 SCALE_CLAMP = 5.0  # bound on each affine log-scale
+
+
+def _conditioner_arrays(*arrays):
+    """The arrays in ``CONDITIONER_DTYPE``, each uncopied if it already is.
+
+    A finite value beyond that dtype's range raises ``NumericError`` instead
+    of turning into inf with a numpy warning."""
+    try:
+        with np.errstate(over="raise"):
+            return [a.astype(CONDITIONER_DTYPE, copy=False) for a in arrays]
+    except FloatingPointError:
+        name = np.dtype(CONDITIONER_DTYPE).name
+        raise NumericError(f"conditioner value beyond the {name} range") from None
 
 
 class Mlp:
     """Small feed-forward conditioner: tanh hidden layers, linear output.
 
-    Weight matrices are stored as (fan_in, fan_out).  The output layer is
-    zero-initialized so a freshly built conditioner returns zeros.
+    Weight matrices are stored as (fan_in, fan_out), in float64 like every
+    parameter.  Each pass casts its input, weights and biases to
+    ``CONDITIONER_DTYPE`` and computes in it; ``backward`` writes its
+    gradients into the caller's float64 arrays.  No cast is kept between
+    calls, so the map is always the one the current parameters define.  The
+    output layer is zero-initialized so a freshly built conditioner returns
+    zeros.
 
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
     bypasses BLAS for a loop about 4x slower at batch 256.  The two give
-    the same bytes on these 2-d float64 operands.  The backward pass's
-    column sums are BLAS products too, ``np.dot(ones, a)``, about 4x
-    cheaper than ``a.sum(axis=0)`` on a (256, 32) array.
+    the same bytes on these operands, in float32 as in float64.  The
+    backward pass's column sums are BLAS products too, ``np.dot(ones, a)``,
+    about 4x cheaper than ``a.sum(axis=0)`` on a (256, 32) array.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -66,10 +90,12 @@ class Mlp:
         return cls(weights, biases)
 
     def forward(self, u: np.ndarray):
-        acts = [u]
-        h = u
+        """Returns (output, activations), both in ``CONDITIONER_DTYPE``;
+        the first activation is the cast input."""
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        h, *params = _conditioner_arrays(u, *self.weights, *self.biases)
+        acts = [h]
+        for i, (w, b) in enumerate(zip(params[: last + 1], params[last + 1 :])):
             # in place on the fresh product: u and earlier acts are untouched
             h = np.dot(h, w)
             h += b
@@ -80,20 +106,21 @@ class Mlp:
 
     def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads: list[np.ndarray]):
         """Writes the gradients into ``grads`` (all biases, then all
-        weights) and returns d input; ``ones`` is a ones vector of the
-        batch length, for the bias gradients' column sums."""
+        weights) and returns d input in ``CONDITIONER_DTYPE``; ``ones`` is a
+        ones vector of the batch length, for the bias gradients' column
+        sums."""
         last = len(self.weights) - 1
         dbiases, dweights = grads[: last + 1], grads[last + 1 :]
-        dh = dout
+        dh, ones, *weights = _conditioner_arrays(dout, ones, *self.weights)
         for i in range(last, -1, -1):
             if i < last:  # through tanh: dh * (1 - a**2), in one temporary
                 t = acts[i + 1] * acts[i + 1]
                 np.subtract(1.0, t, out=t)
                 t *= dh
                 dh = t
-            np.dot(acts[i].T, dh, out=dweights[i])
-            np.dot(ones, dh, out=dbiases[i])
-            dh = np.dot(dh, self.weights[i].T)
+            dweights[i][...] = np.dot(acts[i].T, dh)
+            dbiases[i][...] = np.dot(ones, dh)
+            dh = np.dot(dh, weights[i].T)
         return dh
 
 
@@ -284,14 +311,17 @@ class FlowModel:
         h = batch
         total = 0.0
         caches = []
-        for layer in self.layers:
-            if keep:
-                h, ld, cache = layer.forward(h)
-                caches.append(cache)
-            else:
-                # no name may stay bound to the cache into the next layer
-                h, ld = layer.forward(h)[:2]
-            total += ld
+        try:
+            for layer in self.layers:
+                if keep:
+                    h, ld, cache = layer.forward(h)
+                    caches.append(cache)
+                else:
+                    # no name may stay bound to the cache into the next layer
+                    h, ld = layer.forward(h)[:2]
+                total += ld
+        except NumericError:  # a conditioner cast overflowed
+            self._raise_first_non_finite(batch)
         logdet = np.full(batch.shape[0], total)
         # Every layer maps a non-finite coordinate to a non-finite one, so a
         # single check at the end detects what a per-layer check would.
@@ -300,11 +330,15 @@ class FlowModel:
         return h, logdet, caches
 
     def _raise_first_non_finite(self, batch: np.ndarray):
-        """Re-run the layers one by one and name the first non-finite one."""
+        """Re-run the layers one by one and name the first non-finite one,
+        or the first whose conditioner cast overflows."""
         h = batch
         with np.errstate(all="ignore"):
             for i, layer in enumerate(self.layers):
-                h, ld = layer.forward(h)[:2]
+                try:
+                    h, ld = layer.forward(h)[:2]
+                except NumericError as err:
+                    raise NumericError(f"{err} at layer {i} ({layer.kind})") from None
                 if not (np.all(np.isfinite(h)) and math.isfinite(ld)):
                     raise NumericError(f"non-finite output at layer {i} ({layer.kind})")
         raise NumericError("non-finite accumulated log-determinant")
@@ -327,8 +361,11 @@ class FlowModel:
         log-determinant evaluated at x (constant per sample for these layers)."""
         batch = _as_batch(y, self.dim)
         h = batch
-        for layer in reversed(self.layers):
-            h = layer.inverse(h)
+        for i, layer in reversed(list(enumerate(self.layers))):
+            try:
+                h = layer.inverse(h)
+            except NumericError as err:  # a conditioner cast overflowed
+                raise NumericError(f"{err} at layer {i} ({layer.kind})") from None
         logdet = np.full(batch.shape[0], self.constant_logdet())
         return h, logdet
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from tiltgen import DiagGaussian, GaussianMixture
+from tiltgen import DiagGaussian, GaussianMixture, flows
 from tiltgen.flows import AffineDiagonalLayer, FlowModel
 from tiltgen.tuner import TunedModel
 
@@ -40,6 +40,14 @@ def mixture_pm2():
     return GaussianMixture(
         [0.5, 0.5], [DiagGaussian([-2.0], [1.0]), DiagGaussian([2.0], [1.0])]
     )
+
+
+@pytest.fixture
+def float64_conditioners(monkeypatch):
+    """Run every coupling conditioner in float64.  For tests of gradient,
+    Jacobian and error plumbing that does not depend on the dtype: their
+    finite-difference steps and tolerances are sized for float64."""
+    monkeypatch.setattr(flows, "CONDITIONER_DTYPE", np.float64)
 
 
 def exact_shift_model(base, shift, beta=0.0) -> TunedModel:

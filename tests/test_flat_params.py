@@ -1,6 +1,7 @@
 """The flow's parameters live in one contiguous vector, ``FlowModel.theta``."""
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,31 @@ def test_non_finite_coupling_weight_names_its_layer():
         with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
             h._forward_cached(x)
         assert str(err.value) == f"non-finite output at layer {k} (additive-coupling)"
+
+
+@pytest.mark.parametrize("param", ["weight", "bias"])
+def test_conditioner_parameter_beyond_float32_names_its_layer(param):
+    # finite in float64 but inf once cast for the float32 conditioner: every
+    # pass raises and names the layer, and numpy warns of no overflow
+    g = perturbed(dim=2, seed=13)
+    x = np.random.default_rng(14).standard_normal((5, 2))
+    couplings = [k for k, l in enumerate(g.layers) if isinstance(l, AdditiveCouplingLayer)]
+    for k in couplings:
+        h = g.copy()
+        mlp = h.layers[k].mlp
+        (mlp.weights[0] if param == "weight" else mlp.biases[0]).flat[0] = 1e39
+        passes = {
+            "fit": lambda: h._forward_cached(x),
+            "evaluation": lambda: h.forward(x),
+            "inverse": lambda: h.inverse(x),
+        }
+        for name, run in passes.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError) as err:
+                    run()
+            expected = f"conditioner value beyond the float32 range at layer {k} (additive-coupling)"
+            assert str(err.value) == expected, name
 
 
 def test_non_finite_log_scale_names_affine_layer():

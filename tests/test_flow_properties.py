@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiltgen.flows
 from tiltgen import DiagGaussian, NumericError
 from tiltgen.flows import (
     AdditiveCouplingLayer,
@@ -38,16 +39,19 @@ def objective(g, x, v, c):
 
 
 @PROPERTY
-@given(flows())
-def test_inverse_undoes_forward(case):
+@given(flows(max_width=32), st.integers(1, 300))
+def test_inverse_undoes_forward(case, n):
+    # a coupling's inverse subtracts the float32 shift its forward pass added,
+    # computed from the same untouched half: exact to float64 rounding
     g, seed = case
-    x = np.random.default_rng(seed + 1).standard_normal((20, g.dim))
+    x = np.random.default_rng(seed + 1).standard_normal((n, g.dim))
     y, logdet = g.forward(x)
     xi, logdet_inv = g.inverse(y)
-    assert np.max(np.abs(xi - x)) < 1e-8
+    assert np.max(np.abs(xi - x)) <= 1e-13
     assert np.allclose(logdet_inv, logdet)
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 @PROPERTY
 @given(flows())
 def test_logdet_matches_numerical_jacobian(case):
@@ -60,6 +64,7 @@ def test_logdet_matches_numerical_jacobian(case):
     assert logdet[0] == pytest.approx(np.linalg.slogdet(jac)[1], abs=1e-5)
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 @PROPERTY
 @given(flows())
 def test_every_parameter_gradient_matches_finite_differences(case):
@@ -115,41 +120,44 @@ def test_parameters_and_gradients_share_one_layout(case):
 # the flow passes against an out-of-place reference: ``exp(s)`` recomputed
 # at every use, one logdet array per layer, the gradients concatenated at
 # the end, and a coupling's conditioner input selected by an index array,
-# ``x[:, idx]``, whose copy is F-ordered.  The forward and inverse products
-# are matmuls with ``@``; the backward's are ``np.dot`` on the strided view
-# of the shifted half, as in the flow, because on such a view the two round
-# differently.  The backward reference takes its column sums as an
-# argument: ``ones_sums`` is the flow's arithmetic, and ``pairwise_sums`` the
-# ``sum(axis=0)`` the flow used before, which rounds differently in the last
-# bits.
+# ``x[:, idx]``, whose copy is F-ordered.  The conditioner arithmetic runs
+# in the reference's ``dtype``, float32 unless a test passes float64, on
+# casts of its input, weights, biases and incoming gradient; everything
+# else is float64.  The forward and inverse products are matmuls with
+# ``@``; the backward's are ``np.dot`` on the cast of the strided view of
+# the shifted half, as in the flow.  The backward reference takes its
+# column sums as an argument: ``ones_sums`` is the flow's arithmetic, and
+# ``pairwise_sums`` the ``sum(axis=0)`` the flow used before, which rounds
+# differently in the last bits.
 
 
 def ones_sums(a):
-    return np.dot(np.ones(a.shape[0]), a)
+    return np.dot(np.ones(a.shape[0], a.dtype), a)
 
 
 def pairwise_sums(a):
     return a.sum(axis=0)
 
 
-def ref_mlp_forward(mlp, u):
-    acts, h = [u], u
+def ref_mlp_forward(mlp, u, dtype):
+    h = u.astype(dtype)
+    acts = [h]
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w + b
+        h = h @ w.astype(dtype) + b.astype(dtype)
         if i < len(mlp.weights) - 1:
             h = np.tanh(h)
         acts.append(h)
     return h, acts
 
 
-def ref_mlp_backward(mlp, acts, dout, sums):
-    dbiases, dweights, dh = [], [], dout
+def ref_mlp_backward(mlp, acts, dout, sums, dtype):
+    dbiases, dweights, dh = [], [], dout.astype(dtype)
     for i in range(len(mlp.weights) - 1, -1, -1):
         if i < len(mlp.weights) - 1:
             dh = dh * (1.0 - acts[i + 1] * acts[i + 1])
         dweights.insert(0, np.dot(acts[i].T, dh))
         dbiases.insert(0, sums(dh))
-        dh = np.dot(dh, mlp.weights[i].T)
+        dh = np.dot(dh, mlp.weights[i].astype(dtype).T)
     return dh, dbiases + dweights
 
 
@@ -165,7 +173,7 @@ def shifted_idx(layer):
     return np.arange(layer.dim)[layer.shifted]
 
 
-def ref_forward(g, x):
+def ref_forward(g, x, dtype=np.float32):
     h, logdet, caches = x, np.zeros(x.shape[0]), []
     for layer in g.layers:
         if isinstance(layer, AffineDiagonalLayer):
@@ -174,7 +182,7 @@ def ref_forward(g, x):
             h = h * np.exp(s) + layer.shift
             logdet = logdet + np.full(x.shape[0], s.sum())
         elif isinstance(layer, AdditiveCouplingLayer):
-            shift, acts = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)])
+            shift, acts = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)], dtype)
             caches.append(acts)
             y = h.copy()
             y[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] + shift
@@ -187,7 +195,7 @@ def ref_forward(g, x):
     return h, logdet, caches
 
 
-def ref_backward(g, caches, dy, dlogdet, sums=ones_sums):
+def ref_backward(g, caches, dy, dlogdet, sums=ones_sums, dtype=np.float32):
     grads, dh = [], np.ascontiguousarray(dy)
     for layer, cache in zip(reversed(g.layers), reversed(caches)):
         if isinstance(layer, AffineDiagonalLayer):
@@ -197,7 +205,7 @@ def ref_backward(g, caches, dy, dlogdet, sums=ones_sums):
             grads.insert(0, [np.where(active, ds, 0.0), sums(dh)])
             dh = dh * np.exp(s)
         elif isinstance(layer, AdditiveCouplingLayer):
-            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shifted], sums)
+            du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shifted], sums, dtype)
             grads.insert(0, g_layer)
             dx = dh.copy()
             dx[:, cond_idx(layer)] = dh[:, cond_idx(layer)] + du
@@ -209,13 +217,13 @@ def ref_backward(g, caches, dy, dlogdet, sums=ones_sums):
     return (np.concatenate(flat) if flat else np.zeros(0)), dh
 
 
-def ref_inverse(g, y):
+def ref_inverse(g, y, dtype=np.float32):
     h = y
     for layer in reversed(g.layers):
         if isinstance(layer, AffineDiagonalLayer):
             h = (h - layer.shift) * np.exp(-ref_scale(layer))
         elif isinstance(layer, AdditiveCouplingLayer):
-            shift, _ = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)])
+            shift, _ = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)], dtype)
             x = h.copy()
             x[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] - shift
             h = x
@@ -276,6 +284,7 @@ def test_passes_are_bit_identical_to_the_reference(case, n, clamp, order):
     assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 @PROPERTY
 @given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]))
 def test_gradients_agree_with_the_pairwise_column_sums(case, n, clamp):
@@ -288,8 +297,8 @@ def test_gradients_agree_with_the_pairwise_column_sums(case, n, clamp):
     dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
     _, _, caches = g._forward_cached(x)
     grads, dx = g._backward_cached(caches, dy, dld)
-    _, _, ref_caches = ref_forward(g, x)
-    old_vector, old_dx = ref_backward(g, ref_caches, dy, dld, pairwise_sums)
+    _, _, ref_caches = ref_forward(g, x, np.float64)
+    old_vector, old_dx = ref_backward(g, ref_caches, dy, dld, pairwise_sums, np.float64)
     tol = 1e-13 * np.max(np.abs(old_vector))
     assert np.max(np.abs(grads.vector - old_vector)) <= tol
     assert np.max(np.abs(dx - old_dx)) <= 1e-13 * np.max(np.abs(old_dx))
@@ -310,6 +319,41 @@ def test_backward_bytes_do_not_depend_on_the_memory_order_of_dy(n, dim):
     f_grads, f_dx = g._backward_cached(caches, np.asfortranarray(dy), dld)
     assert np.array_equal(c_grads.vector, f_grads.vector)
     assert np.array_equal(c_dx, f_dx)
+
+
+# ---------------------------------------------------------------------------
+# float32 conditioners against float64 ones: the map moves by float32
+# rounding, but its density stays exact to float64 rounding, since an
+# additive coupling adds and subtracts the same float32 shift
+
+
+@PROPERTY
+@given(flows(max_width=32), st.integers(1, 300))
+def test_float32_conditioners_stay_close_to_float64_ones(case, n):
+    g, seed = case
+    rng = np.random.default_rng(seed + 8)
+    x = rng.standard_normal((n, g.dim))
+    dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
+    y, _, caches = g._forward_cached(x)
+    grads, dx = g._backward_cached(caches, dy, dld)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiltgen.flows, "CONDITIONER_DTYPE", np.float64)
+        y64, _, caches64 = g._forward_cached(x)
+        grads64, dx64 = g._backward_cached(caches64, dy, dld)
+    assert np.max(np.abs(y - y64)) <= 1e-5 * np.max(np.abs(y64))
+    assert np.max(np.abs(grads.vector - grads64.vector)) <= 1e-5 * np.max(np.abs(grads64.vector))
+    assert np.max(np.abs(dx - dx64)) <= 1e-5 * np.max(np.abs(dx64))
+
+
+@PROPERTY
+@given(flows(max_width=32), st.integers(1, 300))
+def test_log_density_through_the_inverse_matches_the_pathwise_one(case, n):
+    g, seed = case
+    base = DiagGaussian.standard(g.dim)
+    model = TunedModel(base, g, beta=1.0)
+    y, logratio = model._logratio(base.sample(n, seed), base)
+    pathwise = logratio + base.log_density(y)
+    assert np.max(np.abs(model.log_density(y) - pathwise)) <= 1e-13
 
 
 @PROPERTY

@@ -87,6 +87,7 @@ def test_affine_layer_example():
     assert logdet[0] == pytest.approx(np.log(6.0))
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 def test_logdet_matches_numerical_jacobian():
     g = perturbed_flow(2, seed=5)
     rng = np.random.default_rng(6)
@@ -178,6 +179,7 @@ def test_logdet_objective_gradient_is_one_per_dim():
     assert np.allclose(shift, 0.0)
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 def test_backward_matches_finite_differences():
     # scalar objective sum_i (v . y_i + c * logdet_i)
     g = perturbed_flow(2, seed=15)
@@ -206,6 +208,7 @@ def test_backward_matches_finite_differences():
         assert an[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7), f"param {k}"
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 def test_mlp_passes_work_in_place_on_their_own_buffers_only():
     rng = np.random.default_rng(17)
     mlp = Mlp.build(2, 8, 3, rng)

@@ -41,6 +41,7 @@ def test_elbo_gap_of_exact_shift_is_half_beta_squared(std_normal_1d):
         assert gap == pytest.approx(beta**2 / 2, abs=4 * beta / np.sqrt(1024))
 
 
+@pytest.mark.usefixtures("float64_conditioners")
 def test_elbo_gradients_match_finite_differences(std_normal_2d):
     g = init_identity(2, seed=3)
     rng = np.random.default_rng(4)
