@@ -18,6 +18,14 @@ exact.  Gradients of any scalar objective of (output, logdet) with respect
 to the layer parameters are computed by a hand-written reverse-mode pass;
 no autodiff framework is involved, which keeps runs bit-reproducible.
 
+Each pass casts the conditioners' parameters from theta once, into a block
+whose per-conditioner views it hands down; the conditioners write their
+gradients in place into a ``CONDITIONER_DTYPE`` block, the affine layers
+into a float64 one, and one concatenate makes the gradient vector.  A fit
+hands each step's caches to the next step's pass, which refills their
+arrays instead of allocating; every other pass gets fresh arrays.  Either
+way a pass computes the same bytes.
+
 ``init_identity`` builds a model whose forward map is exactly the identity:
 log-scales and shifts start at zero, conditioner output layers are
 zero-initialized, and the inter-block permutations are cancelled by a final
@@ -41,36 +49,68 @@ CONDITIONER_DTYPE = np.float32  # the dtype of every conditioner's arithmetic
 SCALE_CLAMP = 5.0  # bound on each affine log-scale
 
 
-def _conditioner_arrays(*arrays):
-    """The arrays in ``CONDITIONER_DTYPE``, each uncopied if it already is.
+def _cast(a: np.ndarray, out=None, order="K") -> np.ndarray:
+    """``a`` in ``CONDITIONER_DTYPE``, written into ``out`` if given, else
+    into a fresh array of memory order ``order`` (``"K"``: ``a``'s).
 
     A finite value beyond that dtype's range raises ``NumericError`` instead
     of turning into inf with a numpy warning."""
+    if out is None:
+        out = np.empty_like(a, dtype=CONDITIONER_DTYPE, order=order)
     try:
         with np.errstate(over="raise"):
-            return [a.astype(CONDITIONER_DTYPE, copy=False) for a in arrays]
+            np.copyto(out, a)
     except FloatingPointError:
         name = np.dtype(CONDITIONER_DTYPE).name
         raise NumericError(f"conditioner value beyond the {name} range") from None
+    return out
+
+
+def _copy(a: np.ndarray, out=None) -> np.ndarray:
+    """``a.copy()`` (C order), into ``out`` if given."""
+    if out is None:
+        return a.copy()
+    np.copyto(out, a)
+    return out
+
+
+def _views(vector: np.ndarray, spans) -> list[np.ndarray]:
+    """The views of ``vector`` that one layer's ``_layout`` spans describe."""
+    return [vector[k].reshape(shape) for k, shape in spans]
+
+
+def _columns(a: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
+    """``a[:, idx]`` (F order for a C-ordered ``a``), into ``out`` if given."""
+    if out is None:
+        return a[:, idx]
+    # idx is a permutation; with mode="raise" take would buffer its output
+    return np.take(a, idx, axis=1, out=out, mode="clip")
 
 
 class Mlp:
     """Small feed-forward conditioner: tanh hidden layers, linear output.
 
     Weight matrices are stored as (fan_in, fan_out), in float64 like every
-    parameter.  Each pass casts its input, weights and biases to
-    ``CONDITIONER_DTYPE`` and computes in it; ``backward`` writes its
-    gradients into the caller's float64 arrays.  No cast is kept between
-    calls, so the map is always the one the current parameters define.  The
+    parameter.  Each pass computes in ``CONDITIONER_DTYPE`` on ``params``,
+    the biases then the weights already cast: a flow pass casts every
+    conditioner's parameters once, from ``theta``, and hands each conditioner
+    its views.  Called without them, a pass casts its own.  No cast outlives
+    a pass, so the map is always the one the current parameters define.  The
     output layer is zero-initialized so a freshly built conditioner returns
     zeros.
+
+    ``out`` (forward) and ``temps`` (backward) hold a previous call's arrays
+    for the same batch shape, which the call refills in place instead of
+    allocating; a fit passes them from step to step, every other caller gets
+    fresh arrays.
 
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
     bypasses BLAS for a loop about 4x slower at batch 256.  The two give
-    the same bytes on these operands, in float32 as in float64.  The
-    backward pass's column sums are BLAS products too, ``np.dot(ones, a)``,
-    about 4x cheaper than ``a.sum(axis=0)`` on a (256, 32) array.
+    the same bytes on these operands, in float32 as in float64, and so does
+    ``np.dot`` writing into ``out=``.  The backward pass's column sums are
+    BLAS products too, ``np.dot(ones, a)``, about 4x cheaper than
+    ``a.sum(axis=0)`` on a (256, 32) array.
     """
 
     def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -89,38 +129,47 @@ class Mlp:
         biases.append(np.zeros(out_dim))
         return cls(weights, biases)
 
-    def forward(self, u: np.ndarray):
+    def forward(self, u: np.ndarray, params=None, out=None):
         """Returns (output, activations), both in ``CONDITIONER_DTYPE``;
-        the first activation is the cast input."""
-        last = len(self.weights) - 1
-        h, *params = _conditioner_arrays(u, *self.weights, *self.biases)
+        the first activation is ``u``, cast unless it is in that dtype."""
+        depth = len(self.weights)
+        if params is None:
+            params = [_cast(a) for a in self.biases + self.weights]
+        h = u if u.dtype == CONDITIONER_DTYPE else _cast(u)
         acts = [h]
-        for i, (w, b) in enumerate(zip(params[: last + 1], params[last + 1 :])):
-            # in place on the fresh product: u and earlier acts are untouched
-            h = np.dot(h, w)
-            h += b
-            if i < last:
+        for i in range(depth):
+            # u and earlier acts are untouched
+            h = np.dot(h, params[depth + i], out=None if out is None else out[i + 1])
+            h += params[i]
+            if i < depth - 1:
                 np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads: list[np.ndarray]):
+    def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads, params=None, temps=None):
         """Writes the gradients into ``grads`` (all biases, then all
-        weights) and returns d input in ``CONDITIONER_DTYPE``; ``ones`` is a
-        ones vector of the batch length, for the bias gradients' column
-        sums."""
-        last = len(self.weights) - 1
-        dbiases, dweights = grads[: last + 1], grads[last + 1 :]
-        dh, ones, *weights = _conditioner_arrays(dout, ones, *self.weights)
-        for i in range(last, -1, -1):
-            if i < last:  # through tanh: dh * (1 - a**2), in one temporary
-                t = acts[i + 1] * acts[i + 1]
+        weights, arrays in ``CONDITIONER_DTYPE``) and returns d input in that
+        dtype; ``ones`` is a ones vector of the batch length in that dtype,
+        for the bias gradients' column sums.  ``dout`` is cast unless it is
+        in that dtype; it and ``acts`` are not written."""
+        depth = len(self.weights)
+        if params is None:
+            params = [_cast(a) for a in self.biases + self.weights]
+        temps = {} if temps is None else temps
+        dh = dout if dout.dtype == CONDITIONER_DTYPE else _cast(dout)
+        for i in range(depth - 1, -1, -1):
+            if i < depth - 1:  # through tanh: dh * (1 - a**2), in one temporary
+                a = acts[i + 1]
+                t = temps["tanh"] = np.multiply(a, a, out=temps.get("tanh"))
                 np.subtract(1.0, t, out=t)
                 t *= dh
                 dh = t
-            dweights[i][...] = np.dot(acts[i].T, dh)
-            dbiases[i][...] = np.dot(ones, dh)
-            dh = np.dot(dh, weights[i].T)
+            np.dot(acts[i].T, dh, out=grads[depth + i])
+            np.dot(ones, dh, out=grads[i])
+            # every hidden layer's d input is read into "tanh" before the
+            # next one overwrites "dh"; the conditioner's own is "du"
+            key = "dh" if i else "du"
+            dh = temps[key] = np.dot(dh, params[depth + i].T, out=temps.get(key))
         return dh
 
 
@@ -147,37 +196,45 @@ class AffineDiagonalLayer:
         self.log_scale, self.shift = params
 
     def _effective(self):
-        return np.clip(self.log_scale, -self.scale_clamp, self.scale_clamp)
+        # np.clip's bytes from two ufunc calls, without its Python wrapper
+        return np.minimum(np.maximum(self.log_scale, -self.scale_clamp), self.scale_clamp)
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, params=None, cache=None):
         """Returns (y, logdet, cache); logdet is one float, the same for
-        every sample, and the cache holds ``x`` and the scale ``exp(s)``."""
+        every sample, and the cache holds ``x``, the scale ``exp(s)`` and
+        ``y``.  Given an earlier call's ``cache``, y is written into the
+        cache's ``y``."""
+        c = {} if cache is None else cache
         s = self._effective()
         scale = np.exp(s)
-        y = x * scale + self.shift
-        return y, s.sum(), (x, scale)
+        y = np.multiply(x, scale, out=c.get("y"))
+        y += self.shift
+        c["x"], c["scale"], c["y"] = x, scale, y
+        return y, s.sum(), c
 
-    def inverse(self, y: np.ndarray):
+    def inverse(self, y: np.ndarray, params=None):
         s = self._effective()
         return (y - self.shift) * np.exp(-s)
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
-        x, scale = cache
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
+        x, scale = cache["x"], cache["scale"]
         ds, dshift = grads
-        np.dot(ones, dy * x, out=ds)
+        dyx = temps["dyx"] = np.multiply(dy, x, out=temps.get("dyx"))
+        np.dot(ones, dyx, out=ds)
         ds *= scale
         ds += dlogdet_sum
         active = np.abs(self.log_scale) < self.scale_clamp
         ds[~active] = 0.0
         np.dot(ones, dy, out=dshift)
-        return dy * scale
+        dx = temps["dx"] = np.multiply(dy, scale, out=temps.get("dx"))
+        return dx
 
 
 class AdditiveCouplingLayer:
     """Shift one half of the coordinates by a conditioner of the other half.
 
     The conditioning (passthrough) half is columns ``parity::2``, the shifted
-    half the others.  The conditioner reads an F-ordered copy of its half,
+    half the others.  The conditioner reads an F-ordered cast of its half,
     the layout ``x[:, idx]`` gives: in three or more dimensions a strided
     view's products round differently.  The map is volume preserving:
     logdet = 0.
@@ -202,22 +259,34 @@ class AdditiveCouplingLayer:
         n = len(self.mlp.biases)
         self.mlp.biases, self.mlp.weights = params[:n], params[n:]
 
-    def forward(self, x: np.ndarray):
-        shift, acts = self.mlp.forward(np.asfortranarray(x[:, self.cond]))
-        y = x.copy()
-        y[:, self.shifted] += shift
-        return y, 0.0, acts
+    def forward(self, x: np.ndarray, params=None, cache=None):
+        """Returns (y, 0.0, cache); the cache holds the conditioner's
+        activations and ``y``.  Given an earlier call's ``cache``, the call
+        refills its arrays."""
+        c = {} if cache is None else cache
+        out = c.get("acts")
+        u = _cast(x[:, self.cond], None if out is None else out[0], order="F")
+        shift, c["acts"] = self.mlp.forward(u, params, out)
+        y = c["y"] = _copy(x, c.get("y"))
+        half = y[:, self.shifted]
+        half += shift
+        return y, 0.0, c
 
-    def inverse(self, y: np.ndarray):
-        shift, _ = self.mlp.forward(np.asfortranarray(y[:, self.cond]))
+    def inverse(self, y: np.ndarray, params=None):
+        shift, _ = self.mlp.forward(_cast(y[:, self.cond], order="F"), params)
         x = y.copy()
         x[:, self.shifted] -= shift
         return x
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
-        du = self.mlp.backward(cache, dy[:, self.shifted], ones, grads)
-        dx = dy.copy()
-        dx[:, self.cond] += du
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
+        ones_c = temps.get("ones")
+        if ones_c is None:
+            ones_c = temps["ones"] = ones.astype(CONDITIONER_DTYPE)
+        dout = temps["dout"] = _cast(dy[:, self.shifted], temps.get("dout"))
+        du = self.mlp.backward(cache["acts"], dout, ones_c, grads, params, temps)
+        dx = temps["dx"] = _copy(dy, temps.get("dx"))
+        half = dx[:, self.cond]
+        half += du
         return dx
 
 
@@ -237,26 +306,78 @@ class PermutationLayer:
     def set_params(self, params: list[np.ndarray]):
         pass
 
-    def forward(self, x: np.ndarray):
-        return x[:, self.perm], 0.0, None
+    def forward(self, x: np.ndarray, params=None, cache=None):
+        c = {} if cache is None else cache
+        y = c["y"] = _columns(x, self.perm, c.get("y"))
+        return y, 0.0, c
 
-    def inverse(self, y: np.ndarray):
+    def inverse(self, y: np.ndarray, params=None):
         return y[:, self.inv]
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads):
-        return dy[:, self.inv]
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
+        dx = temps["dx"] = _columns(dy, self.inv, temps.get("dx"))
+        return dx
 
 
 class FlowGradients:
     """Parameter gradients in one vector, laid out like ``FlowModel.theta``."""
 
-    def __init__(self, vector: np.ndarray, layer_views: list[list[np.ndarray]]):
+    def __init__(self, vector: np.ndarray, layout):
         self.vector = vector
-        self._layer_views = layer_views
+        self._layout = layout
 
     def flat(self) -> list[np.ndarray]:
-        """Views of ``vector`` shaped and ordered like ``FlowModel.parameters()``."""
-        return [g for views in self._layer_views for g in views]
+        """Views of ``vector`` shaped and ordered like ``FlowModel.parameters()``,
+        built on each call."""
+        return [v for spans in self._layout for v in _views(self.vector, spans)]
+
+
+class _PassCaches:
+    """The arrays of one pass: per layer, a dict of its cache and buffers,
+    and a ``CONDITIONER_DTYPE`` block laid out like theta into which
+    ``refresh`` casts every conditioner's parameters, with each
+    conditioner's views of it built once.
+
+    A forward pass handed these caches back (``reuse``) on a batch of the
+    same shape, strides and dtype refreshes the block and refills every
+    array in place: activations, temporaries and layer outputs.  Each buffer
+    first comes from the operation a fresh pass runs, so it has the memory
+    order that pass gives, which products and einsums downstream round by.
+    A backward pass on refilled caches keeps its temporaries, gradient
+    blocks and ones vectors here as well, and refills them on the next step.
+    They belong to whoever holds the caches (a fit) and die with it; nothing
+    is kept on the flow.
+    """
+
+    def __init__(self, flow: "FlowModel", key=None):
+        self.key = key
+        self.refilled = False
+        self.layers = [{} for _ in flow.layers]
+        self.params = np.empty(flow.theta.size, CONDITIONER_DTYPE)
+        self.param_views, self.runs = [], []
+        for i, (layer, spans) in enumerate(zip(flow.layers, flow._layout)):
+            coupling = isinstance(layer, AdditiveCouplingLayer)
+            self.param_views.append(_views(self.params, spans) if coupling else None)
+            if coupling:  # a conditioner's biases and weights are one slice of theta
+                run = slice(spans[0][0].start, spans[-1][0].stop)
+                self.runs.append((i, self.params[run], run))
+        self.gradients = None  # the backward pass's blocks, once refilled
+
+    def refresh(self, flow: "FlowModel"):
+        """Cast every conditioner's parameters from ``flow.theta`` into the
+        block, one copy per conditioner under one error state.  A finite
+        value beyond the dtype's range raises ``NumericError`` naming the
+        layer whose slice of theta holds it."""
+        i = 0
+        try:
+            with np.errstate(over="raise"):
+                for i, block, run in self.runs:
+                    np.copyto(block, flow.theta[run])
+        except FloatingPointError:
+            name = np.dtype(CONDITIONER_DTYPE).name
+            raise NumericError(
+                f"conditioner value beyond the {name} range at layer {i} ({flow.layers[i].kind})"
+            ) from None
 
 
 class FlowModel:
@@ -270,6 +391,10 @@ class FlowModel:
     takes ownership of ``layers``: their arrays are rebound into the new
     ``theta``, so layer objects must not be shared between models (use
     ``copy()`` instead).
+
+    Each pass casts the conditioners' parameters from ``theta`` once, when
+    it starts, and every conditioner of the pass reads that cast; no cast is
+    kept on the model, so a write to ``theta`` reaches the next pass.
     """
 
     def __init__(self, dim: int, layers: list):
@@ -292,46 +417,55 @@ class FlowModel:
                 spans.append((slice(offset, offset + p.size), p.shape))
                 offset += p.size
             self._layout.append(spans)
-        for layer, views in zip(self.layers, self._layer_views(self.theta)):
-            layer.set_params(views)
-
-    def _layer_views(self, vector: np.ndarray) -> list[list[np.ndarray]]:
-        """Per layer, the views of ``vector`` laid out like its parameters."""
-        return [[vector[k].reshape(shape) for k, shape in spans] for spans in self._layout]
+        for layer, spans in zip(self.layers, self._layout):
+            layer.set_params(_views(self.theta, spans))
 
     # -- evaluation ---------------------------------------------------------
 
-    def _forward_cached(self, batch: np.ndarray, keep: bool = True):
+    def _forward_cached(self, batch: np.ndarray, keep: bool = True, reuse=None):
         """Returns (y, logdet, caches).  With ``keep=False`` (evaluation
-        only) ``caches`` is empty and each layer's cache is freed as soon as
+        only) ``caches`` is None and each layer's cache is freed as soon as
         the layer returns, so the pass holds one layer's activations at a
-        time instead of every layer's."""
+        time instead of every layer's.
+
+        ``reuse`` takes the caches of an earlier pass of this flow: on a
+        batch of the same shape, strides and dtype this pass refills their
+        arrays and returns them (y is one of them) instead of allocating
+        (see ``_PassCaches``).  ``fit_q`` hands each step's caches to the
+        next step; every other pass gets fresh arrays."""
+        key = (batch.shape, batch.strides, batch.dtype)
+        if reuse is not None and reuse.key == key:
+            caches = reuse
+            caches.refilled = True
+        else:
+            caches = _PassCaches(self, key)
+        caches.refresh(self)
+        h = batch
         # each layer's logdet is one float for the whole batch; summing the
         # floats and broadcasting once adds what a per-sample array would
-        h = batch
         total = 0.0
-        caches = []
         try:
-            for layer in self.layers:
+            for layer, views, cache in zip(self.layers, caches.param_views, caches.layers):
                 if keep:
-                    h, ld, cache = layer.forward(h)
-                    caches.append(cache)
+                    h, ld, _ = layer.forward(h, views, cache)
                 else:
                     # no name may stay bound to the cache into the next layer
-                    h, ld = layer.forward(h)[:2]
+                    h, ld = layer.forward(h, views)[:2]
                 total += ld
-        except NumericError:  # a conditioner cast overflowed
+        except NumericError:  # a conditioner's input cast overflowed
             self._raise_first_non_finite(batch)
         logdet = np.full(batch.shape[0], total)
         # Every layer maps a non-finite coordinate to a non-finite one, so a
-        # single check at the end detects what a per-layer check would.
-        if not (np.isfinite(h).all() and np.isfinite(logdet).all()):
+        # single check at the end detects what a per-layer check would; the
+        # logdet is ``total`` on every row (of none, for an empty batch)
+        if not (np.isfinite(h).all() and (math.isfinite(total) or not logdet.size)):
             self._raise_first_non_finite(batch)
-        return h, logdet, caches
+        return h, logdet, (caches if keep else None)
 
     def _raise_first_non_finite(self, batch: np.ndarray):
-        """Re-run the layers one by one and name the first non-finite one,
-        or the first whose conditioner cast overflows."""
+        """Re-run the layers one by one, each conditioner casting its own
+        parameters, and name the first non-finite one, or the first whose
+        conditioner cast overflows."""
         h = batch
         with np.errstate(all="ignore"):
             for i, layer in enumerate(self.layers):
@@ -360,11 +494,13 @@ class FlowModel:
         """Invert the stack; returns (x, logdet) where logdet is the forward
         log-determinant evaluated at x (constant per sample for these layers)."""
         batch = _as_batch(y, self.dim)
+        cast = _PassCaches(self)
+        cast.refresh(self)
         h = batch
         for i, layer in reversed(list(enumerate(self.layers))):
             try:
-                h = layer.inverse(h)
-            except NumericError as err:  # a conditioner cast overflowed
+                h = layer.inverse(h, cast.param_views[i])
+            except NumericError as err:  # a conditioner's input cast overflowed
                 raise NumericError(f"{err} at layer {i} ({layer.kind})") from None
         logdet = np.full(batch.shape[0], self.constant_logdet())
         return h, logdet
@@ -379,22 +515,51 @@ class FlowModel:
 
     # -- gradients ----------------------------------------------------------
 
+    def _gradient_blocks(self, n: int):
+        """A backward pass's destinations: per layer, views of a float64
+        block (affine layers) or a ``CONDITIONER_DTYPE`` block (conditioners),
+        both laid out like theta; each layer's slice of its block, in theta
+        order; and a float64 ones vector of length ``n``."""
+        blocks = (np.empty(self.theta.size), np.empty(self.theta.size, CONDITIONER_DTYPE))
+        views, runs = [], []
+        for layer, spans in zip(self.layers, self._layout):
+            block = blocks[isinstance(layer, AdditiveCouplingLayer)]
+            views.append(_views(block, spans))
+            if spans:
+                runs.append(block[spans[0][0].start : spans[-1][0].stop])
+        return views, runs, np.ones(n)
+
     def _backward_cached(self, caches, dy: np.ndarray, dlogdet: np.ndarray):
         """Returns (gradients, d input).  Each layer's ``backward(cache, dy,
-        dlogdet_sum, ones, grads)`` writes its gradients into ``grads``, its
-        views of one fresh vector, and returns d input."""
-        vector = np.empty(self.theta.size)
+        dlogdet_sum, ones, grads, params, temps)`` writes its gradients into
+        ``grads``, its views of ``_gradient_blocks``, and returns d input; a
+        conditioner reads the parameters its forward pass cast.  One
+        concatenate of the blocks' runs in theta order gives the float64
+        gradient vector, a fresh array on every call.  A layer keeps its
+        temporaries in ``temps``: on refilled caches its cache dict, so the
+        next step refills them as it does the blocks; otherwise a fresh
+        dict, and every array is fresh."""
+        refill = caches.refilled
+        gradients = caches.gradients if refill else None
+        if gradients is None:
+            gradients = self._gradient_blocks(dy.shape[0])
+            if refill:
+                caches.gradients = gradients
+        views, runs, ones = gradients
         # column sums and products round by memory order, so take dy in C
         # order whatever the caller's: then its layout cannot change a fit
         dh = np.ascontiguousarray(dy)
-        ones = np.ones(dh.shape[0])
         # a layer's logdet is the same for every sample, so its parameters
         # see only the sum of dlogdet
         dlogdet_sum = dlogdet.sum()
-        layer_views = self._layer_views(vector)
-        for layer, cache, grads in reversed(list(zip(self.layers, caches, layer_views))):
-            dh = layer.backward(cache, dh, dlogdet_sum, ones, grads)
-        return FlowGradients(vector, layer_views), dh
+        for i in range(len(self.layers) - 1, -1, -1):
+            cache = caches.layers[i]
+            dh = self.layers[i].backward(
+                cache, dh, dlogdet_sum, ones, views[i], caches.param_views[i],
+                cache if refill else {},
+            )
+        vector = np.concatenate(runs) if runs else np.zeros(0)
+        return FlowGradients(vector, self._layout), dh
 
     # -- parameters ---------------------------------------------------------
 

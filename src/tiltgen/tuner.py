@@ -159,30 +159,44 @@ class TunedModel(Distribution):
         return self.base.log_density(x_hat) - logdet
 
 
-def _objective_parts(p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray):
+def _objective_parts(
+    p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray, reuse=None
+):
     """Forward pass of the tilt objective on one batch.
 
-    Returns (objective, grads, mean_f, batch_kl) where grads are the
-    gradients of the batch-mean objective with respect to flow parameters.
+    Returns (objective, grads, mean_f, batch_kl, buffers) where grads are
+    the gradients of the batch-mean objective with respect to flow
+    parameters.  ``buffers`` (the flow's caches, the logdet cotangent and
+    dy) passed back as ``reuse`` are refilled in place instead of allocated
+    when the flow refills its caches (a batch of the same shape, strides and
+    dtype); the bytes are those of a fresh call.
     """
     n = batch.shape[0]
-    y, logdet, caches = flow._forward_cached(batch)
+    previous = None if reuse is None else reuse[0]
+    y, logdet, caches = flow._forward_cached(batch, reuse=previous)
+    if caches is previous:  # the flow refilled its arrays: refill these too
+        _, dld, dy = reuse
+    else:
+        dld, dy = np.full(n, 1.0 / n), np.empty(y.shape)
     f_vals, f_grad = f.value_and_grad(y)
     f_vals = np.asarray(f_vals, dtype=float)
-    if not np.all(np.isfinite(f_vals)):
+    if not np.isfinite(f_vals).all():
         raise NumericError("criterion term is non-finite")
     log_p, score = p.log_density_and_score(y)
-    if not np.all(np.isfinite(log_p)):
+    if not np.isfinite(log_p).all():
         raise NumericError("base log-density term is non-finite")
     objective = float(np.mean(beta * f_vals + log_p + logdet))
-    dy = (beta * f_grad + score) / n
-    dld = np.full(n, 1.0 / n)
+    # (beta * f_grad + score) / n, operation by operation into a C-ordered
+    # array, the order the backward pass takes
+    np.multiply(beta, f_grad, out=dy)
+    dy += score
+    dy /= n
     grads, _ = flow._backward_cached(caches, dy, dld)
     # diagnostics riding along with the batch
     mean_f = float(f_vals.mean())
     log_p_hat = p.log_density(batch)
     batch_kl = float(np.mean(log_p_hat - logdet - log_p))
-    return objective, grads, mean_f, batch_kl
+    return objective, grads, mean_f, batch_kl, (caches, dld, dy)
 
 
 def _decayed_lr(cfg: TuneConfig, step: int) -> float:
@@ -210,10 +224,13 @@ def fit_q(
     trace_rows: list[tuple] = []
     w = PLATEAU_WINDOW
     flat_checks = 0
+    buffers = None  # each step refills the previous step's arrays
     for step in range(cfg.steps):
         batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
         try:
-            obj, grads, mean_f, batch_kl = _objective_parts(p, f, beta, flow, batch)
+            obj, grads, mean_f, batch_kl, buffers = _objective_parts(
+                p, f, beta, flow, batch, buffers
+            )
         except NumericError as err:
             raise DivergenceError(
                 f"objective diverged at step {step}: {err}", trace=trace_rows
