@@ -1,13 +1,16 @@
 """Invertible perturbation models with analytic log-determinants.
 
-A ``FlowModel`` is a stack of three layer types:
+A ``FlowModel`` is a stack of two layer types:
 
 * affine-diagonal -- per-dimension log-scale and shift (carries the
   log-determinant; the log-scale is clamped to ``SCALE_CLAMP``),
 * additive-coupling -- shifts one half of the coordinates by a tanh MLP of
   the other half with ``HIDDEN_DEPTH`` hidden layers (volume preserving),
-  computed in ``CONDITIONER_DTYPE`` (float32),
-* permutation -- fixed coordinate reorder (volume preserving).
+  computed in ``CONDITIONER_DTYPE`` (float32).
+
+The couplings of a block alternate halves, columns ``0::2`` then ``1::2``,
+so every coordinate is shifted once per block and no permutation layer is
+needed (NICE, Dinh et al. arXiv 1410.8516; RealNVP, arXiv 1605.08803).
 
 All layers have exact analytic inverses.  Only the conditioners run in
 float32: the parameters (``theta``), the affine layers, the coupling's own
@@ -23,13 +26,13 @@ whose per-conditioner views it hands down; the conditioners write their
 gradients in place into a ``CONDITIONER_DTYPE`` block, the affine layers
 into a float64 one, and one concatenate makes the gradient vector.  A fit
 hands each step's caches to the next step's pass, which refills their
-arrays instead of allocating; every other pass gets fresh arrays.  Either
+arrays instead of allocating; every other pass gets fresh arrays.  The
+conditioners of one backward pass share one set of scratch arrays.  Either
 way a pass computes the same bytes.
 
 ``init_identity`` builds a model whose forward map is exactly the identity:
-log-scales and shifts start at zero, conditioner output layers are
-zero-initialized, and the inter-block permutations are cancelled by a final
-unscrambling permutation.
+log-scales and shifts start at zero and conditioner output layers are
+zero-initialized.
 """
 
 from __future__ import annotations
@@ -79,14 +82,6 @@ def _views(vector: np.ndarray, spans) -> list[np.ndarray]:
     return [vector[k].reshape(shape) for k, shape in spans]
 
 
-def _columns(a: np.ndarray, idx: np.ndarray, out=None) -> np.ndarray:
-    """``a[:, idx]`` (F order for a C-ordered ``a``), into ``out`` if given."""
-    if out is None:
-        return a[:, idx]
-    # idx is a permutation; with mode="raise" take would buffer its output
-    return np.take(a, idx, axis=1, out=out, mode="clip")
-
-
 class Mlp:
     """Small feed-forward conditioner: tanh hidden layers, linear output.
 
@@ -99,10 +94,13 @@ class Mlp:
     output layer is zero-initialized so a freshly built conditioner returns
     zeros.
 
-    ``out`` (forward) and ``temps`` (backward) hold a previous call's arrays
-    for the same batch shape, which the call refills in place instead of
-    allocating; a fit passes them from step to step, every other caller gets
-    fresh arrays.
+    ``out`` (forward) holds a previous call's arrays for the same batch
+    shape, which the call refills in place instead of allocating; a fit
+    passes them from step to step.  ``temps`` (backward) holds scratch
+    arrays that die with the call, so the conditioners of one flow pass
+    share them; on a fit's refilled pass they also carry over to the next
+    step.  Each is a C-ordered product or elementwise result of the same
+    shape in every conditioner of the pass, so sharing keeps the bytes.
 
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
@@ -167,8 +165,9 @@ class Mlp:
             np.dot(acts[i].T, dh, out=grads[depth + i])
             np.dot(ones, dh, out=grads[i])
             # every hidden layer's d input is read into "tanh" before the
-            # next one overwrites "dh"; the conditioner's own is "du"
-            key = "dh" if i else "du"
+            # next one overwrites "dh"; the conditioner's own is "du", one
+            # per input width (the two halves differ in an odd dimension)
+            key = "dh" if i else ("du", acts[0].shape[1])
             dh = temps[key] = np.dot(dh, params[depth + i].T, out=temps.get(key))
         return dh
 
@@ -216,7 +215,9 @@ class AffineDiagonalLayer:
         s = self._effective()
         return (y - self.shift) * np.exp(-s)
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
+    def backward(
+        self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps, scratch
+    ):
         x, scale = cache["x"], cache["scale"]
         ds, dshift = grads
         dyx = temps["dyx"] = np.multiply(dy, x, out=temps.get("dyx"))
@@ -278,44 +279,17 @@ class AdditiveCouplingLayer:
         x[:, self.shifted] -= shift
         return x
 
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
-        ones_c = temps.get("ones")
+    def backward(
+        self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps, scratch
+    ):
+        ones_c = scratch.get("ones")
         if ones_c is None:
-            ones_c = temps["ones"] = ones.astype(CONDITIONER_DTYPE)
+            ones_c = scratch["ones"] = ones.astype(CONDITIONER_DTYPE)
         dout = temps["dout"] = _cast(dy[:, self.shifted], temps.get("dout"))
-        du = self.mlp.backward(cache["acts"], dout, ones_c, grads, params, temps)
+        du = self.mlp.backward(cache["acts"], dout, ones_c, grads, params, scratch)
         dx = temps["dx"] = _copy(dy, temps.get("dx"))
         half = dx[:, self.cond]
         half += du
-        return dx
-
-
-class PermutationLayer:
-    """Fixed coordinate permutation; no parameters, logdet = 0."""
-
-    kind = "permutation"
-
-    def __init__(self, perm):
-        self.perm = np.asarray(perm, dtype=int).copy()
-        self.inv = np.argsort(self.perm)
-        self.dim = self.perm.shape[0]
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def set_params(self, params: list[np.ndarray]):
-        pass
-
-    def forward(self, x: np.ndarray, params=None, cache=None):
-        c = {} if cache is None else cache
-        y = c["y"] = _columns(x, self.perm, c.get("y"))
-        return y, 0.0, c
-
-    def inverse(self, y: np.ndarray, params=None):
-        return y[:, self.inv]
-
-    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps):
-        dx = temps["dx"] = _columns(dy, self.inv, temps.get("dx"))
         return dx
 
 
@@ -344,7 +318,9 @@ class _PassCaches:
     first comes from the operation a fresh pass runs, so it has the memory
     order that pass gives, which products and einsums downstream round by.
     A backward pass on refilled caches keeps its temporaries, gradient
-    blocks and ones vectors here as well, and refills them on the next step.
+    blocks and ones vectors here as well, and refills them on the next step:
+    a layer's own in its dict, the conditioners' scratch, which every
+    coupling of the pass shares, in ``scratch``.
     They belong to whoever holds the caches (a fit) and die with it; nothing
     is kept on the flow.
     """
@@ -362,6 +338,7 @@ class _PassCaches:
                 run = slice(spans[0][0].start, spans[-1][0].stop)
                 self.runs.append((i, self.params[run], run))
         self.gradients = None  # the backward pass's blocks, once refilled
+        self.scratch = {}  # the conditioners' backward scratch, once refilled
 
     def refresh(self, flow: "FlowModel"):
         """Cast every conditioner's parameters from ``flow.theta`` into the
@@ -531,14 +508,17 @@ class FlowModel:
 
     def _backward_cached(self, caches, dy: np.ndarray, dlogdet: np.ndarray):
         """Returns (gradients, d input).  Each layer's ``backward(cache, dy,
-        dlogdet_sum, ones, grads, params, temps)`` writes its gradients into
-        ``grads``, its views of ``_gradient_blocks``, and returns d input; a
-        conditioner reads the parameters its forward pass cast.  One
-        concatenate of the blocks' runs in theta order gives the float64
-        gradient vector, a fresh array on every call.  A layer keeps its
-        temporaries in ``temps``: on refilled caches its cache dict, so the
-        next step refills them as it does the blocks; otherwise a fresh
-        dict, and every array is fresh."""
+        dlogdet_sum, ones, grads, params, temps, scratch)`` writes its
+        gradients into ``grads``, its views of ``_gradient_blocks``, and
+        returns d input; a conditioner reads the parameters its forward pass
+        cast.  One concatenate of the blocks' runs in theta order gives the
+        float64 gradient vector, a fresh array on every call.  A layer keeps
+        the arrays it returns or reads again in ``temps``, and the
+        conditioners keep their scratch, dead once a coupling returns, in
+        ``scratch``, one dict for every coupling of the pass.  On refilled
+        caches these are the layer's cache dict and ``caches.scratch``, so
+        the next step refills them as it does the blocks; otherwise they are
+        fresh dicts, and every array is fresh."""
         refill = caches.refilled
         gradients = caches.gradients if refill else None
         if gradients is None:
@@ -552,11 +532,12 @@ class FlowModel:
         # a layer's logdet is the same for every sample, so its parameters
         # see only the sum of dlogdet
         dlogdet_sum = dlogdet.sum()
+        scratch = caches.scratch if refill else {}
         for i in range(len(self.layers) - 1, -1, -1):
             cache = caches.layers[i]
             dh = self.layers[i].backward(
                 cache, dh, dlogdet_sum, ones, views[i], caches.param_views[i],
-                cache if refill else {},
+                cache if refill else {}, scratch,
             )
         vector = np.concatenate(runs) if runs else np.zeros(0)
         return FlowGradients(vector, self._layout), dh
@@ -577,10 +558,11 @@ class FlowModel:
 
 @dataclass(frozen=True)
 class FlowArchitecture:
-    """Stack shape: ``blocks`` repetitions of [affine-diagonal, coupling pair],
-    seeded permutations between blocks (cancelled at the end), and a closing
-    affine-diagonal layer.  ``blocks=0`` is the affine-only flow; each
-    conditioner has ``HIDDEN_DEPTH`` hidden layers of ``hidden_width``."""
+    """Stack shape: ``blocks`` repetitions of [affine-diagonal, coupling on
+    parity 0, coupling on parity 1] and a closing affine-diagonal layer, so
+    ``3 * blocks + 1`` layers in two or more dimensions.  In one dimension a
+    block is its affine layer alone.  ``blocks=0`` is the affine-only flow;
+    each conditioner has ``HIDDEN_DEPTH`` hidden layers of ``hidden_width``."""
 
     blocks: int = 2
     hidden_width: int = 32
@@ -596,28 +578,19 @@ def init_identity(dim: int, arch: FlowArchitecture = FlowArchitecture(), seed: i
     """Build a flow whose forward map is exactly the identity.
 
     Conditioner hidden weights are seeded (so two seeds differ there), but
-    zero output layers, zero log-scales/shifts, and self-cancelling
-    permutations make forward(x) = x and logdet = 0 exactly at init.
+    zero output layers and zero log-scales/shifts make forward(x) = x and
+    logdet = 0 exactly at init.
     """
     if dim < 1:
         raise ContractError("dimension must be >= 1")
     rng = make_generator(derive_seed(seed, "flow-init"))
     layers: list = []
-    net_perm = np.arange(dim)
-    for b in range(arch.blocks):
+    for _ in range(arch.blocks):
         layers.append(AffineDiagonalLayer(dim))
         if dim >= 2:
             for parity in (0, 1):
                 cond = len(range(parity, dim, 2))
                 mlp = Mlp.build(cond, arch.hidden_width, dim - cond, rng)
                 layers.append(AdditiveCouplingLayer(dim, parity, mlp))
-            if b < arch.blocks - 1:
-                perm = rng.permutation(dim)
-                if np.array_equal(perm, np.arange(dim)):
-                    perm = np.roll(perm, 1)
-                layers.append(PermutationLayer(perm))
-                net_perm = net_perm[perm]
-    if not np.array_equal(net_perm, np.arange(dim)):
-        layers.append(PermutationLayer(np.argsort(net_perm)))
     layers.append(AffineDiagonalLayer(dim))
     return FlowModel(dim, layers)

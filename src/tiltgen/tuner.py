@@ -13,6 +13,7 @@ the flow inverse and the change-of-variables identity.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -35,6 +36,9 @@ __all__ = [
 # window boundaries in a row that end a fit (see ``TuneConfig``)
 PLATEAU_WINDOW = 50
 PLATEAU_PATIENCE = 3
+# the rows of one draw from the base model, which ``_fit_batches`` splits
+# into the batches of consecutive fit steps
+BATCH_DRAW_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -159,10 +163,32 @@ class TunedModel(Distribution):
         return self.base.log_density(x_hat) - logdet
 
 
+def _fit_batches(p: Distribution, batch_size: int, seed: int):
+    """Yield ``fit_q``'s (batch, log p(batch)) for steps 0, 1, 2, ...
+
+    Draw j is ``p.sample(k * batch_size, derive_seed(seed, "batch", j))``
+    with k = max(1, ``BATCH_DRAW_ROWS`` // batch_size), and its
+    log-densities are computed once, next to it.  Step s takes rows
+    [(s mod k) * batch_size, (s mod k + 1) * batch_size) of draw s // k, as
+    views of the draw and of its log-densities.  A Gaussian's or a
+    mixture's log-density is computed row by row, so a slice of it is the
+    bytes ``p.log_density(batch)`` gives.  Above 2048 rows k is 1 and step
+    s draws its own batch from ``derive_seed(seed, "batch", s)``.
+    """
+    k = max(1, BATCH_DRAW_ROWS // batch_size)
+    for j in itertools.count():
+        draw = p.sample(k * batch_size, derive_seed(seed, "batch", j))
+        log_p = p.log_density(draw)
+        for i in range(0, k * batch_size, batch_size):
+            yield draw[i : i + batch_size], log_p[i : i + batch_size]
+
+
 def _objective_parts(
-    p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray, reuse=None
+    p: Distribution, f, beta: float, flow: FlowModel, batch: np.ndarray,
+    base_log_p: np.ndarray, reuse=None,
 ):
-    """Forward pass of the tilt objective on one batch.
+    """Forward pass of the tilt objective on one batch, whose base
+    log-densities ``p.log_density(batch)`` are ``base_log_p``.
 
     Returns (objective, grads, mean_f, batch_kl, buffers) where grads are
     the gradients of the batch-mean objective with respect to flow
@@ -194,8 +220,7 @@ def _objective_parts(
     grads, _ = flow._backward_cached(caches, dy, dld)
     # diagnostics riding along with the batch
     mean_f = float(f_vals.mean())
-    log_p_hat = p.log_density(batch)
-    batch_kl = float(np.mean(log_p_hat - logdet - log_p))
+    batch_kl = float(np.mean(base_log_p - logdet - log_p))
     return objective, grads, mean_f, batch_kl, (caches, dld, dy)
 
 
@@ -208,8 +233,10 @@ def fit_q(
 ) -> TunedModel:
     """Fit the tilted model at fixed ``beta`` by stochastic ascent.
 
-    Step s trains on ``cfg.batch_size`` draws from ``p`` with seed
-    ``derive_seed(seed, "batch", s)``.
+    Step s trains on the s-th batch of ``_fit_batches(p, cfg.batch_size,
+    seed)``: the batches of consecutive steps, up to ``BATCH_DRAW_ROWS``
+    rows in all, are row blocks of one draw from ``p``, whose log-densities
+    are computed with it, once.
 
     The initial flow is copied, never mutated, so warm-start chains can keep
     their history.  A non-finite ``beta`` raises ``ContractError`` before the
@@ -225,11 +252,12 @@ def fit_q(
     w = PLATEAU_WINDOW
     flat_checks = 0
     buffers = None  # each step refills the previous step's arrays
-    for step in range(cfg.steps):
-        batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
+    # range first: zip stops there without drawing past the last step
+    batches = _fit_batches(p, cfg.batch_size, seed)
+    for step, (batch, base_log_p) in zip(range(cfg.steps), batches):
         try:
             obj, grads, mean_f, batch_kl, buffers = _objective_parts(
-                p, f, beta, flow, batch, buffers
+                p, f, beta, flow, batch, base_log_p, buffers
             )
         except NumericError as err:
             raise DivergenceError(

@@ -167,16 +167,15 @@ def test_eight_or_more_terms_agree_to_rounding(kind, k, d, order):
 
 
 def test_two_block_bayes_fit_is_bit_identical_to_per_component_mixture():
-    # with two blocks the flow's output is F-ordered (the permutation's
-    # x[:, perm]), and so are the scores and the criterion gradient that
-    # feed the flow's backward pass
+    # the flow's output is C-ordered, and so are the scores and the
+    # criterion gradient that feed the flow's backward pass
     def mixture(cls, comp):
         return cls([0.5, 0.5], [comp([-2.0, 0.0], [1.0, 1.0]), comp([2.0, 0.0], [1.0, 1.0])])
 
     init = init_identity(2, FlowArchitecture(blocks=2, hidden_width=16), seed=11)
     cfg = TuneConfig(steps=120, batch_size=64, learning_rate=5e-3, improvement_tol=0)
     y = init._forward_cached(np.zeros((4, 2)))[0]
-    assert y.flags.f_contiguous and not y.flags.c_contiguous
+    assert y.flags.c_contiguous and not y.flags.f_contiguous
     fits = []
     for p in (mixture(GaussianMixture, DiagGaussian), mixture(PerComponentMixture, PerComponentGaussian)):
         f = ClassifierCriterion(BayesPosteriorClassifier(p), 1, "log-prob")
@@ -184,3 +183,19 @@ def test_two_block_bayes_fit_is_bit_identical_to_per_component_mixture():
     model, ref = fits
     assert model.trace_rows == ref.trace_rows
     assert np.array_equal(model.flow.theta.view(np.int64), ref.flow.theta.view(np.int64))
+
+
+def test_f_ordered_fitted_points_keep_the_per_component_posterior_bytes():
+    # no fit hands the posterior F-ordered points, so they are passed here
+    # directly: the einsum's sum over three components rounds by layout
+    p, ref = _pair("mixture", 3, 3, seed=5)
+    init = init_identity(3, FlowArchitecture(blocks=2, hidden_width=8), seed=13)
+    cfg = TuneConfig(steps=20, batch_size=64, learning_rate=5e-3, improvement_tol=0)
+    f = ClassifierCriterion(BayesPosteriorClassifier(p), 1, "log-prob")
+    points = np.asfortranarray(fit_q(p, f, 1.0, init, cfg, 14).sample(500, 15))
+    assert points.flags.f_contiguous and not points.flags.c_contiguous
+    got, want = p.posterior_terms(points), ref.posterior_terms(points)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape and a.strides == b.strides, i
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), i
+    assert not got[2].flags.c_contiguous  # the (d, n, k) layout

@@ -11,8 +11,7 @@ import pytest
 from tiltgen import DiagGaussian, GaussianMixture, LinearCriterion, fit_q
 from tiltgen.criteria import BayesPosteriorClassifier, ClassifierCriterion
 from tiltgen.flows import AdditiveCouplingLayer, FlowArchitecture, init_identity
-from tiltgen.rng import derive_seed
-from tiltgen.tuner import Adam, TuneConfig, _decayed_lr, _objective_parts
+from tiltgen.tuner import Adam, TuneConfig, _decayed_lr, _fit_batches, _objective_parts
 
 MIXTURE_3D = GaussianMixture(
     [0.3, 0.3, 0.4],
@@ -24,7 +23,8 @@ MIXTURE_3D = GaussianMixture(
 )
 # (base, criterion, beta, dim): a 2-d Gaussian; a 1-d flow, which has no
 # coupling layers; and a 3-d Bayes tune on three components, whose
-# two-block flow output is F-ordered and feeds the posterior's einsum
+# two-block flow output feeds the posterior's einsum, which rounds by the
+# output's memory order (C)
 SETUPS = {
     "gauss-2d": (DiagGaussian.standard(2), LinearCriterion([1.0, 0.0]), 3.0, 2),
     "gauss-1d": (DiagGaussian.standard(1), LinearCriterion([1.0]), 2.0, 1),
@@ -39,9 +39,9 @@ def fresh_fit(p, f, beta, init, cfg, seed):
     flow = init.copy()
     opt = Adam([flow.theta], cfg)
     rows = []
-    for step in range(cfg.steps):
-        batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
-        obj, grads, mean_f, batch_kl, _ = _objective_parts(p, f, beta, flow, batch)
+    batches = _fit_batches(p, cfg.batch_size, seed)
+    for step, (batch, log_p) in zip(range(cfg.steps), batches):
+        obj, grads, mean_f, batch_kl, _ = _objective_parts(p, f, beta, flow, batch, log_p)
         opt.step([grads.vector], _decayed_lr(cfg, step))
         rows.append((step, obj, mean_f, batch_kl))
     return rows, flow.theta
@@ -58,7 +58,7 @@ def test_fit_with_reused_buffers_is_bit_identical_to_fresh_passes(name):
     assert model.flow.theta.tobytes() == theta.tobytes()
     if dim == 3:  # the layout-sensitive case is the one exercised
         y = init._forward_cached(p.sample(8, 0))[0]
-        assert y.flags.f_contiguous and not y.flags.c_contiguous
+        assert y.flags.c_contiguous and not y.flags.f_contiguous
 
 
 def perturbed(dim=2, seed=31):
@@ -121,7 +121,7 @@ def test_refilled_backward_passes_hand_out_unshared_vectors():
     g = perturbed()
     buffers, vectors = None, []
     for x in batches():
-        _, grads, _, _, buffers = _objective_parts(p, f, beta, g, x, buffers)
+        _, grads, _, _, buffers = _objective_parts(p, f, beta, g, x, p.log_density(x), buffers)
         vectors.append(grads.vector)
         flat = grads.flat()
         assert_tiles(flat, grads.vector)
@@ -130,6 +130,25 @@ def test_refilled_backward_passes_hand_out_unshared_vectors():
         for b in vectors[i + 1 :]:
             assert not np.shares_memory(a, b)
     assert not any(np.shares_memory(v, g.theta) for v in vectors)
+
+
+def test_refilled_caches_hold_one_conditioner_scratch_pair():
+    # the couplings of a pass share their backward scratch: after refilled
+    # steps the caches hold one (n, width) pair of it, not one per coupling
+    p, f, beta = DiagGaussian.standard(2), LinearCriterion([1.0, 0.0]), 3.0
+    g = perturbed()  # hidden width 8
+    buffers = None
+    for x in batches():  # 16 rows each
+        _, _, _, _, buffers = _objective_parts(p, f, beta, g, x, p.log_density(x), buffers)
+    caches = buffers[0]
+    assert caches.refilled
+    assert sum(isinstance(layer, AdditiveCouplingLayer) for layer in g.layers) == 4
+    held = [
+        a for d in [caches.scratch, *caches.layers] for a in d.values()
+        if isinstance(a, np.ndarray) and a.shape == (16, 8)
+    ]
+    assert len(held) == 2 and not np.shares_memory(held[0], held[1])
+    assert all(a.dtype == np.float32 for a in held)
 
 
 def fitted_flow_attributes(flow):

@@ -13,11 +13,9 @@ from tiltgen.flows import (
     AffineDiagonalLayer,
     FlowArchitecture,
     FlowModel,
-    PermutationLayer,
     init_identity,
 )
-from tiltgen.rng import derive_seed
-from tiltgen.tuner import Adam, TuneConfig
+from tiltgen.tuner import Adam, TuneConfig, _fit_batches
 from tests.conftest import flow_gradients
 
 
@@ -106,9 +104,17 @@ def test_gradient_vector_matches_flat_layout():
 
 
 def test_parameterless_flow_has_empty_theta():
-    g = FlowModel(2, [PermutationLayer([1, 0])])
+    g = FlowModel(2, [])
     assert g.theta.shape == (0,)
     assert g.copy().theta.shape == (0,)
+    x = np.random.default_rng(9).standard_normal((4, 2))
+    y, logdet = g.forward(x)
+    assert np.array_equal(y, x) and np.array_equal(logdet, np.zeros(4))
+    # one affine layer: its log-scale and shift are all of theta
+    h = FlowModel(2, [AffineDiagonalLayer(2, log_scale=[0.5, -0.5], shift=[1.0, 2.0])])
+    assert_flat(h)
+    assert_flat(h.copy())
+    assert np.array_equal(h.theta, [0.5, -0.5, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +125,7 @@ def reference_fit(p, f, beta, init, cfg, seed):
     flow = init.copy()
     opt = Adam(flow.parameters(), cfg)
     rows = []
-    for step in range(cfg.steps):
-        batch = p.sample(cfg.batch_size, derive_seed(seed, "batch", step))
+    for step, (batch, _) in zip(range(cfg.steps), _fit_batches(p, cfg.batch_size, seed)):
         n = batch.shape[0]
         y, logdet, caches = flow._forward_cached(batch)
         f_vals = np.asarray(f.value(y), dtype=float)

@@ -181,16 +181,12 @@ def ref_forward(g, x, dtype=np.float32):
             caches.append(h)
             h = h * np.exp(s) + layer.shift
             logdet = logdet + np.full(x.shape[0], s.sum())
-        elif isinstance(layer, AdditiveCouplingLayer):
+        else:
             shift, acts = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)], dtype)
             caches.append(acts)
             y = h.copy()
             y[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] + shift
             h = y
-            logdet = logdet + np.zeros(x.shape[0])
-        else:
-            caches.append(None)
-            h = h[:, layer.perm]
             logdet = logdet + np.zeros(x.shape[0])
     return h, logdet, caches
 
@@ -204,15 +200,12 @@ def ref_backward(g, caches, dy, dlogdet, sums=ones_sums, dtype=np.float32):
             active = np.abs(layer.log_scale) < layer.scale_clamp
             grads.insert(0, [np.where(active, ds, 0.0), sums(dh)])
             dh = dh * np.exp(s)
-        elif isinstance(layer, AdditiveCouplingLayer):
+        else:
             du, g_layer = ref_mlp_backward(layer.mlp, cache, dh[:, layer.shifted], sums, dtype)
             grads.insert(0, g_layer)
             dx = dh.copy()
             dx[:, cond_idx(layer)] = dh[:, cond_idx(layer)] + du
             dh = dx
-        else:
-            grads.insert(0, [])
-            dh = dh[:, layer.inv]
     flat = [np.ravel(a) for layer_grads in grads for a in layer_grads]
     return (np.concatenate(flat) if flat else np.zeros(0)), dh
 
@@ -222,13 +215,11 @@ def ref_inverse(g, y, dtype=np.float32):
     for layer in reversed(g.layers):
         if isinstance(layer, AffineDiagonalLayer):
             h = (h - layer.shift) * np.exp(-ref_scale(layer))
-        elif isinstance(layer, AdditiveCouplingLayer):
+        else:
             shift, _ = ref_mlp_forward(layer.mlp, h[:, cond_idx(layer)], dtype)
             x = h.copy()
             x[:, shifted_idx(layer)] = h[:, shifted_idx(layer)] - shift
             h = x
-        else:
-            h = h[:, layer.inv]
     total = 0.0
     for layer in g.layers:
         if isinstance(layer, AffineDiagonalLayer):
@@ -308,7 +299,7 @@ def test_gradients_agree_with_the_pairwise_column_sums(case, n, clamp):
 @pytest.mark.parametrize("n", [7, 64, 256, 513])
 def test_backward_bytes_do_not_depend_on_the_memory_order_of_dy(n, dim):
     # a fit's dy takes the memory order of its scores and criterion
-    # gradient; with two blocks the flow's output is F-ordered
+    # gradient, which a custom criterion or distribution may give in F order
     g = init_identity(dim, FlowArchitecture(blocks=2, hidden_width=32), seed=n)
     rng = np.random.default_rng(n)
     g.theta += 0.2 * rng.standard_normal(g.theta.shape)

@@ -66,6 +66,27 @@ def test_identity_init_dim_one():
     assert np.all(logdet == 0.0)
 
 
+@pytest.mark.parametrize("blocks", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_identity_init_alternates_coupling_parities_without_permutations(dim, blocks):
+    # each block is [affine, coupling on parity 0, coupling on parity 1],
+    # then one closing affine layer; in 1-d a block is its affine layer
+    g = init_identity(dim, FlowArchitecture(blocks=blocks, hidden_width=4), seed=dim + blocks)
+    block = ["affine-diagonal"] + (["additive-coupling"] * 2 if dim >= 2 else [])
+    assert [layer.kind for layer in g.layers] == block * blocks + ["affine-diagonal"]
+    if dim >= 2:
+        assert len(g.layers) == 3 * blocks + 1
+    parities = [l.cond.start for l in g.layers if isinstance(l, AdditiveCouplingLayer)]
+    assert parities == ([0, 1] * blocks if dim >= 2 else [])
+    x = np.random.default_rng(dim).standard_normal((33, dim))
+    y, logdet, _ = g._forward_cached(x)
+    assert np.array_equal(y.view(np.int64), x.view(np.int64))
+    assert np.array_equal(logdet, np.zeros(33))
+    xi, logdet_inv = g.inverse(x)
+    assert np.array_equal(xi.view(np.int64), x.view(np.int64))
+    assert np.array_equal(logdet_inv, np.zeros(33))
+
+
 @pytest.mark.parametrize("shape", [{"hidden_width": 0}, {"blocks": -1}],
                          ids=["no-hidden-units", "negative-blocks"])
 def test_architecture_out_of_range_is_rejected_but_zero_blocks_is_affine_only(shape):

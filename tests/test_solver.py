@@ -26,7 +26,7 @@ from tiltgen.solver import (
     _stagnation_message,
     fit_chain,
 )
-from tiltgen.tuner import TuneConfig
+from tiltgen.tuner import TuneConfig, _fit_batches
 from tests.conftest import exact_shift_model
 
 
@@ -282,10 +282,11 @@ def test_solve_seed_drives_the_fit_batches():
 
 
 def test_first_fit_draws_its_batches_from_the_tune_stream():
-    # the stream the CLI has always used: batch s of fit 0 has the seed
-    # derive_seed(derive_seed(seed, "tune"), "batch", s)
-    batch = DiagGaussian.standard(2).sample(
-        TuneConfig().batch_size, derive_seed(derive_seed(7, "tune"), "batch", 0)
+    # the stream the CLI has always used: fit 0 draws its batches with the
+    # seed derive_seed(seed, "tune"), so its draw j has the seed
+    # derive_seed(derive_seed(seed, "tune"), "batch", j)
+    batch, _ = next(
+        _fit_batches(DiagGaussian.standard(2), TuneConfig().batch_size, derive_seed(7, "tune"))
     )
     # the flow starts at the identity, so step 0 evaluates f on the batch itself
     assert quickstart_solve(7).records[0]["trace"][0][2] == float(batch[:, 0].mean())

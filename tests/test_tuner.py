@@ -7,13 +7,22 @@ from tiltgen import (
     DiagGaussian,
     DivergenceError,
     FlowArchitecture,
+    GaussianMixture,
     LinearCriterion,
     NumericError,
     fit_q,
     init_identity,
 )
 from tiltgen.flows import AffineDiagonalLayer, FlowModel
-from tiltgen.tuner import TuneConfig, TunedModel, _objective_parts, kl_between
+from tiltgen.rng import derive_seed
+from tiltgen.tuner import (
+    BATCH_DRAW_ROWS,
+    TuneConfig,
+    TunedModel,
+    _fit_batches,
+    _objective_parts,
+    kl_between,
+)
 from tiltgen.criteria import Criterion
 
 
@@ -24,7 +33,8 @@ def shift_flow(dim, shift):
 def test_elbo_at_beta_zero_identity_collapses(std_normal_1d):
     g = init_identity(1, seed=0)
     batch = std_normal_1d.sample(512, seed=1)
-    obj = _objective_parts(std_normal_1d, LinearCriterion([1.0]), 0.0, g, batch)[0]
+    log_p = std_normal_1d.log_density(batch)
+    obj = _objective_parts(std_normal_1d, LinearCriterion([1.0]), 0.0, g, batch, log_p)[0]
     assert obj == pytest.approx(float(std_normal_1d.log_density(batch).mean()))
 
 
@@ -33,9 +43,12 @@ def test_elbo_gap_of_exact_shift_is_half_beta_squared(std_normal_1d):
     # beta^2/2 - beta * (batch mean), exactly per batch
     f = LinearCriterion([1.0])
     batch = std_normal_1d.sample(1024, seed=2)
+    log_p = std_normal_1d.log_density(batch)
     for beta in (0.5, 2.0, 3.0):
-        obj_shift = _objective_parts(std_normal_1d, f, beta, shift_flow(1, beta), batch)[0]
-        obj_id = _objective_parts(std_normal_1d, f, beta, init_identity(1, seed=0), batch)[0]
+        obj_shift = _objective_parts(std_normal_1d, f, beta, shift_flow(1, beta), batch, log_p)[0]
+        obj_id = _objective_parts(
+            std_normal_1d, f, beta, init_identity(1, seed=0), batch, log_p
+        )[0]
         gap = obj_shift - obj_id
         assert gap == pytest.approx(beta**2 / 2 - beta * batch.mean(), abs=1e-10)
         assert gap == pytest.approx(beta**2 / 2, abs=4 * beta / np.sqrt(1024))
@@ -49,8 +62,9 @@ def test_elbo_gradients_match_finite_differences(std_normal_2d):
         p += 0.05 * rng.standard_normal(p.shape)
     f = LinearCriterion([1.0, -0.5])
     batch = std_normal_2d.sample(64, seed=5)
+    log_p = std_normal_2d.log_density(batch)
     beta = 1.3
-    grads = _objective_parts(std_normal_2d, f, beta, g, batch)[1]
+    grads = _objective_parts(std_normal_2d, f, beta, g, batch, log_p)[1]
     params = g.parameters()
     flat = grads.flat()
     h = 1e-5
@@ -58,9 +72,9 @@ def test_elbo_gradients_match_finite_differences(std_normal_2d):
         idx = tuple(rng.integers(0, s) for s in p.shape)
         old = p[idx]
         p[idx] = old + h
-        up = _objective_parts(std_normal_2d, f, beta, g, batch)[0]
+        up = _objective_parts(std_normal_2d, f, beta, g, batch, log_p)[0]
         p[idx] = old - h
-        dn = _objective_parts(std_normal_2d, f, beta, g, batch)[0]
+        dn = _objective_parts(std_normal_2d, f, beta, g, batch, log_p)[0]
         p[idx] = old
         assert an[idx] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-8)
 
@@ -81,7 +95,58 @@ def test_elbo_names_non_finite_term(std_normal_1d):
     g = init_identity(1, seed=0)
     batch = std_normal_1d.sample(16, seed=6)
     with pytest.raises(NumericError, match="criterion term"):
-        _objective_parts(std_normal_1d, ExplodingCriterion(), 1.0, g, batch)
+        _objective_parts(
+            std_normal_1d, ExplodingCriterion(), 1.0, g, batch, std_normal_1d.log_density(batch)
+        )
+
+
+# ---------------------------------------------------------------------------
+# the fit's batches
+
+BATCH_BASES = {
+    "gaussian": DiagGaussian([0.5, -1.0], [1.0, 2.0]),
+    "mixture-2": GaussianMixture(
+        [0.3, 0.7], [DiagGaussian([-2.0, 0.0], [1.0, 0.5]), DiagGaussian([2.0, 1.0], [2.0, 1.0])]
+    ),
+    "mixture-3": GaussianMixture(
+        [0.2, 0.3, 0.5],
+        [
+            DiagGaussian([-2.0, 0.0, 1.0], [1.0, 0.5, 1.0]),
+            DiagGaussian([2.0, 1.0, 0.0], [2.0, 1.0, 0.5]),
+            DiagGaussian([0.0, -3.0, 2.0], [0.5, 1.0, 3.0]),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("batch_size", [256, 300, 5000])
+@pytest.mark.parametrize("name", sorted(BATCH_BASES))
+def test_fit_batches_are_row_blocks_of_one_draw(name, batch_size):
+    # k steps share one draw of k * batch_size rows: 16 at 256, 13 at 300
+    # (3900 rows; 300 does not divide 4096), and 1 above 2048 rows, where
+    # step s draws its own batch from derive_seed(seed, "batch", s)
+    p, seed = BATCH_BASES[name], 9
+    k = max(1, BATCH_DRAW_ROWS // batch_size)
+    assert k == {256: 16, 300: 13, 5000: 1}[batch_size]
+    draws = {}
+    previous = None
+    for step, (batch, log_p) in zip(range(2 * k + 1), _fit_batches(p, batch_size, seed)):
+        j, i = divmod(step, k)
+        if j not in draws:
+            draws[j] = p.sample(k * batch_size, derive_seed(seed, "batch", j))
+        rows = slice(i * batch_size, (i + 1) * batch_size)
+        assert batch.shape == (batch_size, p.dim) and batch.flags.c_contiguous
+        assert np.array_equal(batch.view(np.int64), draws[j][rows].view(np.int64))
+        # a view of its draw, which the batches before it in the draw share
+        assert batch.base is not None
+        if i:
+            assert batch.base is previous.base
+        else:
+            assert previous is None or not np.shares_memory(batch, previous)
+        # the draw's log-densities, sliced: the bytes of a per-batch call
+        assert log_p.shape == (batch_size,) and log_p.base is not None
+        assert np.array_equal(log_p.view(np.int64), p.log_density(batch).view(np.int64))
+        previous = batch
 
 
 # ---------------------------------------------------------------------------
