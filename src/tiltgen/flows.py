@@ -9,8 +9,12 @@ A ``FlowModel`` is a stack of two layer types:
   computed in ``CONDITIONER_DTYPE`` (float32).
 
 The couplings of a block alternate halves, columns ``0::2`` then ``1::2``,
-so every coordinate is shifted once per block and no permutation layer is
-needed (NICE, Dinh et al. arXiv 1410.8516; RealNVP, arXiv 1605.08803).
+so every coordinate is shifted once per block, with no permutation layer
+between blocks (NICE, Dinh et al. arXiv 1410.8516; RealNVP, arXiv
+1605.08803).  In two dimensions that is every conditioning there is.  From
+three up the split is the same in every block, so columns of one parity
+never condition each other: in 3-d, x0 and x2 are shifted by functions of
+x1 alone.
 
 All layers have exact analytic inverses.  Only the conditioners run in
 float32: the parameters (``theta``), the affine layers, the coupling's own
@@ -99,8 +103,9 @@ class Mlp:
     passes them from step to step.  ``temps`` (backward) holds scratch
     arrays that die with the call, so the conditioners of one flow pass
     share them; on a fit's refilled pass they also carry over to the next
-    step.  Each is a C-ordered product or elementwise result of the same
-    shape in every conditioner of the pass, so sharing keeps the bytes.
+    step.  Each is a C-ordered product or elementwise result, keyed by its
+    name and its width (the batch length is the pass's), so conditioners
+    of any widths share them and sharing keeps the bytes.
 
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
@@ -158,16 +163,16 @@ class Mlp:
         for i in range(depth - 1, -1, -1):
             if i < depth - 1:  # through tanh: dh * (1 - a**2), in one temporary
                 a = acts[i + 1]
-                t = temps["tanh"] = np.multiply(a, a, out=temps.get("tanh"))
+                key = ("tanh", a.shape[1])
+                t = temps[key] = np.multiply(a, a, out=temps.get(key))
                 np.subtract(1.0, t, out=t)
                 t *= dh
                 dh = t
             np.dot(acts[i].T, dh, out=grads[depth + i])
             np.dot(ones, dh, out=grads[i])
             # every hidden layer's d input is read into "tanh" before the
-            # next one overwrites "dh"; the conditioner's own is "du", one
-            # per input width (the two halves differ in an odd dimension)
-            key = "dh" if i else ("du", acts[0].shape[1])
+            # next one overwrites "dh"; the conditioner's own is "du"
+            key = ("dh" if i else "du", acts[i].shape[1])
             dh = temps[key] = np.dot(dh, params[depth + i].T, out=temps.get(key))
         return dh
 
@@ -560,7 +565,8 @@ class FlowModel:
 class FlowArchitecture:
     """Stack shape: ``blocks`` repetitions of [affine-diagonal, coupling on
     parity 0, coupling on parity 1] and a closing affine-diagonal layer, so
-    ``3 * blocks + 1`` layers in two or more dimensions.  In one dimension a
+    ``3 * blocks + 1`` layers in two or more dimensions; from three up,
+    columns of one parity never condition each other.  In one dimension a
     block is its affine layer alone.  ``blocks=0`` is the affine-only flow;
     each conditioner has ``HIDDEN_DEPTH`` hidden layers of ``hidden_width``."""
 

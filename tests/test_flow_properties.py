@@ -11,6 +11,8 @@ from tiltgen.flows import (
     AdditiveCouplingLayer,
     AffineDiagonalLayer,
     FlowArchitecture,
+    FlowModel,
+    Mlp,
     init_identity,
 )
 from tiltgen.tuner import TunedModel, kl_between
@@ -310,6 +312,37 @@ def test_backward_bytes_do_not_depend_on_the_memory_order_of_dy(n, dim):
     f_grads, f_dx = g._backward_cached(caches, np.asfortranarray(dy), dld)
     assert np.array_equal(c_grads.vector, f_grads.vector)
     assert np.array_equal(c_dx, f_dx)
+
+
+def test_couplings_of_different_widths_share_one_backward_scratch():
+    # the conditioners of a pass share their backward scratch, keyed by
+    # width: couplings of different hidden widths, and a conditioner whose
+    # two hidden layers differ, give the reference's bytes in fresh and in
+    # refilled passes
+    dim, n = 3, 16
+    rng = np.random.default_rng(41)
+    layers = [AffineDiagonalLayer(dim)]
+    for parity, width in ((0, 8), (1, 5), (0, 3)):
+        cond = len(range(parity, dim, 2))
+        layers.append(AdditiveCouplingLayer(dim, parity, Mlp.build(cond, width, dim - cond, rng)))
+    weights = [rng.standard_normal((1, 6)), rng.standard_normal((6, 4)), np.zeros((4, 2))]
+    biases = [np.zeros(6), np.zeros(4), np.zeros(2)]
+    layers += [AdditiveCouplingLayer(dim, 1, Mlp(weights, biases)), AffineDiagonalLayer(dim)]
+    g = FlowModel(dim, layers)
+    g.theta += 0.2 * rng.standard_normal(g.theta.shape)
+    kept = None  # the caches a fit hands from step to step
+    for _ in range(3):
+        x = rng.standard_normal((n, dim))
+        dy, dld = rng.standard_normal((n, dim)), rng.standard_normal(n)
+        ref_y, _, ref_caches = ref_forward(g, x)
+        ref_vector, ref_dx = ref_backward(g, ref_caches, dy, dld)
+        for reuse in (None, kept):  # a fresh pass, then one on the kept caches
+            y, _, caches = g._forward_cached(x, reuse=reuse)
+            grads, dx = g._backward_cached(caches, dy, dld)
+            assert np.array_equal(y, ref_y)
+            assert np.array_equal(grads.vector, ref_vector) and np.array_equal(dx, ref_dx)
+        kept = caches
+    assert kept.refilled and kept.scratch
 
 
 # ---------------------------------------------------------------------------
