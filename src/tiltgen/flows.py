@@ -28,11 +28,10 @@ no autodiff framework is involved, which keeps runs bit-reproducible.
 Each pass casts the conditioners' parameters from theta once, into a block
 whose per-conditioner views it hands down; the conditioners write their
 gradients in place into a ``CONDITIONER_DTYPE`` block, the affine layers
-into a float64 one, and one concatenate makes the gradient vector.  A fit
-hands each step's caches to the next step's pass, which refills their
-arrays instead of allocating; every other pass gets fresh arrays.  The
-conditioners of one backward pass share one set of scratch arrays.  Either
-way a pass computes the same bytes.
+into a float64 one, and one concatenate makes the gradient vector.  Every
+array a pass fills lives in its caches, and a pass handed earlier caches
+refills them: a fit hands each step's caches to the next step.  The
+conditioners of one backward pass share one set of scratch arrays.
 
 ``init_identity`` builds a model whose forward map is exactly the identity:
 log-scales and shifts start at zero and conditioner output layers are
@@ -93,19 +92,16 @@ class Mlp:
     parameter.  Each pass computes in ``CONDITIONER_DTYPE`` on ``params``,
     the biases then the weights already cast: a flow pass casts every
     conditioner's parameters once, from ``theta``, and hands each conditioner
-    its views.  Called without them, a pass casts its own.  No cast outlives
-    a pass, so the map is always the one the current parameters define.  The
-    output layer is zero-initialized so a freshly built conditioner returns
-    zeros.
+    its views.  The output layer is zero-initialized so a freshly built
+    conditioner returns zeros.
 
     ``out`` (forward) holds a previous call's arrays for the same batch
-    shape, which the call refills in place instead of allocating; a fit
-    passes them from step to step.  ``temps`` (backward) holds scratch
-    arrays that die with the call, so the conditioners of one flow pass
-    share them; on a fit's refilled pass they also carry over to the next
-    step.  Each is a C-ordered product or elementwise result, keyed by its
-    name and its width (the batch length is the pass's), so conditioners
-    of any widths share them and sharing keeps the bytes.
+    shape, which the call refills in place instead of allocating.  ``temps``
+    (backward) holds scratch arrays whose values die with the call, so the
+    conditioners of one flow pass share them.  Each is a C-ordered product
+    or elementwise result, keyed by its name and its width (the batch
+    length is the pass's), so conditioners of any widths share them and
+    sharing keeps the bytes.
 
     Every product is ``np.dot``, not ``@``: in a 2-d flow each conditioner
     has fan-in and fan-out 1, and for an inner dimension of 1 ``np.matmul``
@@ -132,12 +128,10 @@ class Mlp:
         biases.append(np.zeros(out_dim))
         return cls(weights, biases)
 
-    def forward(self, u: np.ndarray, params=None, out=None):
+    def forward(self, u: np.ndarray, params, out=None):
         """Returns (output, activations), both in ``CONDITIONER_DTYPE``;
         the first activation is ``u``, cast unless it is in that dtype."""
         depth = len(self.weights)
-        if params is None:
-            params = [_cast(a) for a in self.biases + self.weights]
         h = u if u.dtype == CONDITIONER_DTYPE else _cast(u)
         acts = [h]
         for i in range(depth):
@@ -149,16 +143,14 @@ class Mlp:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads, params=None, temps=None):
+    def backward(self, acts, dout: np.ndarray, ones: np.ndarray, grads, params, temps):
         """Writes the gradients into ``grads`` (all biases, then all
         weights, arrays in ``CONDITIONER_DTYPE``) and returns d input in that
-        dtype; ``ones`` is a ones vector of the batch length in that dtype,
-        for the bias gradients' column sums.  ``dout`` is cast unless it is
-        in that dtype; it and ``acts`` are not written."""
+        dtype, one of ``temps``; ``ones`` is a ones vector of the batch
+        length in that dtype, for the bias gradients' column sums.  ``dout``
+        is cast unless it is in that dtype; it and ``acts`` are not
+        written."""
         depth = len(self.weights)
-        if params is None:
-            params = [_cast(a) for a in self.biases + self.weights]
-        temps = {} if temps is None else temps
         dh = dout if dout.dtype == CONDITIONER_DTYPE else _cast(dout)
         for i in range(depth - 1, -1, -1):
             if i < depth - 1:  # through tanh: dh * (1 - a**2), in one temporary
@@ -187,7 +179,6 @@ class AffineDiagonalLayer:
 
     def __init__(self, dim: int, log_scale=None, shift=None):
         self.dim = dim
-        self.scale_clamp = SCALE_CLAMP
         self.log_scale = (
             np.zeros(dim) if log_scale is None else np.asarray(log_scale, dtype=float).copy()
         )
@@ -201,9 +192,9 @@ class AffineDiagonalLayer:
 
     def _effective(self):
         # np.clip's bytes from two ufunc calls, without its Python wrapper
-        return np.minimum(np.maximum(self.log_scale, -self.scale_clamp), self.scale_clamp)
+        return np.minimum(np.maximum(self.log_scale, -SCALE_CLAMP), SCALE_CLAMP)
 
-    def forward(self, x: np.ndarray, params=None, cache=None):
+    def forward(self, x: np.ndarray, params, cache=None):
         """Returns (y, logdet, cache); logdet is one float, the same for
         every sample, and the cache holds ``x``, the scale ``exp(s)`` and
         ``y``.  Given an earlier call's ``cache``, y is written into the
@@ -216,23 +207,21 @@ class AffineDiagonalLayer:
         c["x"], c["scale"], c["y"] = x, scale, y
         return y, s.sum(), c
 
-    def inverse(self, y: np.ndarray, params=None):
+    def inverse(self, y: np.ndarray, params):
         s = self._effective()
         return (y - self.shift) * np.exp(-s)
 
-    def backward(
-        self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps, scratch
-    ):
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, scratch):
         x, scale = cache["x"], cache["scale"]
         ds, dshift = grads
-        dyx = temps["dyx"] = np.multiply(dy, x, out=temps.get("dyx"))
+        dyx = cache["dyx"] = np.multiply(dy, x, out=cache.get("dyx"))
         np.dot(ones, dyx, out=ds)
         ds *= scale
         ds += dlogdet_sum
-        active = np.abs(self.log_scale) < self.scale_clamp
+        active = np.abs(self.log_scale) < SCALE_CLAMP
         ds[~active] = 0.0
         np.dot(ones, dy, out=dshift)
-        dx = temps["dx"] = np.multiply(dy, scale, out=temps.get("dx"))
+        dx = cache["dx"] = np.multiply(dy, scale, out=cache.get("dx"))
         return dx
 
 
@@ -265,7 +254,7 @@ class AdditiveCouplingLayer:
         n = len(self.mlp.biases)
         self.mlp.biases, self.mlp.weights = params[:n], params[n:]
 
-    def forward(self, x: np.ndarray, params=None, cache=None):
+    def forward(self, x: np.ndarray, params, cache=None):
         """Returns (y, 0.0, cache); the cache holds the conditioner's
         activations and ``y``.  Given an earlier call's ``cache``, the call
         refills its arrays."""
@@ -278,21 +267,19 @@ class AdditiveCouplingLayer:
         half += shift
         return y, 0.0, c
 
-    def inverse(self, y: np.ndarray, params=None):
+    def inverse(self, y: np.ndarray, params):
         shift, _ = self.mlp.forward(_cast(y[:, self.cond], order="F"), params)
         x = y.copy()
         x[:, self.shifted] -= shift
         return x
 
-    def backward(
-        self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, temps, scratch
-    ):
+    def backward(self, cache, dy: np.ndarray, dlogdet_sum: float, ones, grads, params, scratch):
         ones_c = scratch.get("ones")
         if ones_c is None:
             ones_c = scratch["ones"] = ones.astype(CONDITIONER_DTYPE)
-        dout = temps["dout"] = _cast(dy[:, self.shifted], temps.get("dout"))
+        dout = cache["dout"] = _cast(dy[:, self.shifted], cache.get("dout"))
         du = self.mlp.backward(cache["acts"], dout, ones_c, grads, params, scratch)
-        dx = temps["dx"] = _copy(dy, temps.get("dx"))
+        dx = cache["dx"] = _copy(dy, cache.get("dx"))
         half = dx[:, self.cond]
         half += du
         return dx
@@ -319,20 +306,19 @@ class _PassCaches:
 
     A forward pass handed these caches back (``reuse``) on a batch of the
     same shape, strides and dtype refreshes the block and refills every
-    array in place: activations, temporaries and layer outputs.  Each buffer
-    first comes from the operation a fresh pass runs, so it has the memory
-    order that pass gives, which products and einsums downstream round by.
-    A backward pass on refilled caches keeps its temporaries, gradient
-    blocks and ones vectors here as well, and refills them on the next step:
-    a layer's own in its dict, the conditioners' scratch, which every
-    coupling of the pass shares, in ``scratch``.
+    array in place: activations and layer outputs.  Each buffer first comes
+    from the operation the first pass runs, so it has the memory order a
+    pass on fresh caches gives, which products and einsums downstream round
+    by.  Every backward pass keeps its arrays here too, and the next one on
+    these caches refills them: a layer's temporaries in its dict, the
+    gradient blocks and ones vector in ``gradients``, and the conditioners'
+    scratch, which every coupling of the pass shares, in ``scratch``.
     They belong to whoever holds the caches (a fit) and die with it; nothing
     is kept on the flow.
     """
 
     def __init__(self, flow: "FlowModel", key=None):
         self.key = key
-        self.refilled = False
         self.layers = [{} for _ in flow.layers]
         self.params = np.empty(flow.theta.size, CONDITIONER_DTYPE)
         self.param_views, self.runs = [], []
@@ -342,8 +328,8 @@ class _PassCaches:
             if coupling:  # a conditioner's biases and weights are one slice of theta
                 run = slice(spans[0][0].start, spans[-1][0].stop)
                 self.runs.append((i, self.params[run], run))
-        self.gradients = None  # the backward pass's blocks, once refilled
-        self.scratch = {}  # the conditioners' backward scratch, once refilled
+        self.gradients = None  # the backward pass's blocks, from its first call
+        self.scratch = {}  # the conditioners' backward scratch
 
     def refresh(self, flow: "FlowModel"):
         """Cast every conditioner's parameters from ``flow.theta`` into the
@@ -413,14 +399,10 @@ class FlowModel:
         ``reuse`` takes the caches of an earlier pass of this flow: on a
         batch of the same shape, strides and dtype this pass refills their
         arrays and returns them (y is one of them) instead of allocating
-        (see ``_PassCaches``).  ``fit_q`` hands each step's caches to the
-        next step; every other pass gets fresh arrays."""
+        (see ``_PassCaches``); otherwise it fills fresh caches.  ``fit_q``
+        hands each step's caches to the next step."""
         key = (batch.shape, batch.strides, batch.dtype)
-        if reuse is not None and reuse.key == key:
-            caches = reuse
-            caches.refilled = True
-        else:
-            caches = _PassCaches(self, key)
+        caches = reuse if reuse is not None and reuse.key == key else _PassCaches(self, key)
         caches.refresh(self)
         h = batch
         # each layer's logdet is one float for the whole batch; summing the
@@ -435,24 +417,24 @@ class FlowModel:
                     h, ld = layer.forward(h, views)[:2]
                 total += ld
         except NumericError:  # a conditioner's input cast overflowed
-            self._raise_first_non_finite(batch)
+            self._raise_first_non_finite(batch, caches)
         logdet = np.full(batch.shape[0], total)
         # Every layer maps a non-finite coordinate to a non-finite one, so a
         # single check at the end detects what a per-layer check would; the
         # logdet is ``total`` on every row (of none, for an empty batch)
         if not (np.isfinite(h).all() and (math.isfinite(total) or not logdet.size)):
-            self._raise_first_non_finite(batch)
+            self._raise_first_non_finite(batch, caches)
         return h, logdet, (caches if keep else None)
 
-    def _raise_first_non_finite(self, batch: np.ndarray):
-        """Re-run the layers one by one, each conditioner casting its own
-        parameters, and name the first non-finite one, or the first whose
-        conditioner cast overflows."""
+    def _raise_first_non_finite(self, batch: np.ndarray, caches: _PassCaches):
+        """Re-run the layers one by one on the parameters the pass cast
+        into ``caches``, on fresh arrays, and name the first non-finite
+        one, or the first whose conditioner input cast overflows."""
         h = batch
         with np.errstate(all="ignore"):
-            for i, layer in enumerate(self.layers):
+            for i, (layer, views) in enumerate(zip(self.layers, caches.param_views)):
                 try:
-                    h, ld = layer.forward(h)[:2]
+                    h, ld = layer.forward(h, views)[:2]
                 except NumericError as err:
                     raise NumericError(f"{err} at layer {i} ({layer.kind})") from None
                 if not (np.all(np.isfinite(h)) and math.isfinite(ld)):
@@ -513,36 +495,30 @@ class FlowModel:
 
     def _backward_cached(self, caches, dy: np.ndarray, dlogdet: np.ndarray):
         """Returns (gradients, d input).  Each layer's ``backward(cache, dy,
-        dlogdet_sum, ones, grads, params, temps, scratch)`` writes its
-        gradients into ``grads``, its views of ``_gradient_blocks``, and
-        returns d input; a conditioner reads the parameters its forward pass
-        cast.  One concatenate of the blocks' runs in theta order gives the
-        float64 gradient vector, a fresh array on every call.  A layer keeps
-        the arrays it returns or reads again in ``temps``, and the
+        dlogdet_sum, ones, grads, params, scratch)`` writes its gradients
+        into ``grads``, its views of ``_gradient_blocks``, and returns d
+        input; a conditioner reads the parameters its forward pass cast.
+        One concatenate of the blocks' runs in theta order gives the float64
+        gradient vector, a fresh array on every call.  A layer keeps the
+        arrays it returns or reads again in its cache dict, and the
         conditioners keep their scratch, dead once a coupling returns, in
-        ``scratch``, one dict for every coupling of the pass.  On refilled
-        caches these are the layer's cache dict and ``caches.scratch``, so
-        the next step refills them as it does the blocks; otherwise they are
-        fresh dicts, and every array is fresh."""
-        refill = caches.refilled
-        gradients = caches.gradients if refill else None
-        if gradients is None:
-            gradients = self._gradient_blocks(dy.shape[0])
-            if refill:
-                caches.gradients = gradients
-        views, runs, ones = gradients
+        ``caches.scratch``, one dict for every coupling of the pass; the
+        blocks live in ``caches.gradients``.  The next backward pass on these
+        caches refills them all, so the d input returned, a layer's buffer,
+        is overwritten by it."""
+        if caches.gradients is None:
+            caches.gradients = self._gradient_blocks(dy.shape[0])
+        views, runs, ones = caches.gradients
         # column sums and products round by memory order, so take dy in C
         # order whatever the caller's: then its layout cannot change a fit
         dh = np.ascontiguousarray(dy)
         # a layer's logdet is the same for every sample, so its parameters
         # see only the sum of dlogdet
         dlogdet_sum = dlogdet.sum()
-        scratch = caches.scratch if refill else {}
         for i in range(len(self.layers) - 1, -1, -1):
-            cache = caches.layers[i]
             dh = self.layers[i].backward(
-                cache, dh, dlogdet_sum, ones, views[i], caches.param_views[i],
-                cache if refill else {}, scratch,
+                caches.layers[i], dh, dlogdet_sum, ones, views[i], caches.param_views[i],
+                caches.scratch,
             )
         vector = np.concatenate(runs) if runs else np.zeros(0)
         return FlowGradients(vector, self._layout), dh

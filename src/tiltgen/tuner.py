@@ -190,20 +190,14 @@ def _objective_parts(
     """Forward pass of the tilt objective on one batch, whose base
     log-densities ``p.log_density(batch)`` are ``base_log_p``.
 
-    Returns (objective, grads, mean_f, batch_kl, buffers) where grads are
+    Returns (objective, grads, mean_f, batch_kl, caches) where grads are
     the gradients of the batch-mean objective with respect to flow
-    parameters.  ``buffers`` (the flow's caches, the logdet cotangent and
-    dy) passed back as ``reuse`` are refilled in place instead of allocated
-    when the flow refills its caches (a batch of the same shape, strides and
-    dtype); the bytes are those of a fresh call.
+    parameters.  ``caches``, the flow's, passed back as ``reuse`` are
+    refilled in place instead of allocated when the batch has the same
+    shape, strides and dtype; the bytes are those of a fresh call.
     """
     n = batch.shape[0]
-    previous = None if reuse is None else reuse[0]
-    y, logdet, caches = flow._forward_cached(batch, reuse=previous)
-    if caches is previous:  # the flow refilled its arrays: refill these too
-        _, dld, dy = reuse
-    else:
-        dld, dy = np.full(n, 1.0 / n), np.empty(y.shape)
+    y, logdet, caches = flow._forward_cached(batch, reuse=reuse)
     f_vals, f_grad = f.value_and_grad(y)
     f_vals = np.asarray(f_vals, dtype=float)
     if not np.isfinite(f_vals).all():
@@ -214,14 +208,14 @@ def _objective_parts(
     objective = float(np.mean(beta * f_vals + log_p + logdet))
     # (beta * f_grad + score) / n, operation by operation into a C-ordered
     # array, the order the backward pass takes
-    np.multiply(beta, f_grad, out=dy)
+    dy = np.multiply(beta, f_grad, out=np.empty(y.shape))
     dy += score
     dy /= n
-    grads, _ = flow._backward_cached(caches, dy, dld)
+    grads, _ = flow._backward_cached(caches, dy, np.full(n, 1.0 / n))
     # diagnostics riding along with the batch
     mean_f = float(f_vals.mean())
     batch_kl = float(np.mean(base_log_p - logdet - log_p))
-    return objective, grads, mean_f, batch_kl, (caches, dld, dy)
+    return objective, grads, mean_f, batch_kl, caches
 
 
 def _decayed_lr(cfg: TuneConfig, step: int) -> float:
@@ -251,13 +245,13 @@ def fit_q(
     trace_rows: list[tuple] = []
     w = PLATEAU_WINDOW
     flat_checks = 0
-    buffers = None  # each step refills the previous step's arrays
+    caches = None  # each step refills the previous step's arrays
     # range first: zip stops there without drawing past the last step
     batches = _fit_batches(p, cfg.batch_size, seed)
     for step, (batch, base_log_p) in zip(range(cfg.steps), batches):
         try:
-            obj, grads, mean_f, batch_kl, buffers = _objective_parts(
-                p, f, beta, flow, batch, base_log_p, buffers
+            obj, grads, mean_f, batch_kl, caches = _objective_parts(
+                p, f, beta, flow, batch, base_log_p, caches
             )
         except NumericError as err:
             raise DivergenceError(

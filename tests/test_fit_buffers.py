@@ -91,7 +91,7 @@ def test_a_theta_write_between_refilled_steps_reaches_the_next_pass():
     _, _, caches = g._forward_cached(x0)
     g._backward_cached(caches, dy, dld)
     _, _, caches = g._forward_cached(x1, reuse=caches)
-    g._backward_cached(caches, dy, dld)  # the refilled backward keeps its buffers
+    g._backward_cached(caches, dy, dld)  # and refills its backward buffers
     before = g._forward_cached(x2)[0]
     k = next(i for i, l in enumerate(g.layers) if isinstance(l, AdditiveCouplingLayer))
     g.layers[k].mlp.weights[0][0, 0] += 0.5  # a view of g.theta
@@ -119,9 +119,9 @@ def assert_tiles(arrays, vector):
 def test_refilled_backward_passes_hand_out_unshared_vectors():
     p, f, beta = DiagGaussian.standard(2), LinearCriterion([1.0, 0.0]), 3.0
     g = perturbed()
-    buffers, vectors = None, []
+    caches, vectors = None, []
     for x in batches():
-        _, grads, _, _, buffers = _objective_parts(p, f, beta, g, x, p.log_density(x), buffers)
+        _, grads, _, _, caches = _objective_parts(p, f, beta, g, x, p.log_density(x), caches)
         vectors.append(grads.vector)
         flat = grads.flat()
         assert_tiles(flat, grads.vector)
@@ -132,16 +132,34 @@ def test_refilled_backward_passes_hand_out_unshared_vectors():
     assert not any(np.shares_memory(v, g.theta) for v in vectors)
 
 
+def test_repeated_backward_passes_on_one_set_of_caches():
+    # the benchmark's stage sweep runs the backward pass again and again on
+    # one forward pass's caches: each call refills their buffers, so the
+    # gradients keep their bytes in a fresh vector, and d input, a buffer of
+    # the caches, is overwritten with the same bytes
+    g = perturbed()
+    x = batches()[0]
+    dy = np.random.default_rng(34).standard_normal(x.shape)
+    dld = np.full(x.shape[0], 1.0 / x.shape[0])
+    _, _, caches = g._forward_cached(x)
+    first, dx = g._backward_cached(caches, dy, dld)
+    dx_first = dx.copy()
+    second, dx = g._backward_cached(caches, dy, dld)
+    assert first.vector.tobytes() == second.vector.tobytes()
+    assert not np.shares_memory(first.vector, second.vector)
+    assert dx.tobytes() == dx_first.tobytes()
+
+
 def test_refilled_caches_hold_one_conditioner_scratch_pair():
-    # the couplings of a pass share their backward scratch: after refilled
-    # steps the caches hold one (n, width) pair of it, not one per coupling
+    # the couplings of a pass share their backward scratch: after one fresh
+    # and two refilled steps the caches hold one (n, width) pair of it, not
+    # one per coupling, beside the gradient blocks
     p, f, beta = DiagGaussian.standard(2), LinearCriterion([1.0, 0.0]), 3.0
     g = perturbed()  # hidden width 8
-    buffers = None
+    caches = None
     for x in batches():  # 16 rows each
-        _, _, _, _, buffers = _objective_parts(p, f, beta, g, x, p.log_density(x), buffers)
-    caches = buffers[0]
-    assert caches.refilled
+        _, _, _, _, caches = _objective_parts(p, f, beta, g, x, p.log_density(x), caches)
+    assert caches.gradients is not None and caches.scratch
     assert sum(isinstance(layer, AdditiveCouplingLayer) for layer in g.layers) == 4
     held = [
         a for d in [caches.scratch, *caches.layers] for a in d.values()

@@ -206,6 +206,32 @@ def test_conditioner_parameter_beyond_float32_names_its_layer(param):
             assert str(err.value) == expected, name
 
 
+def test_conditioner_input_beyond_float32_names_its_layer():
+    # a finite input beyond float32's range reaches a conditioner: every pass
+    # names the first coupling that conditions on that column, forward at
+    # layer 1 and inverse (which runs the stack backwards) at layer 4
+    g = perturbed(dim=2, seed=13)
+    x = np.random.default_rng(14).standard_normal((5, 2))
+    caches = g._forward_cached(x)[2]  # a fit step before the bad batch
+    bad = x.copy()
+    bad[:, 0] = 1e39
+    passes = {
+        "fit": (lambda: g._forward_cached(bad), 1),
+        "fit refilling the previous step's arrays": (
+            lambda: g._forward_cached(bad, reuse=caches), 1
+        ),
+        "evaluation": (lambda: g.forward(bad), 1),
+        "inverse": (lambda: g.inverse(bad), 4),
+    }
+    for name, (run, k) in passes.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as err:
+                run()
+        expected = f"conditioner value beyond the float32 range at layer {k} (additive-coupling)"
+        assert str(err.value) == expected, name
+
+
 def test_non_finite_log_scale_names_affine_layer():
     g = perturbed(dim=2, seed=15)
     last = len(g.layers) - 1

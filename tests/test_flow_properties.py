@@ -164,7 +164,8 @@ def ref_mlp_backward(mlp, acts, dout, sums, dtype):
 
 
 def ref_scale(layer):
-    return np.clip(layer.log_scale, -layer.scale_clamp, layer.scale_clamp)
+    clamp = tiltgen.flows.SCALE_CLAMP
+    return np.clip(layer.log_scale, -clamp, clamp)
 
 
 def cond_idx(layer):
@@ -199,7 +200,7 @@ def ref_backward(g, caches, dy, dlogdet, sums=ones_sums, dtype=np.float32):
         if isinstance(layer, AffineDiagonalLayer):
             s = ref_scale(layer)
             ds = sums(dh * cache) * np.exp(s) + dlogdet.sum()
-            active = np.abs(layer.log_scale) < layer.scale_clamp
+            active = np.abs(layer.log_scale) < tiltgen.flows.SCALE_CLAMP
             grads.insert(0, [np.where(active, ds, 0.0), sums(dh)])
             dh = dh * np.exp(s)
         else:
@@ -234,47 +235,46 @@ def ref_inverse(g, y, dtype=np.float32):
        st.sampled_from("CF"))
 def test_passes_are_bit_identical_to_the_reference(case, n, clamp, order):
     g, seed = case
-    for layer in g.layers:  # a small clamp clips some log-scales
-        if isinstance(layer, AffineDiagonalLayer):
-            layer.scale_clamp = clamp
-    rng = np.random.default_rng(seed + 5)
-    # x's memory order reaches the couplings through the affine layers
-    x = np.asarray(rng.standard_normal((n, g.dim)), order=order)
-    dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
+    with pytest.MonkeyPatch.context() as mp:  # a small clamp clips some log-scales
+        mp.setattr(tiltgen.flows, "SCALE_CLAMP", clamp)
+        rng = np.random.default_rng(seed + 5)
+        # x's memory order reaches the couplings through the affine layers
+        x = np.asarray(rng.standard_normal((n, g.dim)), order=order)
+        dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
 
-    y, logdet, caches = g._forward_cached(x)
-    ref_y, ref_logdet, ref_caches = ref_forward(g, x)
-    assert np.array_equal(y, ref_y) and np.array_equal(logdet, ref_logdet)
+        y, logdet, caches = g._forward_cached(x)
+        ref_y, ref_logdet, ref_caches = ref_forward(g, x)
+        assert np.array_equal(y, ref_y) and np.array_equal(logdet, ref_logdet)
 
-    grads, dx = g._backward_cached(caches, dy, dld)
-    ref_vector, ref_dx = ref_backward(g, ref_caches, dy, dld)
-    assert np.array_equal(grads.vector, ref_vector) and np.array_equal(dx, ref_dx)
+        grads, dx = g._backward_cached(caches, dy, dld)
+        ref_vector, ref_dx = ref_backward(g, ref_caches, dy, dld)
+        assert np.array_equal(grads.vector, ref_vector) and np.array_equal(dx, ref_dx)
 
-    y0, logdet0 = g.forward(x[:1])
-    ref_y0, ref_logdet0, _ = ref_forward(g, x[:1])
-    assert np.array_equal(y0[0], ref_y0[0]) and logdet0[0] == ref_logdet0[0]
+        y0, logdet0 = g.forward(x[:1])
+        ref_y0, ref_logdet0, _ = ref_forward(g, x[:1])
+        assert np.array_equal(y0[0], ref_y0[0]) and logdet0[0] == ref_logdet0[0]
 
-    # the evaluation pass (no caches kept) and everything built on it give the
-    # bytes of the cached pass
-    y_eval, logdet_eval = g.forward(x)
-    assert np.array_equal(y_eval, y) and np.array_equal(logdet_eval, logdet)
-    base = DiagGaussian.standard(g.dim)
-    model = TunedModel(base, g, beta=1.0)
-    x_hat = base.sample(n, seed)
-    y_hat, logdet_hat, _ = g._forward_cached(x_hat)
-    assert np.array_equal(model.sample(n, seed), y_hat)
-    logratio = base.log_density(x_hat) - logdet_hat - base.log_density(y_hat)
-    y_s, logratio_s = model.sample_with_logratio(n, seed)
-    assert np.array_equal(y_s, y_hat) and np.array_equal(logratio_s, logratio)
-    if n >= 2:
-        other = DiagGaussian(np.full(g.dim, 0.5), np.full(g.dim, 2.0))
-        values = base.log_density(x_hat) - logdet_hat - other.log_density(y_hat)
-        expected = (float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
-        assert kl_between(model, other, n, seed) == expected
+        # the evaluation pass (no caches kept) and everything built on it give the
+        # bytes of the cached pass
+        y_eval, logdet_eval = g.forward(x)
+        assert np.array_equal(y_eval, y) and np.array_equal(logdet_eval, logdet)
+        base = DiagGaussian.standard(g.dim)
+        model = TunedModel(base, g, beta=1.0)
+        x_hat = base.sample(n, seed)
+        y_hat, logdet_hat, _ = g._forward_cached(x_hat)
+        assert np.array_equal(model.sample(n, seed), y_hat)
+        logratio = base.log_density(x_hat) - logdet_hat - base.log_density(y_hat)
+        y_s, logratio_s = model.sample_with_logratio(n, seed)
+        assert np.array_equal(y_s, y_hat) and np.array_equal(logratio_s, logratio)
+        if n >= 2:
+            other = DiagGaussian(np.full(g.dim, 0.5), np.full(g.dim, 2.0))
+            values = base.log_density(x_hat) - logdet_hat - other.log_density(y_hat)
+            expected = (float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)))
+            assert kl_between(model, other, n, seed) == expected
 
-    xi, logdet_inv = g.inverse(y)
-    ref_xi, ref_logdet_inv = ref_inverse(g, y)
-    assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)
+        xi, logdet_inv = g.inverse(y)
+        ref_xi, ref_logdet_inv = ref_inverse(g, y)
+        assert np.array_equal(xi, ref_xi) and np.array_equal(logdet_inv, ref_logdet_inv)
 
 
 @pytest.mark.usefixtures("float64_conditioners")
@@ -282,19 +282,18 @@ def test_passes_are_bit_identical_to_the_reference(case, n, clamp, order):
 @given(flows(max_width=32), st.integers(1, 300), st.sampled_from([0.1, 5.0]))
 def test_gradients_agree_with_the_pairwise_column_sums(case, n, clamp):
     g, seed = case
-    for layer in g.layers:
-        if isinstance(layer, AffineDiagonalLayer):
-            layer.scale_clamp = clamp
-    rng = np.random.default_rng(seed + 7)
-    x = rng.standard_normal((n, g.dim))
-    dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
-    _, _, caches = g._forward_cached(x)
-    grads, dx = g._backward_cached(caches, dy, dld)
-    _, _, ref_caches = ref_forward(g, x, np.float64)
-    old_vector, old_dx = ref_backward(g, ref_caches, dy, dld, pairwise_sums, np.float64)
-    tol = 1e-13 * np.max(np.abs(old_vector))
-    assert np.max(np.abs(grads.vector - old_vector)) <= tol
-    assert np.max(np.abs(dx - old_dx)) <= 1e-13 * np.max(np.abs(old_dx))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiltgen.flows, "SCALE_CLAMP", clamp)
+        rng = np.random.default_rng(seed + 7)
+        x = rng.standard_normal((n, g.dim))
+        dy, dld = rng.standard_normal((n, g.dim)), rng.standard_normal(n)
+        _, _, caches = g._forward_cached(x)
+        grads, dx = g._backward_cached(caches, dy, dld)
+        _, _, ref_caches = ref_forward(g, x, np.float64)
+        old_vector, old_dx = ref_backward(g, ref_caches, dy, dld, pairwise_sums, np.float64)
+        tol = 1e-13 * np.max(np.abs(old_vector))
+        assert np.max(np.abs(grads.vector - old_vector)) <= tol
+        assert np.max(np.abs(dx - old_dx)) <= 1e-13 * np.max(np.abs(old_dx))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -309,6 +308,7 @@ def test_backward_bytes_do_not_depend_on_the_memory_order_of_dy(n, dim):
     dy, dld = rng.standard_normal((n, dim)), np.full(n, 1.0 / n)
     _, _, caches = g._forward_cached(x)
     c_grads, c_dx = g._backward_cached(caches, np.ascontiguousarray(dy), dld)
+    c_dx = c_dx.copy()  # the next pass on these caches refills d input
     f_grads, f_dx = g._backward_cached(caches, np.asfortranarray(dy), dld)
     assert np.array_equal(c_grads.vector, f_grads.vector)
     assert np.array_equal(c_dx, f_dx)
@@ -342,7 +342,7 @@ def test_couplings_of_different_widths_share_one_backward_scratch():
             assert np.array_equal(y, ref_y)
             assert np.array_equal(grads.vector, ref_vector) and np.array_equal(dx, ref_dx)
         kept = caches
-    assert kept.refilled and kept.scratch
+    assert kept.gradients is not None and kept.scratch
 
 
 # ---------------------------------------------------------------------------

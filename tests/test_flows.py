@@ -8,6 +8,8 @@ from tiltgen.flows import (
     AffineDiagonalLayer,
     FlowModel,
     Mlp,
+    _cast,
+    _PassCaches,
 )
 from tests.conftest import flow_gradients
 
@@ -133,8 +135,10 @@ def test_stack_logdet_is_sum_of_layers():
     _, total = g.forward(x)
     per_layer = np.zeros(10)
     h = x
-    for layer in g.layers:
-        h, ld, _ = layer.forward(h)
+    cast = _PassCaches(g)
+    cast.refresh(g)
+    for layer, views in zip(g.layers, cast.param_views):
+        h, ld, _ = layer.forward(h, views)
         per_layer += ld
     assert np.allclose(total, per_layer)
     affine_sum = sum(
@@ -237,14 +241,15 @@ def test_mlp_passes_work_in_place_on_their_own_buffers_only():
     mlp.biases = [rng.standard_normal(b.shape) for b in mlp.biases]
     u = rng.standard_normal((5, 2))
     u_before = u.copy()
-    out, acts = mlp.forward(u)
+    params = [_cast(a) for a in mlp.biases + mlp.weights]
+    out, acts = mlp.forward(u, params)
     acts_before = [a.copy() for a in acts]
     dout = rng.standard_normal(out.shape)
     dout_before = dout.copy()
 
-    _, later_acts = mlp.forward(u)
+    _, later_acts = mlp.forward(u, params)
     grads = [np.empty_like(a) for a in mlp.biases + mlp.weights]
-    du = mlp.backward(acts, dout, np.ones(5), grads)
+    du = mlp.backward(acts, dout, np.ones(5), grads, params, {})
 
     assert np.array_equal(u, u_before)
     assert np.array_equal(dout, dout_before)
