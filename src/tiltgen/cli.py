@@ -82,6 +82,15 @@ def _prepare_criterion(f, spec: dict, dist, seed: int):
     return f, {"shift": f.shift, "scale": f.scale}
 
 
+def _prepared_main_criterion(plan):
+    """``_prepare_criterion`` of the plan's ``criterion`` block under
+    ``plan.base``, as tune and pareto fit it."""
+    return _prepare_criterion(
+        plan.criterion, plan.config["criterion"], plan.base,
+        derive_seed(plan.seeds["sampling"], "normalize"),
+    )
+
+
 def _write_samples(out, plan, model):
     n = plan.output_samples
     points = model.sample(n, derive_seed(plan.seeds["sampling"], "dump"))
@@ -210,10 +219,7 @@ def run_command(args) -> int:
 
 
 def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
-    f_used, norm_info = _prepare_criterion(
-        plan.criterion, plan.config["criterion"], plan.base,
-        derive_seed(plan.seeds["sampling"], "normalize"),
-    )
+    f_used, norm_info = _prepared_main_criterion(plan)
     failure = None
     try:
         if plan.fixed_beta is not None:
@@ -247,10 +253,7 @@ def cmd_tune(plan, out: Path, phases: Phases) -> Outcome:
 
 
 def cmd_pareto(plan, out: Path, phases: Phases) -> Outcome:
-    f_used, norm_info = _prepare_criterion(
-        plan.criterion, plan.config["criterion"], plan.base,
-        derive_seed(plan.seeds["sampling"], "normalize"),
-    )
+    f_used, norm_info = _prepared_main_criterion(plan)
     failure = None
     try:
         records = pareto_sweep(plan.base, f_used, plan.sweep_betas, **plan.chain)
@@ -277,28 +280,25 @@ def _slug(label: str) -> str:
 
 def cmd_diagnose(plan, out: Path, phases: Phases) -> Outcome:
     diag = plan.config["diagnostics"]
-    specs = diag["candidates"]
-    # build_plan has checked that the candidates are all lifted or all unlifted
-    eval_dist = plan.decoder.prior() if specs[0].get("lift") is not None else plan.base
     seeds = plan.seeds
     candidates = []
     normalization = []
-    for i, (f, spec) in enumerate(zip(plan.candidates, specs)):
+    for i, (f, spec) in enumerate(zip(plan.candidates, diag["candidates"])):
         f, info = _prepare_criterion(
-            f, spec, eval_dist, derive_seed(seeds["diagnostics"], "normalize", i)
+            f, spec, plan.base, derive_seed(seeds["diagnostics"], "normalize", i)
         )
         candidates.append(f)
         normalization.append(info)
 
     n = diag.get("samples", 10000)
     report = compare_criteria(
-        candidates, eval_dist, n, derive_seed(seeds["diagnostics"], "compare")
+        candidates, plan.base, n, derive_seed(seeds["diagnostics"], "compare")
     )
     phases.end("compare")
     curves = ()
     if "curve_betas" in diag:
         curves = importance_curves(
-            candidates, eval_dist, diag["curve_betas"],
+            candidates, plan.base, diag["curve_betas"],
             diag.get("curve_samples", max(10000, n)),
             derive_seed(seeds["diagnostics"], "curve"),
         )

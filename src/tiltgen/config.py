@@ -23,7 +23,7 @@ from jsonschema.validators import extend, validator_for
 
 from . import criteria as crit
 from .dists import (
-    DiagGaussian,
+    DecoderMarginal,
     Distribution,
     GaussianMixture,
     LatentDecoder,
@@ -38,6 +38,17 @@ from .tuner import TuneConfig
 _NUMBER = {"type": "number"}
 _NUMBER_ARRAY = {"type": "array", "items": _NUMBER, "minItems": 1}
 _NUMBER_MATRIX = {"type": "array", "items": _NUMBER_ARRAY, "minItems": 1}
+
+
+def _closed(properties: dict, required: list | None = None) -> dict:
+    """An object that takes only the keys of ``properties``, with the
+    ``required`` ones present."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        **({"required": required} if required else {}),
+        "properties": properties,
+    }
 
 
 def _keyed(key: str, rows: dict, shared: dict | None = None) -> dict:
@@ -61,12 +72,7 @@ def _keyed(key: str, rows: dict, shared: dict | None = None) -> dict:
 _COMPONENTS = {
     "type": "array",
     "minItems": 1,
-    "items": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["mean", "variance"],
-        "properties": {"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY},
-    },
+    "items": _closed({"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY}, ["mean", "variance"]),
 }
 _DISTRIBUTION_SCHEMA = _keyed("kind", {
     "diag-gaussian": (["mean", "variance"], {"mean": _NUMBER_ARRAY, "variance": _NUMBER_ARRAY}),
@@ -106,40 +112,25 @@ _CRITERION_SCHEMA = _keyed("name", {
 }, shared={
     "normalize": {"type": "boolean"},
     "normalize_samples": {"type": "integer", "minimum": 2},
-    "lift": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {"mc_samples": {"type": "integer", "minimum": 1}},
-    },
+    "lift": _closed({"mc_samples": {"type": "integer", "minimum": 1}}),
 })
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["distribution", "seeds"],
-    "properties": {
+    **_closed({
         "distribution": _DISTRIBUTION_SCHEMA,
         "criterion": _CRITERION_SCHEMA,
-        "flow": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "blocks": {"type": "integer", "minimum": 1},
-                "hidden_width": {"type": "integer", "minimum": 1},
-            },
-        },
-        "tune": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "batch_size": {"type": "integer", "minimum": 2},
-                "steps": {"type": "integer", "minimum": 1},
-                "warm_steps": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "improvement_tol": {"type": "number", "minimum": 0},
-            },
-        },
+        "flow": _closed({
+            "blocks": {"type": "integer", "minimum": 1},
+            "hidden_width": {"type": "integer", "minimum": 1},
+        }),
+        "tune": _closed({
+            "batch_size": {"type": "integer", "minimum": 2},
+            "steps": {"type": "integer", "minimum": 1},
+            "warm_steps": {"type": "integer", "minimum": 1},
+            "learning_rate": {"type": "number", "exclusiveMinimum": 0},
+            "improvement_tol": {"type": "number", "minimum": 0},
+        }),
         "target": {
             **_keyed("mode", {
                 "expectation": ([], {"value": _NUMBER}),
@@ -155,52 +146,22 @@ SCHEMA = {
             "then": {"not": {"required": ["value"]}},
             "else": {"required": ["value"]},
         },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"max_iterations": {"type": "integer", "minimum": 1}},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["betas"],
-            "properties": {"betas": _NUMBER_ARRAY},
-        },
-        "moments": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"samples": {"type": "integer", "minimum": 100}},
-        },
-        "diagnostics": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "candidates": {
-                    "type": "array",
-                    "minItems": 2,
-                    "items": _CRITERION_SCHEMA,
-                },
-                "samples": {"type": "integer", "minimum": 1000},
-                "curve_betas": _NUMBER_ARRAY,
-                "curve_samples": {"type": "integer", "minimum": 10000},
-            },
-        },
-        "outputs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"samples": {"type": "integer", "minimum": 1}},
-        },
-        "seeds": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["init", "sampling", "diagnostics"],
-            "properties": {
-                "init": {"type": "integer", "minimum": 0},
-                "sampling": {"type": "integer", "minimum": 0},
-                "diagnostics": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
+        "solver": _closed({"max_iterations": {"type": "integer", "minimum": 1}}),
+        "sweep": _closed({"betas": _NUMBER_ARRAY}, ["betas"]),
+        "moments": _closed({"samples": {"type": "integer", "minimum": 100}}),
+        "diagnostics": _closed({
+            "candidates": {"type": "array", "minItems": 2, "items": _CRITERION_SCHEMA},
+            "samples": {"type": "integer", "minimum": 1000},
+            "curve_betas": _NUMBER_ARRAY,
+            "curve_samples": {"type": "integer", "minimum": 10000},
+        }),
+        "outputs": _closed({"samples": {"type": "integer", "minimum": 1}}),
+        "seeds": _closed({
+            "init": {"type": "integer", "minimum": 0},
+            "sampling": {"type": "integer", "minimum": 0},
+            "diagnostics": {"type": "integer", "minimum": 0},
+        }, ["init", "sampling", "diagnostics"]),
+    }, ["distribution", "seeds"]),
 }
 
 
@@ -281,13 +242,14 @@ def given_keys(spec: dict, *keys: str, **renamed: str) -> dict:
 class RunPlan:
     """A validated config materialized into live objects.
 
-    ``base`` is the distribution the flow perturbs (the latent prior when the
-    criterion is lifted); ``data_dist`` is the data-space model used for
-    dumps and criterion construction; they coincide for non-lifted runs.
-    ``candidates`` are the criteria of ``diagnostics.candidates``, before
-    their normalization.  ``solver_options`` holds the config's ``solver``
-    keys, passed to ``solve`` as keyword arguments; its own defaults fill
-    the rest.
+    ``base`` is the distribution the command tunes or evaluates under:
+    ``decoder.prior()`` when the run is lifted, else ``data_dist``, the
+    data-space model the criteria are built on (``build_plan`` decides
+    which, once).  ``decoder`` is the latent-decoder model's decoder, or
+    None for other models.  ``candidates`` are the criteria of
+    ``diagnostics.candidates``, before their normalization.
+    ``solver_options`` holds the config's ``solver`` keys, passed to
+    ``solve`` as keyword arguments; its own defaults fill the rest.
     """
 
     config: dict
@@ -317,12 +279,13 @@ class RunPlan:
             **given_keys(self.config.get("moments", {}), moments_n="samples"),
         }
 
-    def decode_samples(self, latent_points):
-        """Map latent samples to data space; identity for non-lifted runs."""
-        if self.decoder is None:
-            return latent_points
+    def decode_samples(self, points):
+        """Map samples of ``base`` to data space: decode them on a lifted
+        run, return them as they are on any other."""
+        if self.base is self.data_dist:
+            return points
         return self.decoder.decode(
-            latent_points, derive_seed(self.seeds["sampling"], "decode")
+            points, derive_seed(self.seeds["sampling"], "decode")
         )
 
 
@@ -382,29 +345,28 @@ def criterion_from_spec(
 
 def build_plan(raw: dict, require: str | None = None) -> RunPlan:
     """Materialize a validated config; ``require`` names the command-specific
-    block that must be present ('target', 'sweep' or 'diagnostics')."""
+    block that must be present ('target', 'sweep' or 'diagnostics').
+
+    The run is lifted when the criteria its command tunes or compares are:
+    ``diagnostics.candidates`` for ``require='diagnostics'``, else the
+    ``criterion`` block.  ``base`` follows that decision, which is taken
+    here only.
+    """
     config = validate_config(raw)
     seeds = config["seeds"]
 
-    dist_spec = config["distribution"]
-    decoder = None
-    if dist_spec["kind"] == "latent-decoder":
-        decoder = LatentDecoder(dist_spec["weights"], dist_spec["noise_variance"])
-        data_dist: Distribution = decoder.marginal()
-    else:
-        data_dist = distribution_from_spec(dist_spec)
+    data_dist = distribution_from_spec(config["distribution"])
+    decoder = data_dist.decoder if isinstance(data_dist, DecoderMarginal) else None
 
     crit_spec = config.get("criterion")
     criterion = None
     if crit_spec is not None:
         criterion = criterion_from_spec(crit_spec, data_dist, decoder, seeds)
-    lifted = crit_spec is not None and crit_spec.get("lift") is not None
-    base = decoder.prior() if (decoder is not None and lifted) else data_dist
 
     candidate_specs = config.get("diagnostics", {}).get("candidates")
     candidates = None
     if candidate_specs is not None:
-        if len({c.get("lift") is not None for c in candidate_specs}) > 1:
+        if len({"lift" in c for c in candidate_specs}) > 1:
             raise ConfigError("candidates must be all lifted or all unlifted to compare")
         candidates = [
             criterion_from_spec(spec, data_dist, decoder, seeds) for spec in candidate_specs
@@ -435,6 +397,11 @@ def build_plan(raw: dict, require: str | None = None) -> RunPlan:
         raise ConfigError("this command requires 'diagnostics.candidates'")
     if require in ("target", "sweep") and criterion is None:
         raise ConfigError("this command requires a 'criterion' block")
+
+    # the candidates agree on lifting (checked above), and a lifted criterion
+    # has a decoder (criterion_from_spec checks it)
+    deciding = candidate_specs[0] if require == "diagnostics" else crit_spec or {}
+    base = decoder.prior() if "lift" in deciding else data_dist
 
     return RunPlan(
         config=config,

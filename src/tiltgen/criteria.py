@@ -63,6 +63,8 @@ class LinearCriterion(Criterion):
 
     def __init__(self, coefficients, label: str = "linear"):
         self.coefficients = np.atleast_1d(np.asarray(coefficients, dtype=float)).copy()
+        if not np.isfinite(self.coefficients).all():
+            raise ContractError("linear coefficients must be finite")
         self.dim = self.coefficients.shape[0]
         self.label = label
         self.coefficients.flags.writeable = False
@@ -144,6 +146,8 @@ class LogisticClassifier:
     def __init__(self, weights, bias: float = 0.0):
         self.weights = np.atleast_1d(np.asarray(weights, dtype=float)).copy()
         self.bias = float(bias)
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
+            raise ContractError("logistic weights and bias must be finite")
         self.dim = self.weights.shape[0]
         self.num_classes = 2
         self.weights.flags.writeable = False

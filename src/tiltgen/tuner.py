@@ -115,6 +115,13 @@ class Adam:
             p += a
 
 
+def _check_flow_dim(base: Distribution, flow: FlowModel) -> None:
+    if flow.dim != base.dim:
+        raise ContractError(
+            f"flow dimension {flow.dim} does not match base dimension {base.dim}"
+        )
+
+
 class TunedModel(Distribution):
     """Pushforward of a base distribution through a fitted flow.
 
@@ -127,6 +134,7 @@ class TunedModel(Distribution):
     kind = "flow-pushforward"
 
     def __init__(self, base: Distribution, flow: FlowModel, beta: float, trace_rows=()):
+        _check_flow_dim(base, flow)
         self.base = base
         self.flow = flow
         self.beta = float(beta)
@@ -233,12 +241,14 @@ def fit_q(
     are computed with it, once.
 
     The initial flow is copied, never mutated, so warm-start chains can keep
-    their history.  A non-finite ``beta`` raises ``ContractError`` before the
-    first step.  Divergence (non-finite objective) aborts with the trace
-    collected so far attached to the exception.
+    their history.  A non-finite ``beta``, or an ``init`` flow whose
+    dimension is not ``p``'s, raises ``ContractError`` before the first
+    step.  Divergence (non-finite objective) aborts with the trace collected
+    so far attached to the exception.
     """
     if not np.isfinite(beta):
         raise ContractError(f"beta must be finite, got {beta!r}")
+    _check_flow_dim(p, init)
     flow = init.copy()
     opt = Adam([flow.theta], cfg)
     objectives: list[float] = []

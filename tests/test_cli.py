@@ -80,6 +80,33 @@ def curve_diagnose_config():
     }
 
 
+# a 3-d data model decoded from a 2-d latent one
+DECODER_3X2 = {
+    "kind": "latent-decoder",
+    "weights": [[1.0, 0.0], [0.5, 1.0], [0.0, 1.0]],
+    "noise_variance": 0.1,
+}
+
+
+def decoder_diagnose_config():
+    """A diagnose of unlifted candidates on a decoder model whose main
+    criterion is lifted: diagnose compares its candidates in data space."""
+    return {
+        "distribution": DECODER_3X2,
+        "criterion": {"name": "window-mean", "window": [0, 1], "lift": {}},
+        "diagnostics": {
+            "candidates": [
+                {"name": "linear", "coefficients": [1.0, 0.0, 0.0]},
+                {"name": "window-mean", "window": [0, 2]},
+            ],
+            "samples": 2000,
+            "curve_betas": [0.0, 0.5],
+            "curve_samples": 10000,
+        },
+        "seeds": {"init": 1, "sampling": 2, "diagnostics": 3},
+    }
+
+
 # every run path: (command, config factory, timings.json phases besides total)
 RUN_PATHS = {
     "searched-tune": ("tune", small_tune_config, ["load", "solve", "artifacts"]),
@@ -418,6 +445,10 @@ MISSING_BLOCKS = {
     "diagnose-candidates": (
         "diagnose", curve_diagnose_config, lambda c: c["diagnostics"].pop("candidates"),
         "'diagnostics.candidates'",
+    ),
+    "decoder-diagnose-candidates": (
+        "diagnose", decoder_diagnose_config,
+        lambda c: c["diagnostics"].pop("candidates"), "'diagnostics.candidates'",
     ),
 }
 
@@ -1090,3 +1121,80 @@ def test_tune_lifted_deterministic_decoder_preserves_support(tmp_path):
     rows = (out / "samples.csv").read_text().splitlines()[1:]
     pts = np.array([[float(v) for v in r.split(",")] for r in rows])
     assert np.allclose(pts[:, 1], 0.5 * pts[:, 0], atol=1e-12)
+
+
+def unlifted_decoder_tune_config(distribution, samples):
+    """A tune at fixed beta 0 of an unlifted criterion on a decoder model."""
+    dim = len(distribution["weights"])
+    return {
+        "distribution": distribution,
+        "criterion": {"name": "linear", "coefficients": [1.0] + [0.0] * (dim - 1),
+                      "normalize": False},
+        "flow": {"blocks": 1, "hidden_width": 8},
+        "tune": {"steps": 100, "batch_size": 128},
+        "target": {"mode": "fixed", "value": 0.0},
+        "moments": {"samples": 2000},
+        "outputs": {"samples": samples},
+        "seeds": {"init": 1, "sampling": 2, "diagnostics": 3},
+    }
+
+
+def read_samples(out):
+    rows = (out / "samples.csv").read_text().splitlines()
+    return rows[0], np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+
+
+def test_plan_lifts_the_run_its_command_tunes_or_compares():
+    cfg = decoder_diagnose_config()
+    plan = build_plan(cfg, require="diagnostics")
+    assert plan.base is plan.data_dist
+    assert plan.data_dist.decoder is plan.decoder
+    # without a require, the criterion block decides, as the tune does
+    assert build_plan(cfg).base.dim == 2
+    for spec in cfg["diagnostics"]["candidates"]:
+        spec["lift"] = {}
+    assert build_plan(cfg, require="diagnostics").base.dim == 2
+    del cfg["criterion"]["lift"]
+    plan = build_plan(cfg)
+    assert plan.base is plan.data_dist
+
+
+def test_tune_unlifted_decoder_run_samples_data_space(tmp_path):
+    cfgp = write_config(tmp_path, unlifted_decoder_tune_config(DECODER_3X2, 20))
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 0
+    header, points = read_samples(out)
+    assert header == "x0,x1,x2"
+    assert points.shape == (20, 3)
+
+
+def test_tune_unlifted_square_decoder_samples_the_marginal(tmp_path):
+    # at beta 0 the tuned model is the marginal N(0, A A^T + sigma^2 I),
+    # whose variances here are [4.1, 9.1]; samples decoded a second time
+    # would have about [16.5, 82]
+    dist = {"kind": "latent-decoder", "weights": [[2.0, 0.0], [0.0, 3.0]],
+            "noise_variance": 0.1}
+    cfgp = write_config(tmp_path, unlifted_decoder_tune_config(dist, 4000))
+    out = tmp_path / "run"
+    assert main(["tune", "--config", cfgp, "--out", str(out)]) == 0
+    _, points = read_samples(out)
+    assert points.var(axis=0) == pytest.approx([4.1, 9.1], rel=0.1)
+
+
+def test_diagnose_unlifted_candidates_under_a_lifted_criterion(tmp_path):
+    # the main criterion plays no part in diagnose: the run writes the
+    # bytes it writes without that block
+    runs = {}
+    for name, drop_criterion in (("with", False), ("without", True)):
+        cfg = decoder_diagnose_config()
+        if drop_criterion:
+            del cfg["criterion"]
+        out = tmp_path / name
+        cfgp = write_config(tmp_path, cfg, f"{name}.json")
+        assert main(["diagnose", "--config", cfgp, "--out", str(out)]) == 0
+        runs[name] = {
+            k: v for k, v in run_dir_files(out).items()
+            if k not in ("manifest.json", "timings.json")
+        }
+    assert runs["with"] == runs["without"]
+    assert "report.json" in runs["with"]

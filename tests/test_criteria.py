@@ -268,8 +268,13 @@ def test_empty_or_out_of_range_window():
     lambda: AffineNormalizedCriterion(LinearCriterion([1.0]), -np.inf, 1.0),
     lambda: PeakCriterion(3, (0, 2), np.nan),
     lambda: PeakCriterion(3, (0, 2), np.inf),
+    lambda: LinearCriterion([np.nan, 1.0]),
+    lambda: LinearCriterion([np.inf]),
+    lambda: LogisticClassifier([np.nan]),
+    lambda: LogisticClassifier([1.0], bias=np.inf),
 ], ids=["scale-nan", "scale-inf", "shift-nan", "shift-inf", "temperature-nan",
-        "temperature-inf"])
+        "temperature-inf", "coefficient-nan", "coefficient-inf", "weight-nan",
+        "bias-inf"])
 def test_criterion_constructors_reject_non_finite_settings(build):
     with pytest.raises(ContractError):
         build()

@@ -222,6 +222,18 @@ def test_fit_rejects_non_finite_beta(std_normal_1d, beta):
               TuneConfig(steps=5), 0)
 
 
+@pytest.mark.parametrize("base_dim, flow_dim", [(2, 3), (3, 2), (1, 2)])
+def test_flow_of_another_dimension_is_refused(base_dim, flow_dim):
+    # refused by name before any draw, not as a numpy broadcasting error
+    base = DiagGaussian.standard(base_dim)
+    flow = init_identity(flow_dim, seed=0)
+    message = f"flow dimension {flow_dim} does not match base dimension {base_dim}"
+    with pytest.raises(ContractError, match=message):
+        fit_q(base, LinearCriterion(np.ones(base_dim)), 1.0, flow, TuneConfig(steps=5), 0)
+    with pytest.raises(ContractError, match=message):
+        TunedModel(base, flow, 1.0)
+
+
 def test_fit_reproducible_from_seed(std_normal_1d):
     cfg = TuneConfig(steps=120)
     g = init_identity(1, seed=19)
